@@ -27,9 +27,8 @@ from .circuit import (
 )
 from .fsm import Fsm, FsmError, Kiss2FormatError, Transition, parse_kiss2, simulate_fsm, write_kiss2
 from .keys import KeySchedule, generate_key_schedule, schedule_from_text, schedule_to_text
-from .sim import KeyPolicy, Stimulus, Trace, kleene_eval, simulate
+from .sim import KeyPolicy, Stimulus, Trace, simulate
 from .structural import (
-    CounterSpec,
     LockConfig,
     LockManifest,
     lock_structural,

@@ -82,15 +82,12 @@ class OverheadReport:
         return self.delta.gates / self.original.gates
 
 
-def _check_interfaces(ca: CompiledNetlist, cb: CompiledNetlist) -> None:
-    if ca.nonkey_names != cb.nonkey_names:
-        raise ValueError(
-            f"non-key input mismatch: {ca.nonkey_names} vs {cb.nonkey_names}"
-        )
-    if list(ca.netlist.outputs) != list(cb.netlist.outputs):
-        raise ValueError(
-            f"output mismatch: {ca.netlist.outputs} vs {cb.netlist.outputs}"
-        )
+def _check_interfaces(a: Netlist, b: Netlist) -> None:
+    nonkey_a, nonkey_b = a.compiled.nonkey_names, b.compiled.nonkey_names
+    if nonkey_a != nonkey_b:
+        raise ValueError(f"non-key input mismatch: {nonkey_a} vs {nonkey_b}")
+    if a.outputs != b.outputs:
+        raise ValueError(f"output mismatch: {a.outputs} vs {b.outputs}")
 
 
 def _check_equiv_policy(ca: CompiledNetlist, cb: CompiledNetlist, policy: KeyPolicy) -> None:
@@ -101,11 +98,62 @@ def _check_equiv_policy(ca: CompiledNetlist, cb: CompiledNetlist, policy: KeyPol
             check_policy(compiled, policy)
 
 
+def _side_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> KeyPolicy:
+    """The policy drives a side only when that side has key inputs."""
+    return policy if compiled.key_idx else KeyPolicy.none()
+
+
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
     h, x = plane
     if (x >> lane) & 1:
         return None
     return (h >> lane) & 1
+
+
+def _first_divergence(outs_a, outs_b) -> tuple[int, int, int | None, int | None] | None:
+    """(lane, output index, left value, right value) of the first differing
+    output plane, at its lowest differing lane; None when all planes agree."""
+    for oi, (pa, pb) in enumerate(zip(outs_a, outs_b)):
+        diff = (pa[0] ^ pb[0]) | (pa[1] ^ pb[1])
+        if diff:
+            lane = (diff & -diff).bit_length() - 1
+            return lane, oi, _plane_lane(pa, lane), _plane_lane(pb, lane)
+    return None
+
+
+def _random_lockstep(
+    a: Netlist,
+    b: Netlist,
+    policy: KeyPolicy,
+    sequences: int,
+    cycles: int,
+    seed: int,
+    init: str,
+):
+    """Step `a` and `b` side by side for `cycles` cycles over `sequences`
+    seeded random stimuli, one stimulus per lane. `policy` drives each side
+    that has key inputs.
+
+    Yields ``(cycle, non-key input planes, output planes of a, of b)`` after
+    every cycle. Raises ValueError for an empty run, which would decide
+    nothing.
+    """
+    if sequences < 1 or cycles < 1:
+        raise ValueError(
+            f"random run needs sequences >= 1 and cycles >= 1, got {sequences} and {cycles}"
+        )
+    pa, pb = _side_policy(a.compiled, policy), _side_policy(b.compiled, policy)
+    rng = random.Random(seed)
+    n = len(a.compiled.nonkey_idx)
+    sa = PlaneSim(a, sequences)
+    sb = PlaneSim(b, sequences)
+    sa.reset(init)
+    sb.reset(init)
+    for cycle in range(cycles):
+        planes = [rng.getrandbits(sequences) for _ in range(n)]
+        sa.step(planes, pa.key_value_at(cycle))
+        sb.step(planes, pb.key_value_at(cycle))
+        yield cycle, planes, sa.output_planes(), sb.output_planes()
 
 
 def _eval_state(sim: PlaneSim, state, planes, key_value, lanes: int):
@@ -137,10 +185,13 @@ def check_equivalence_exhaustive(
     `sequence_budget` (pass None to lift it; the sweep itself is bounded by
     reachable states, capped by `state_budget`).
     """
+    if depth < 1:
+        raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
     policy = key_policy or KeyPolicy.none()
-    ca, cb = CompiledNetlist(a), CompiledNetlist(b)
-    _check_interfaces(ca, cb)
+    ca, cb = a.compiled, b.compiled
+    _check_interfaces(a, b)
     _check_equiv_policy(ca, cb, policy)
+    pa, pb = _side_policy(ca, policy), _side_policy(cb, policy)
     n = len(ca.nonkey_idx)
     if sequence_budget is not None and (2**n) ** depth > sequence_budget:
         raise BudgetExceededError(
@@ -148,8 +199,8 @@ def check_equivalence_exhaustive(
         )
     lanes = 1 << n
     planes = minterm_planes(n)
-    sa = PlaneSim(a, lanes, ca)
-    sb = PlaneSim(b, lanes, cb)
+    sa = PlaneSim(a, lanes)
+    sb = PlaneSim(b, lanes)
     output_names = list(a.outputs)
 
     # parents[i] = (previous entry, input lane taken); roots use entry -1
@@ -158,8 +209,8 @@ def check_equivalence_exhaustive(
     memo: dict = {}
     evals = 0
     for cycle in range(depth):
-        kv_a = policy.key_value_at(cycle) if ca.key_idx else None
-        kv_b = policy.key_value_at(cycle) if cb.key_idx else None
+        kv_a = pa.key_value_at(cycle)
+        kv_b = pb.key_value_at(cycle)
         next_frontier: dict = {}
         for (st_a, st_b), parent_idx in frontier.items():
             key = (st_a, st_b, kv_a, kv_b)
@@ -172,13 +223,7 @@ def check_equivalence_exhaustive(
                     )
                 outs_a, nexts_a = _eval_state(sa, st_a, planes, kv_a, lanes)
                 outs_b, nexts_b = _eval_state(sb, st_b, planes, kv_b, lanes)
-                divergence = None
-                for oi, (pa, pb) in enumerate(zip(outs_a, outs_b)):
-                    diff = (pa[0] ^ pb[0]) | (pa[1] ^ pb[1])
-                    if diff:
-                        lane = (diff & -diff).bit_length() - 1
-                        divergence = (lane, oi, _plane_lane(pa, lane), _plane_lane(pb, lane))
-                        break
+                divergence = _first_divergence(outs_a, outs_b)
                 successors: dict = {}
                 for lane in range(lanes):
                     successors.setdefault((nexts_a[lane], nexts_b[lane]), lane)
@@ -235,43 +280,31 @@ def check_equivalence_random(
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
     policy = key_policy or KeyPolicy.none()
-    ca, cb = CompiledNetlist(a), CompiledNetlist(b)
-    _check_interfaces(ca, cb)
+    ca, cb = a.compiled, b.compiled
+    _check_interfaces(a, b)
     _check_equiv_policy(ca, cb, policy)
-    rng = random.Random(seed)
     n = len(ca.nonkey_idx)
-    sa = PlaneSim(a, sequences, ca)
-    sb = PlaneSim(b, sequences, cb)
-    sa.reset(init)
-    sb.reset(init)
     history: list[list[int]] = []
-    for cycle in range(cycles):
-        planes = [rng.getrandbits(sequences) for _ in range(n)]
+    for cycle, planes, outs_a, outs_b in _random_lockstep(
+        a, b, policy, sequences, cycles, seed, init
+    ):
         history.append(planes)
-        kv_a = policy.key_value_at(cycle) if ca.key_idx else None
-        kv_b = policy.key_value_at(cycle) if cb.key_idx else None
-        sa.step(planes, kv_a)
-        sb.step(planes, kv_b)
-        for oi, (pa, pb) in enumerate(zip(sa.output_planes(), sb.output_planes())):
-            diff = (pa[0] ^ pb[0]) | (pa[1] ^ pb[1])
-            if diff:
-                lane = (diff & -diff).bit_length() - 1
-                inputs = [
-                    tuple((history[c][i] >> lane) & 1 for i in range(n))
-                    for c in range(cycle + 1)
-                ]
-                return EquivVerdict(
-                    equivalent=False,
-                    counterexample=Counterexample(
-                        inputs=inputs,
-                        cycle=cycle,
-                        output=a.outputs[oi],
-                        left_value=_plane_lane(pa, lane),
-                        right_value=_plane_lane(pb, lane),
-                    ),
-                    mode="random",
-                    depth=cycles,
-                )
+        divergence = _first_divergence(outs_a, outs_b)
+        if divergence is not None:
+            lane, oi, va, vb = divergence
+            inputs = [tuple((row[i] >> lane) & 1 for i in range(n)) for row in history]
+            return EquivVerdict(
+                equivalent=False,
+                counterexample=Counterexample(
+                    inputs=inputs,
+                    cycle=cycle,
+                    output=a.outputs[oi],
+                    left_value=va,
+                    right_value=vb,
+                ),
+                mode="random",
+                depth=cycles,
+            )
     return EquivVerdict(equivalent=True, counterexample=None, mode="random", depth=cycles)
 
 
@@ -286,8 +319,7 @@ def replay_counterexample(
     policy = key_policy or KeyPolicy.none()
 
     def run(netlist: Netlist):
-        compiled = CompiledNetlist(netlist)
-        side_policy = policy if compiled.key_idx else KeyPolicy.none()
+        side_policy = _side_policy(netlist.compiled, policy)
         stim = Stimulus(cycles=len(cex.inputs), inputs=tuple(cex.inputs), key_policy=side_policy)
         return simulate(netlist, stim, init=init)
 
@@ -314,28 +346,19 @@ def corruption_rate(
         if not overrides
         else KeyPolicy.tampered(schedule, overrides)
     )
-    co, cl = CompiledNetlist(orig), CompiledNetlist(locked)
-    _check_interfaces(co, cl)
-    check_policy(cl, policy)
-    rng = random.Random(seed)
-    n = len(co.nonkey_idx)
-    so = PlaneSim(orig, sequences, co)
-    sl = PlaneSim(locked, sequences, cl)
-    so.reset(init)
-    sl.reset(init)
+    _check_interfaces(orig, locked)
+    check_policy(locked.compiled, policy)
     differing = 0
-    for cycle in range(cycles):
-        planes = [rng.getrandbits(sequences) for _ in range(n)]
-        so.step(planes, None)
-        sl.step(planes, policy.key_value_at(cycle))
-        for po, pl in zip(so.output_planes(), sl.output_planes()):
-            differing = differing + ((po[0] ^ pl[0]) | (po[1] ^ pl[1])).bit_count()
+    for _, _, outs_o, outs_l in _random_lockstep(
+        orig, locked, policy, sequences, cycles, seed, init
+    ):
+        for po, pl in zip(outs_o, outs_l):
+            differing += ((po[0] ^ pl[0]) | (po[1] ^ pl[1])).bit_count()
     return differing / (sequences * cycles * len(orig.outputs))
 
 
 def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
-    compiled = CompiledNetlist(locked)
-    if len(compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8:
+    if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8:
         return "exhaustive"
     return "random"
 

@@ -12,6 +12,10 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .sim import CompiledNetlist
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 UNARY_KINDS = ("NOT", "BUF")
@@ -77,15 +81,14 @@ class Netlist:
         return table
 
     @cached_property
-    def readers(self) -> dict[str, tuple[str, ...]]:
-        """Map net name to the names of nets whose drivers read it."""
-        table: dict[str, list[str]] = {}
-        for gate in self.gates:
-            for net in gate.fanins:
-                table.setdefault(net, []).append(gate.output)
-        for dff in self.dffs:
-            table.setdefault(dff.input, []).append(dff.output)
-        return {net: tuple(out) for net, out in table.items()}
+    def compiled(self) -> CompiledNetlist:
+        """The validated index-based simulation form, built once per netlist.
+
+        Raises ValueError when :func:`validate` reports an error.
+        """
+        from .sim import CompiledNetlist  # sim imports this module
+
+        return CompiledNetlist(self)
 
     def net_names(self) -> set[str]:
         names = set(self.inputs) | set(self.outputs)
@@ -94,14 +97,6 @@ class Netlist:
         names.update(d.output for d in self.dffs)
         names.update(d.input for d in self.dffs)
         return names
-
-    @property
-    def gate_count(self) -> int:
-        return len(self.gates)
-
-    @property
-    def dff_count(self) -> int:
-        return len(self.dffs)
 
 
 _ASSIGN_RE = re.compile(r"^(?P<lhs>[^\s(),=#]+)\s*=\s*(?P<kind>[A-Za-z]+)\s*\((?P<args>.*)\)$")
@@ -188,7 +183,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
-    cyclic = _cycle_net(netlist)
+    _, cyclic = _kahn(netlist)
     if cyclic is not None:
         raise BenchFormatError(
             f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
@@ -258,7 +253,7 @@ def validate(netlist: Netlist) -> list[Violation]:
                 Violation("error", "arity", gate.output, f"bad fanin count for {gate.kind}: {gate.output}")
             )
 
-    cyclic = _cycle_net(netlist)
+    _, cyclic = _kahn(netlist)
     if cyclic is not None:
         violations.append(
             Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
@@ -289,24 +284,8 @@ def topo_order(netlist: Netlist) -> list[Gate]:
     Primary inputs and DFF outputs are sources. Raises ValueError on a
     combinational cycle; run :func:`validate` first to get a diagnostic.
     """
-    gate_by_output = {g.output: g for g in netlist.gates}
-    pending = {g.output: sum(1 for f in g.fanins if f in gate_by_output) for g in netlist.gates}
-    readers: dict[str, list[str]] = {}
-    for gate in netlist.gates:
-        for net in gate.fanins:
-            if net in gate_by_output:
-                readers.setdefault(net, []).append(gate.output)
-
-    ready = deque(g.output for g in netlist.gates if pending[g.output] == 0)
-    order: list[Gate] = []
-    while ready:
-        net = ready.popleft()
-        order.append(gate_by_output[net])
-        for reader in readers.get(net, ()):
-            pending[reader] -= 1
-            if pending[reader] == 0:
-                ready.append(reader)
-    if len(order) != len(netlist.gates):
+    order, cyclic = _kahn(netlist)
+    if cyclic is not None:
         raise ValueError("combinational cycle")
     return order
 
@@ -322,8 +301,13 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
     )
 
 
-def _cycle_net(netlist: Netlist) -> str | None:
-    """Return a net on a combinational cycle, or None if the gate graph is acyclic."""
+def _kahn(netlist: Netlist) -> tuple[list[Gate], str | None]:
+    """Kahn's algorithm over the gate graph (DFFs cut).
+
+    Returns the gates in topological order and None or, when the graph has a
+    combinational cycle, the gates ordered so far and the smallest name among
+    the nets that could not be ordered (each on or downstream of a cycle).
+    """
     gate_by_output = {g.output: g for g in netlist.gates}
     pending = {g.output: sum(1 for f in g.fanins if f in gate_by_output) for g in netlist.gates}
     readers: dict[str, list[str]] = {}
@@ -332,14 +316,14 @@ def _cycle_net(netlist: Netlist) -> str | None:
             if net in gate_by_output:
                 readers.setdefault(net, []).append(gate.output)
     ready = deque(net for net, n in pending.items() if n == 0)
-    done = 0
+    order: list[Gate] = []
     while ready:
         net = ready.popleft()
-        done += 1
+        order.append(gate_by_output[net])
         for reader in readers.get(net, ()):
             pending[reader] -= 1
             if pending[reader] == 0:
                 ready.append(reader)
-    if done == len(pending):
-        return None
-    return min(net for net, n in pending.items() if n > 0)
+    if len(order) == len(pending):
+        return order, None
+    return order, min(net for net, n in pending.items() if n > 0)

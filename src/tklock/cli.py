@@ -22,8 +22,8 @@ from .analysis import (
     overhead_report,
     static_key_attack,
 )
-from .behavioral import BehLockConfig, BehManifest, lock_behavioral
-from .circuit import BenchFormatError, parse_bench, validate, write_bench
+from .behavioral import BehLockConfig, lock_behavioral
+from .circuit import BenchFormatError, parse_bench, write_bench
 from .fsm import FsmError, Kiss2FormatError, parse_kiss2, write_kiss2
 from .keys import (
     KeySchedule,

@@ -81,6 +81,14 @@ def check_fsm(fsm: Fsm) -> None:
         )
 
 
+def _header_count(parts: list[str], lineno: int) -> int:
+    """The non-negative integer value of a `.i`/`.o`/`.p`/`.s` header."""
+    directive, value = parts
+    if not value.isdecimal():
+        raise Kiss2FormatError(f"{directive} needs a non-negative integer, got '{value}'", lineno)
+    return int(value)
+
+
 def parse_kiss2(text: str) -> Fsm:
     """Parse KISS2 text into a validated :class:`Fsm`.
 
@@ -115,13 +123,13 @@ def parse_kiss2(text: str) -> Fsm:
             if len(parts) != 2:
                 raise Kiss2FormatError(f"malformed directive '{line}'", lineno)
             if directive == ".i":
-                input_width = int(parts[1])
+                input_width = _header_count(parts, lineno)
             elif directive == ".o":
-                output_width = int(parts[1])
+                output_width = _header_count(parts, lineno)
             elif directive == ".p":
-                declared_terms = int(parts[1])
+                declared_terms = _header_count(parts, lineno)
             elif directive == ".s":
-                declared_states = int(parts[1])
+                declared_states = _header_count(parts, lineno)
             elif directive == ".r":
                 reset = parts[1]
             else:

@@ -11,9 +11,12 @@ both modes; the locked circuit's key schedule is anchored to cycle 0.
 Key inputs (``keyinput%d``) are driven by a :class:`KeyPolicy` rather than by
 the per-cycle stimulus vectors, which cover non-key inputs only.
 
-:class:`PlaneSim` is a bit-parallel twin of :func:`simulate`: bit ``l`` of
-every net's two planes (high, unknown) holds run ``l``, so one pass evaluates
-arbitrarily many runs. The test suite pins it to the scalar semantics.
+:class:`PlaneSim` is the only evaluation kernel. Every net holds two integer
+bit planes, high and unknown, and bit ``l`` of each plane belongs to run
+``l``, so one pass evaluates arbitrarily many runs. :func:`simulate` is the
+1-lane case: it checks its inputs, steps a 1-lane :class:`PlaneSim` and
+reads the trace back from the planes. The test suite pins the kernel to an
+independent gate-at-a-time Kleene oracle.
 """
 
 from __future__ import annotations
@@ -34,44 +37,6 @@ _OP_CODES = {
     "NOT": _OP_NOT,
     "BUF": _OP_BUF,
 }
-_OP_NAMES = {code: kind for kind, code in _OP_CODES.items()}
-
-
-def kleene_eval(kind: str, values) -> int | None:
-    """Evaluate one gate under strong Kleene logic (None is unknown).
-
-    AND with any 0 is 0 and OR with any 1 is 1 regardless of unknowns;
-    XOR/XNOR are unknown as soon as one fanin is; NOT None is None.
-    """
-    if kind == "NOT":
-        v = values[0]
-        return None if v is None else 1 - v
-    if kind == "BUF":
-        return values[0]
-    if kind in ("AND", "NAND"):
-        if any(v == 0 for v in values):
-            r = 0
-        elif any(v is None for v in values):
-            r = None
-        else:
-            r = 1
-        return r if kind == "AND" else (None if r is None else 1 - r)
-    if kind in ("OR", "NOR"):
-        if any(v == 1 for v in values):
-            r = 1
-        elif any(v is None for v in values):
-            r = None
-        else:
-            r = 0
-        return r if kind == "OR" else (None if r is None else 1 - r)
-    if kind in ("XOR", "XNOR"):
-        if any(v is None for v in values):
-            return None
-        parity = 0
-        for v in values:
-            parity ^= v
-        return parity if kind == "XOR" else 1 - parity
-    raise ValueError(f"unknown gate kind '{kind}'")
 
 
 @dataclass
@@ -107,17 +72,6 @@ class KeyPolicy:
         if self.kind == "tampered" and cycle in self.overrides:
             return self.overrides[cycle]
         return self.schedule.key_at(cycle)
-
-    def describe(self) -> str:
-        if self.kind == "none":
-            return "none"
-        if self.kind == "static":
-            return f"static:{self.value}"
-        keys = ",".join(self.schedule.binary_strings())
-        if self.kind == "correct":
-            return f"correct:{keys}"
-        ov = ";".join(f"{c}={v}" for c, v in sorted(self.overrides.items()))
-        return f"tampered:{keys}:{ov}"
 
 
 @dataclass
@@ -186,23 +140,24 @@ class Trace:
 
 
 class CompiledNetlist:
-    """Index-based form of a netlist shared by the scalar and plane simulators."""
+    """Index-based form of a netlist that :class:`PlaneSim` evaluates.
+
+    Build it through ``Netlist.compiled``, which validates and compiles each
+    netlist once.
+    """
 
     def __init__(self, netlist: Netlist):
         if has_errors(validate(netlist)):
             raise ValueError(f"netlist '{netlist.name}' fails validation")
-        self.netlist = netlist
         names: list[str] = list(netlist.inputs)
         names += [d.output for d in netlist.dffs]
         names += [g.output for g in netlist.gates]
         self.index = {name: i for i, name in enumerate(names)}
-        self.names = names
         self.n_nets = len(names)
         nonkey, key = split_inputs(netlist)
         self.nonkey_idx = [self.index[n] for n in nonkey]
         self.key_idx = [self.index[n] for n in key]
         self.nonkey_names = nonkey
-        self.key_names = key
         self.input_idx = [self.index[n] for n in netlist.inputs]
         self.output_idx = [self.index[n] for n in netlist.outputs]
         self.ops = [
@@ -248,8 +203,12 @@ def simulate(
     init: str = "zero",
     watch: tuple[str, ...] = (),
 ) -> Trace:
-    """Reference scalar simulation; see the module docstring for the model."""
-    compiled = CompiledNetlist(netlist)
+    """Simulate one stimulus and record inputs, outputs and watched nets.
+
+    See the module docstring for the model. The run is one lane of a
+    :class:`PlaneSim`: unknown stimulus bits go in on the unknown plane.
+    """
+    compiled = netlist.compiled
     check_policy(compiled, stimulus.key_policy)
     if len(stimulus.inputs) != stimulus.cycles:
         raise ValueError("stimulus cycle count does not match input rows")
@@ -263,23 +222,23 @@ def simulate(
             raise ValueError(f"override cycle {cycle} outside stimulus")
     watch_idx = [compiled.index[n] for n in watch]
 
-    values: list[int | None] = [None] * compiled.n_nets
-    state = list(compiled.initial_state(init))
+    sim = PlaneSim(netlist, 1)
+    sim.reset(init)
+    h, x = sim.h, sim.x
+
+    def read(indices: list[int]) -> tuple[int | None, ...]:
+        return tuple(None if x[i] else h[i] for i in indices)
+
     inputs_log, outputs_log, watch_log = [], [], []
-    for cycle in range(stimulus.cycles):
-        for idx, v in zip(compiled.nonkey_idx, stimulus.inputs[cycle]):
-            values[idx] = v
-        key_value = stimulus.key_policy.key_value_at(cycle)
-        for bit, idx in enumerate(compiled.key_idx):
-            values[idx] = (key_value >> bit) & 1
-        for idx, v in zip(compiled.dff_q_idx, state):
-            values[idx] = v
-        for code, out, fanins in compiled.ops:
-            values[out] = kleene_eval(_OP_NAMES[code], [values[f] for f in fanins])
-        inputs_log.append(tuple(values[i] for i in compiled.input_idx))
-        outputs_log.append(tuple(values[i] for i in compiled.output_idx))
-        watch_log.append(tuple(values[i] for i in watch_idx))
-        state = [values[d] for d in compiled.dff_d_idx]
+    for cycle, row in enumerate(stimulus.inputs):
+        sim.step(
+            [1 if v == 1 else 0 for v in row],
+            stimulus.key_policy.key_value_at(cycle),
+            [1 if v is None else 0 for v in row],
+        )
+        inputs_log.append(read(compiled.input_idx))
+        outputs_log.append(read(compiled.output_idx))
+        watch_log.append(read(watch_idx))
 
     return Trace(
         init_mode=init,
@@ -292,12 +251,11 @@ def simulate(
     )
 
 
-
 class PlaneSim:
     """Bit-parallel 3-valued simulator over (high, unknown) integer bit planes."""
 
-    def __init__(self, netlist: Netlist, lanes: int, compiled: CompiledNetlist | None = None):
-        self.c = compiled or CompiledNetlist(netlist)
+    def __init__(self, netlist: Netlist, lanes: int):
+        self.c = netlist.compiled
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
         self.h = [0] * self.c.n_nets
@@ -306,11 +264,7 @@ class PlaneSim:
         self.state_x = [0] * len(self.c.dff_q_idx)
 
     def reset(self, init: str = "zero") -> None:
-        if init not in ("zero", "x"):
-            raise ValueError(f"unknown init mode '{init}'")
-        for i, forced in enumerate(self.c.dff_forced_zero):
-            self.state_h[i] = 0
-            self.state_x[i] = 0 if (init == "zero" or forced) else self.mask
+        self.load_state(self.c.initial_state(init))
 
     def load_state(self, state: tuple[int | None, ...]) -> None:
         """Broadcast a scalar per-flip-flop state across all lanes."""
@@ -390,16 +344,6 @@ class PlaneSim:
 
     def next_state_planes(self) -> list[tuple[int, int]]:
         return [(self.h[d], self.x[d]) for d in self.c.dff_d_idx]
-
-    def plane_value(self, net: str) -> tuple[int, int]:
-        idx = self.c.index[net]
-        return self.h[idx], self.x[idx]
-
-    def lane_value(self, net: str, lane: int) -> int | None:
-        h, x = self.plane_value(net)
-        if (x >> lane) & 1:
-            return None
-        return (h >> lane) & 1
 
 
 def minterm_planes(n_inputs: int) -> list[int]:

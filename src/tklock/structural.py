@@ -70,15 +70,6 @@ class LockConfig:
             raise ValueError("explicit_targets length does not match num_locked_ffs")
 
 
-@dataclass(frozen=True)
-class CounterSpec:
-    """Widths and wrap behaviour of the added cycle counter."""
-
-    width: int
-    period: int
-    reset_value: int = 0
-
-
 @dataclass
 class LockedFf:
     """Manifest record for one locked flip-flop."""
@@ -100,12 +91,6 @@ class LockManifest:
     locked_ffs: list[LockedFf]
     schedule: KeySchedule
     layers: int
-
-    @property
-    def counter_spec(self) -> CounterSpec:
-        return CounterSpec(
-            width=len(self.counter_state_nets), period=len(self.onehot_time_nets)
-        )
 
     @property
     def num_keys(self) -> int:

@@ -14,14 +14,15 @@ from tklock.analysis import (
     static_key_attack,
 )
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
-from tklock.sim import KeyPolicy, Stimulus, simulate
+from tklock.sim import KeyPolicy, Stimulus
 from tklock.structural import LockConfig, lock_structural
 from tests.conftest import S27_SCHEDULE, S27_SEED
+from tests.kleene_oracle import simulate_kleene
 
 
 def _enumerate_equivalence(a, b, depth, key_policy, init="zero"):
     """Independent oracle: simulate every input sequence of length `depth`
-    one by one with the scalar simulator and compare full output traces."""
+    one by one with the scalar Kleene oracle and compare full output traces."""
     nonkey, _ = split_inputs(a)
     n = len(nonkey)
     for assignment in itertools.product(range(2**n), repeat=depth):
@@ -31,7 +32,7 @@ def _enumerate_equivalence(a, b, depth, key_policy, init="zero"):
             _, keyed = split_inputs(netlist)
             policy = key_policy if keyed else KeyPolicy.none()
             stim = Stimulus(cycles=depth, inputs=rows, key_policy=policy)
-            return simulate(netlist, stim, init=init).outputs
+            return simulate_kleene(netlist, stim, init=init).outputs
 
         if trace(a) != trace(b):
             return False
@@ -143,6 +144,19 @@ def test_corruption_rate_wrong_keys_positive(s27, s27_locked):
     overrides = {c: (manifest.schedule.key_at(c) + 1) % 4 for c in range(32)}
     rate = corruption_rate(s27, locked, manifest.schedule, overrides, 200, 32, seed=4)
     assert 0.0 < rate <= 1.0
+
+
+def test_vacuous_runs_rejected(s27, s27_locked):
+    # a wrong static key must not pass by checking nothing
+    locked, manifest = s27_locked
+    policy = KeyPolicy.static(0)
+    with pytest.raises(ValueError, match="depth >= 1"):
+        check_equivalence_exhaustive(s27, locked, depth=0, key_policy=policy)
+    for sequences, cycles in ((0, 64), (64, 0)):
+        with pytest.raises(ValueError, match="sequences >= 1 and cycles >= 1"):
+            check_equivalence_random(s27, locked, sequences, cycles, seed=0, key_policy=policy)
+        with pytest.raises(ValueError, match="sequences >= 1 and cycles >= 1"):
+            corruption_rate(s27, locked, manifest.schedule, {}, sequences, cycles, seed=0)
 
 
 def test_brute_force_space_and_survivors(s27, s27_locked):

@@ -92,6 +92,27 @@ def test_verify_wrong_static_key_fails_with_diagnostics(tmp_path, s27_path, caps
     assert diag["error"] == "not-equivalent"
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        ["--mode", "random", "--sequences", "0"],
+        ["--mode", "random", "--cycles", "0"],
+        ["--mode", "exhaustive", "--depth", "0"],
+    ],
+)
+def test_verify_vacuous_run_rejected(tmp_path, s27_path, capsys, run):
+    # 00 is a wrong static key for the locked s27; an empty run would pass it
+    out, _ = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    code = main(
+        ["verify", "--orig", str(s27_path), "--locked", str(out), "--static-key", "00", *run]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-input"
+
+
 def test_verify_budget_exceeded(tmp_path, s27_path, capsys):
     out, manifest = _lock(tmp_path, s27_path)
     capsys.readouterr()
@@ -261,6 +282,24 @@ def test_parse_error_exits_one(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "parse-error"
     assert "undefined fanin" in diag["detail"]
+
+
+def test_kiss2_bad_header_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "bad.kiss2"
+    bad.write_text(".i x\n.o 1\n- s s 0\n", encoding="utf-8")
+    code = main(
+        [
+            "lock-beh",
+            "--in", str(bad),
+            "--k", "2", "--ki", "1",
+            "--out", str(tmp_path / "o.kiss2"),
+            "--manifest", str(tmp_path / "m.json"),
+        ]
+    )
+    assert code == 1
+    diag = json.loads(capsys.readouterr().err)
+    assert diag["error"] == "parse-error"
+    assert diag["detail"].startswith("line 1:")
 
 
 def test_usage_error_exits_two(capsys):

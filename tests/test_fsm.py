@@ -44,6 +44,17 @@ def test_parse_bad_pattern_width():
         parse_kiss2(".i 2\n.o 1\n.p 1\n.s 1\n0 s s 0\n")
 
 
+@pytest.mark.parametrize("directive", [".i", ".o", ".p", ".s"])
+@pytest.mark.parametrize("value", ["x", "-1", "1.5"])
+def test_header_count_must_be_integer(directive, value):
+    lines = [".i 1", ".o 1", ".p 1", ".s 1", "- s s 0"]
+    lineno = [line.split()[0] for line in lines].index(directive) + 1
+    lines[lineno - 1] = f"{directive} {value}"
+    with pytest.raises(Kiss2FormatError, match="needs a non-negative integer") as exc:
+        parse_kiss2("\n".join(lines) + "\n")
+    assert exc.value.line == lineno
+
+
 def test_reset_defaults_to_first_declared_state():
     fsm = parse_kiss2(".i 1\n.o 1\n.p 2\n.s 2\n0 a b 0\n- b a 1\n")
     assert fsm.reset_state == "a"

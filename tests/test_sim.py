@@ -8,18 +8,18 @@ from hypothesis import strategies as st
 from tklock.circuit import parse_bench
 from tklock.keys import KeySchedule
 from tklock.sim import (
-    CompiledNetlist,
     KeyPolicy,
     PlaneSim,
     Stimulus,
     Trace,
-    kleene_eval,
     minterm_planes,
     simulate,
     value_str,
 )
+from tklock.structural import LockConfig, lock_structural
 from tklock.synth import random_netlist
 from tests.conftest import S27_SCHEDULE
+from tests.kleene_oracle import kleene_eval, simulate_kleene
 
 VALUES = (0, 1, None)
 
@@ -57,9 +57,17 @@ def _brute_kleene(kind, values):
 
 @pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
 def test_kleene_matches_resolution_oracle(kind):
+    """Both the scalar oracle and the plane kernel resolve unknowns exactly."""
     for arity in (2, 3):
+        names = [f"a{i}" for i in range(arity)]
+        gate = parse_bench(
+            "".join(f"INPUT({a})\n" for a in names) + f"OUTPUT(y)\ny = {kind}({', '.join(names)})\n"
+        )
         for values in itertools.product(VALUES, repeat=arity):
-            assert kleene_eval(kind, list(values)) == _brute_kleene(kind, values), (kind, values)
+            expected = _brute_kleene(kind, values)
+            assert kleene_eval(kind, list(values)) == expected, (kind, values)
+            row = "".join(value_str(v) for v in values)
+            assert simulate(gate, Stimulus.from_strings([row])).outputs[0][0] == expected, (kind, values)
 
 
 def test_buf_circuit_passthrough():
@@ -180,33 +188,74 @@ def test_minterm_planes():
     init=st.sampled_from(["zero", "x"]),
 )
 def test_plane_sim_matches_scalar(seed, n_inputs, n_dffs, n_gates, init):
-    """The bit-parallel engine and the scalar reference agree lane by lane."""
+    """The bit-parallel kernel and the scalar Kleene oracle agree lane by lane,
+    with unknowns on the input planes."""
     n = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     rng = random.Random(seed + 1)
     cycles = 5
     lanes = 8
     rows_per_lane = [
-        ["".join(str(rng.randint(0, 1)) for _ in range(n_inputs)) for _ in range(cycles)]
+        ["".join(rng.choice("01x") for _ in range(n_inputs)) for _ in range(cycles)]
         for _ in range(lanes)
     ]
-    compiled = CompiledNetlist(n)
-    plane = PlaneSim(n, lanes, compiled)
+    plane = PlaneSim(n, lanes)
     plane.reset(init)
     traces = [
-        simulate(n, Stimulus.from_strings(rows), init=init) for rows in rows_per_lane
+        simulate_kleene(n, Stimulus.from_strings(rows), init=init) for rows in rows_per_lane
     ]
+
+    def bit_plane(cycle, i, char):
+        return sum((rows_per_lane[lane][cycle][i] == char) << lane for lane in range(lanes))
+
     for cycle in range(cycles):
-        planes = [
-            sum(int(rows_per_lane[lane][cycle][i]) << lane for lane in range(lanes))
-            for i in range(n_inputs)
-        ]
-        plane.step(planes, None)
+        plane.step(
+            [bit_plane(cycle, i, "1") for i in range(n_inputs)],
+            None,
+            [bit_plane(cycle, i, "x") for i in range(n_inputs)],
+        )
         for oi, name in enumerate(n.outputs):
             h, x = plane.output_planes()[oi]
             for lane in range(lanes):
                 expected = traces[lane].outputs[cycle][oi]
                 got = None if (x >> lane) & 1 else (h >> lane) & 1
                 assert got == expected, (name, cycle, lane)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(1, 4),
+    n_dffs=st.integers(1, 4),
+    n_gates=st.integers(1, 25),
+    key_bits=st.integers(1, 2),
+    num_keys=st.sampled_from([2, 4]),
+    init=st.sampled_from(["zero", "x"]),
+    data=st.data(),
+)
+def test_simulate_matches_kleene_oracle(seed, n_inputs, n_dffs, n_gates, key_bits, num_keys, init, data):
+    """`simulate` equals the scalar oracle on every recorded net: unknown
+    stimulus bits, both init modes, and a locked netlist under a tampered key
+    schedule."""
+    orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    locked, manifest = lock_structural(
+        orig, LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed)
+    )
+    cycles = 6
+    rows = [
+        "".join(data.draw(st.sampled_from("01x")) for _ in range(n_inputs)) for _ in range(cycles)
+    ]
+    overrides = data.draw(
+        st.dictionaries(st.integers(0, cycles - 1), st.integers(0, 2**key_bits - 1), max_size=3)
+    )
+    policy = KeyPolicy.tampered(manifest.schedule, overrides)
+    for netlist, stimulus in (
+        (orig, Stimulus.from_strings(rows)),
+        (locked, Stimulus.from_strings(rows, policy)),
+    ):
+        watch = tuple(d.output for d in netlist.dffs) + tuple(g.output for g in netlist.gates[:5])
+        assert simulate(netlist, stimulus, init=init, watch=watch) == simulate_kleene(
+            netlist, stimulus, init=init, watch=watch
+        )
 
 
 @settings(max_examples=30, deadline=None)
