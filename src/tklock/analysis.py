@@ -22,6 +22,9 @@ from .sim import CompiledNetlist, KeyPolicy, PlaneSim, Stimulus, check_policy, m
 from .structural import LockManifest, added_mux_count, expected_added_gate_count
 
 
+_MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes: the default sequence budget at depth 1
+
+
 class BudgetExceededError(RuntimeError):
     """The requested search is larger than the configured budget."""
 
@@ -183,7 +186,8 @@ def check_equivalence_exhaustive(
     compare equal to unknown; definite-vs-unknown counts as divergence.
     Raises :class:`BudgetExceededError` when ``(2**inputs)**depth`` exceeds
     `sequence_budget` (pass None to lift it; the sweep itself is bounded by
-    reachable states, capped by `state_budget`).
+    reachable states, capped by `state_budget`) and, whatever the budget,
+    when there are more than 20 non-key inputs.
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
@@ -196,6 +200,10 @@ def check_equivalence_exhaustive(
     if sequence_budget is not None and (2**n) ** depth > sequence_budget:
         raise BudgetExceededError(
             f"(2^{n})^{depth} sequences exceed budget {sequence_budget}; use random mode"
+        )
+    if n > _MAX_MINTERM_INPUTS:
+        raise BudgetExceededError(
+            f"2^{n} input minterms exceed the 2^{_MAX_MINTERM_INPUTS}-lane cap; use random mode"
         )
     lanes = 1 << n
     planes = minterm_planes(n)

@@ -90,6 +90,35 @@ class Netlist:
 
         return CompiledNetlist(self)
 
+    @cached_property
+    def _kahn(self) -> tuple[tuple[Gate, ...], str | None]:
+        """Kahn's algorithm over the gate graph (DFFs cut), run once per netlist.
+
+        Returns the gates in topological order and None or, when the graph
+        has a combinational cycle, the gates ordered so far and the smallest
+        name among the nets that could not be ordered (each on or downstream
+        of a cycle).
+        """
+        gate_by_output = {g.output: g for g in self.gates}
+        pending = {g.output: sum(1 for f in g.fanins if f in gate_by_output) for g in self.gates}
+        readers: dict[str, list[str]] = {}
+        for gate in self.gates:
+            for net in gate.fanins:
+                if net in gate_by_output:
+                    readers.setdefault(net, []).append(gate.output)
+        ready = deque(net for net, n in pending.items() if n == 0)
+        order: list[Gate] = []
+        while ready:
+            net = ready.popleft()
+            order.append(gate_by_output[net])
+            for reader in readers.get(net, ()):
+                pending[reader] -= 1
+                if pending[reader] == 0:
+                    ready.append(reader)
+        if len(order) == len(pending):
+            return tuple(order), None
+        return tuple(order), min(net for net, n in pending.items() if n > 0)
+
     def net_names(self) -> set[str]:
         names = set(self.inputs) | set(self.outputs)
         names.update(g.output for g in self.gates)
@@ -183,7 +212,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
-    _, cyclic = _kahn(netlist)
+    _, cyclic = netlist._kahn
     if cyclic is not None:
         raise BenchFormatError(
             f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
@@ -253,7 +282,7 @@ def validate(netlist: Netlist) -> list[Violation]:
                 Violation("error", "arity", gate.output, f"bad fanin count for {gate.kind}: {gate.output}")
             )
 
-    _, cyclic = _kahn(netlist)
+    _, cyclic = netlist._kahn
     if cyclic is not None:
         violations.append(
             Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
@@ -284,10 +313,10 @@ def topo_order(netlist: Netlist) -> list[Gate]:
     Primary inputs and DFF outputs are sources. Raises ValueError on a
     combinational cycle; run :func:`validate` first to get a diagnostic.
     """
-    order, cyclic = _kahn(netlist)
+    order, cyclic = netlist._kahn
     if cyclic is not None:
         raise ValueError("combinational cycle")
-    return order
+    return list(order)
 
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:
@@ -299,31 +328,3 @@ def structurally_equal(a: Netlist, b: Netlist) -> bool:
         and set(a.gates) == set(b.gates)
         and set(a.dffs) == set(b.dffs)
     )
-
-
-def _kahn(netlist: Netlist) -> tuple[list[Gate], str | None]:
-    """Kahn's algorithm over the gate graph (DFFs cut).
-
-    Returns the gates in topological order and None or, when the graph has a
-    combinational cycle, the gates ordered so far and the smallest name among
-    the nets that could not be ordered (each on or downstream of a cycle).
-    """
-    gate_by_output = {g.output: g for g in netlist.gates}
-    pending = {g.output: sum(1 for f in g.fanins if f in gate_by_output) for g in netlist.gates}
-    readers: dict[str, list[str]] = {}
-    for gate in netlist.gates:
-        for net in gate.fanins:
-            if net in gate_by_output:
-                readers.setdefault(net, []).append(gate.output)
-    ready = deque(net for net, n in pending.items() if n == 0)
-    order: list[Gate] = []
-    while ready:
-        net = ready.popleft()
-        order.append(gate_by_output[net])
-        for reader in readers.get(net, ()):
-            pending[reader] -= 1
-            if pending[reader] == 0:
-                ready.append(reader)
-    if len(order) == len(pending):
-        return order, None
-    return order, min(net for net, n in pending.items() if n > 0)

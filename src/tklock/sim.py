@@ -13,7 +13,10 @@ the per-cycle stimulus vectors, which cover non-key inputs only.
 
 :class:`PlaneSim` is the only evaluation kernel. Every net holds two integer
 bit planes, high and unknown, and bit ``l`` of each plane belongs to run
-``l``, so one pass evaluates arbitrarily many runs. :func:`simulate` is the
+``l``, so one pass evaluates arbitrarily many runs. Gates compile to one op
+form, ``(family, out, a, b, invert)``. A step whose input and state planes
+carry no unknown bit evaluates the high plane alone (two-valued); otherwise
+it runs the strong Kleene pass over both planes. :func:`simulate` is the
 1-lane case: it checks its inputs, steps a 1-lane :class:`PlaneSim` and
 reads the trace back from the planes. The test suite pins the kernel to an
 independent gate-at-a-time Kleene oracle.
@@ -26,17 +29,13 @@ from dataclasses import dataclass, field
 from .circuit import Netlist, has_errors, topo_order, validate
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
 
-_OP_AND, _OP_NAND, _OP_OR, _OP_NOR, _OP_XOR, _OP_XNOR, _OP_NOT, _OP_BUF = range(8)
-_OP_CODES = {
-    "AND": _OP_AND,
-    "NAND": _OP_NAND,
-    "OR": _OP_OR,
-    "NOR": _OP_NOR,
-    "XOR": _OP_XOR,
-    "XNOR": _OP_XNOR,
-    "NOT": _OP_NOT,
-    "BUF": _OP_BUF,
-}
+# Op families. A gate compiles to (family, out, a, b, invert): 1- and 2-fanin
+# gates name their fanins a and b (a == b for NOT/BUF); wider gates keep the
+# fanin tuple in a under the n-ary family, whose code is the 2-fanin code plus
+# _AND_N. NAND, NOR, XNOR and NOT set invert.
+_AND, _OR, _XOR, _BUF, _AND_N, _OR_N, _XOR_N = range(7)
+_FAMILIES = {"AND": _AND, "OR": _OR, "XOR": _XOR, "BUF": _BUF}
+_INVERTED = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR", "NOT": "BUF"}
 
 
 @dataclass
@@ -160,10 +159,14 @@ class CompiledNetlist:
         self.nonkey_names = nonkey
         self.input_idx = [self.index[n] for n in netlist.inputs]
         self.output_idx = [self.index[n] for n in netlist.outputs]
-        self.ops = [
-            (_OP_CODES[g.kind], self.index[g.output], tuple(self.index[f] for f in g.fanins))
-            for g in topo_order(netlist)
-        ]
+        self.ops = []
+        for g in topo_order(netlist):
+            family = _FAMILIES[_INVERTED.get(g.kind, g.kind)]
+            fanins = tuple(self.index[f] for f in g.fanins)
+            if len(fanins) > 2:
+                family, fanins = family + _AND_N, (fanins, None)
+            invert = g.kind in _INVERTED
+            self.ops.append((family, self.index[g.output], fanins[0], fanins[-1], invert))
         self.dff_q_idx = [self.index[d.output] for d in netlist.dffs]
         self.dff_d_idx = [self.index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
@@ -252,7 +255,8 @@ def simulate(
 
 
 class PlaneSim:
-    """Bit-parallel 3-valued simulator over (high, unknown) integer bit planes."""
+    """Bit-parallel 3-valued simulator over (high, unknown) integer bit planes,
+    with every high bit 0 where its unknown bit is 1."""
 
     def __init__(self, netlist: Netlist, lanes: int):
         self.c = netlist.compiled
@@ -262,6 +266,7 @@ class PlaneSim:
         self.x = [0] * self.c.n_nets
         self.state_h = [0] * len(self.c.dff_q_idx)
         self.state_x = [0] * len(self.c.dff_q_idx)
+        self._x_stale = False  # x holds unknown bits from a 3-valued step
 
     def reset(self, init: str = "zero") -> None:
         self.load_state(self.c.initial_state(init))
@@ -279,65 +284,99 @@ class PlaneSim:
         nonkey_x: list[int] | None = None,
         latch: bool = True,
     ) -> None:
-        """Evaluate one cycle. With latch=True the flip-flop planes advance."""
-        h, x, mask = self.h, self.x, self.mask
-        for slot, idx in enumerate(self.c.nonkey_idx):
-            h[idx] = nonkey_h[slot] & mask
-            x[idx] = (nonkey_x[slot] & mask) if nonkey_x else 0
-        for bit, idx in enumerate(self.c.key_idx):
+        """Evaluate one cycle. With latch=True the flip-flop planes advance.
+
+        When no input or state bit is unknown, only the high plane is
+        evaluated and the unknown plane is all zero.
+        """
+        c, h, x, mask = self.c, self.h, self.x, self.mask
+        unknown = [v & mask for v in nonkey_x] if nonkey_x else [0] * len(nonkey_h)
+        for idx, vh, vx in zip(c.nonkey_idx, nonkey_h, unknown):
+            h[idx] = vh & mask & ~vx
+            x[idx] = vx
+        for bit, idx in enumerate(c.key_idx):
             h[idx] = mask if (key_value >> bit) & 1 else 0
             x[idx] = 0
-        for slot, idx in enumerate(self.c.dff_q_idx):
-            h[idx] = self.state_h[slot]
-            x[idx] = self.state_x[slot]
-        for code, out, fanins in self.c.ops:
-            if code == _OP_AND or code == _OP_NAND:
-                acc_h = mask
-                zero = 0
-                for f in fanins:
-                    acc_h &= h[f]
-                    zero |= ~(h[f] | x[f])
-                zero &= mask
-                if code == _OP_AND:
-                    h[out] = acc_h
-                else:
-                    h[out] = zero
-                x[out] = mask & ~(acc_h | zero)
-            elif code == _OP_OR or code == _OP_NOR:
-                acc_h = 0
-                zero = mask
-                for f in fanins:
-                    acc_h |= h[f]
-                    zero &= ~(h[f] | x[f])
-                zero &= mask
-                if code == _OP_OR:
-                    h[out] = acc_h
-                else:
-                    h[out] = zero
-                x[out] = mask & ~(acc_h | zero)
-            elif code == _OP_NOT:
-                f = fanins[0]
-                h[out] = mask & ~(h[f] | x[f])
-                x[out] = x[f]
-            elif code == _OP_BUF:
-                f = fanins[0]
-                h[out] = h[f]
-                x[out] = x[f]
-            else:  # XOR / XNOR
-                acc_x = 0
-                parity = 0
-                for f in fanins:
-                    acc_x |= x[f]
-                    parity ^= h[f]
-                if code == _OP_XOR:
-                    h[out] = parity & ~acc_x
-                else:
-                    h[out] = mask & ~parity & ~acc_x
-                x[out] = acc_x
+        for idx, vh, vx in zip(c.dff_q_idx, self.state_h, self.state_x):
+            h[idx] = vh
+            x[idx] = vx
+        if any(unknown) or any(self.state_x):
+            self._step_kleene()
+            self._x_stale = True
+        else:
+            if self._x_stale:
+                x[:] = [0] * len(x)
+                self._x_stale = False
+            self._step_known()
         if latch:
-            for slot, d in enumerate(self.c.dff_d_idx):
-                self.state_h[slot] = h[d]
-                self.state_x[slot] = x[d]
+            self.state_h[:] = [h[d] for d in c.dff_d_idx]
+            self.state_x[:] = [x[d] for d in c.dff_d_idx]
+
+    def _step_known(self) -> None:
+        """Two-valued pass over the high plane."""
+        h, mask = self.h, self.mask
+        for family, out, a, b, invert in self.c.ops:
+            if family == _AND:
+                v = h[a] & h[b]
+            elif family == _OR:
+                v = h[a] | h[b]
+            elif family == _XOR:
+                v = h[a] ^ h[b]
+            elif family == _BUF:
+                v = h[a]
+            elif family == _AND_N:
+                v = mask
+                for f in a:
+                    v &= h[f]
+            elif family == _OR_N:
+                v = 0
+                for f in a:
+                    v |= h[f]
+            else:
+                v = 0
+                for f in a:
+                    v ^= h[f]
+            h[out] = v ^ mask if invert else v
+
+    def _step_kleene(self) -> None:
+        """Strong Kleene pass over both planes.
+
+        Per gate, `u` is the unknown plane and `one` the high plane before
+        inversion; the two are disjoint, so only an inverted gate masks `u`.
+        """
+        h, x, mask = self.h, self.x, self.mask
+        for family, out, a, b, invert in self.c.ops:
+            if family == _AND:
+                one = h[a] & h[b]
+                u = ((h[a] | x[a]) & (h[b] | x[b])) ^ one
+            elif family == _OR:
+                one = h[a] | h[b]
+                u = (x[a] | x[b]) & ~one
+            elif family == _XOR:
+                u = x[a] | x[b]
+                one = (h[a] ^ h[b]) & ~u
+            elif family == _BUF:
+                one, u = h[a], x[a]
+            elif family == _AND_N:
+                one = maybe = mask
+                for f in a:
+                    one &= h[f]
+                    maybe &= h[f] | x[f]
+                u = maybe ^ one
+            elif family == _OR_N:
+                one = u = 0
+                for f in a:
+                    one |= h[f]
+                    u |= x[f]
+                u &= ~one
+            else:
+                one = u = 0
+                for f in a:
+                    one ^= h[f]
+                    u |= x[f]
+                one &= ~u
+            h[out] = (one ^ mask) & ~u if invert else one
+            x[out] = u
 
     def output_planes(self) -> list[tuple[int, int]]:
         return [(self.h[i], self.x[i]) for i in self.c.output_idx]

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from tklock import corpus
+from tklock.circuit import parse_bench
 from tklock.analysis import (
     BudgetExceededError,
     brute_force_attack,
@@ -99,6 +100,16 @@ def test_exhaustive_budget_guard(s27, s27_locked):
         check_equivalence_exhaustive(
             s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule)
         )
+
+
+def test_exhaustive_lane_cap_checked_before_allocation():
+    """2**21 minterm lanes are refused even with the sequence budget lifted."""
+    names = [f"I{i}" for i in range(21)]
+    wide = parse_bench(
+        "".join(f"INPUT({n})\n" for n in names) + f"OUTPUT(y)\ny = AND({', '.join(names)})\n"
+    )
+    with pytest.raises(BudgetExceededError, match="lane cap"):
+        check_equivalence_exhaustive(wide, wide, depth=1, sequence_budget=None)
 
 
 def test_interface_mismatch_rejected(s27):

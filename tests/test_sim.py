@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tklock import corpus
 from tklock.circuit import parse_bench
 from tklock.keys import KeySchedule
 from tklock.sim import (
@@ -179,23 +180,30 @@ def test_minterm_planes():
         assert bits == tuple((lane >> i) & 1 for i in range(3))
 
 
-@settings(max_examples=30, deadline=None)
+def _lane_value(plane: tuple[int, int], lane: int) -> int | None:
+    h, x = plane
+    return None if (x >> lane) & 1 else (h >> lane) & 1
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
     n_inputs=st.integers(1, 5),
     n_dffs=st.integers(0, 5),
     n_gates=st.integers(1, 30),
     init=st.sampled_from(["zero", "x"]),
+    alphabet=st.sampled_from(["01", "01x"]),
+    lanes=st.sampled_from([1, 8, 70]),
 )
-def test_plane_sim_matches_scalar(seed, n_inputs, n_dffs, n_gates, init):
+def test_plane_sim_matches_scalar(seed, n_inputs, n_dffs, n_gates, init, alphabet, lanes):
     """The bit-parallel kernel and the scalar Kleene oracle agree lane by lane,
-    with unknowns on the input planes."""
+    on known stimuli (the two-valued pass when init is zero) and with
+    unknowns on the input planes, over one or several machine words."""
     n = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     rng = random.Random(seed + 1)
     cycles = 5
-    lanes = 8
     rows_per_lane = [
-        ["".join(rng.choice("01x") for _ in range(n_inputs)) for _ in range(cycles)]
+        ["".join(rng.choice(alphabet) for _ in range(n_inputs)) for _ in range(cycles)]
         for _ in range(lanes)
     ]
     plane = PlaneSim(n, lanes)
@@ -214,11 +222,97 @@ def test_plane_sim_matches_scalar(seed, n_inputs, n_dffs, n_gates, init):
             [bit_plane(cycle, i, "x") for i in range(n_inputs)],
         )
         for oi, name in enumerate(n.outputs):
-            h, x = plane.output_planes()[oi]
             for lane in range(lanes):
                 expected = traces[lane].outputs[cycle][oi]
-                got = None if (x >> lane) & 1 else (h >> lane) & 1
-                assert got == expected, (name, cycle, lane)
+                assert _lane_value(plane.output_planes()[oi], lane) == expected, (name, cycle, lane)
+
+
+def test_random_netlists_mix_two_and_wide_fanin_gates():
+    """The kernel tests' random netlists exercise both compiled op shapes."""
+    arities = set()
+    for seed in range(20):
+        n = random_netlist(seed, 3, 2, 30, n_outputs=2)
+        arities.update(min(len(g.fanins), 3) for g in n.gates)
+    assert arities == {1, 2, 3}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_unknown_plane_cleared_after_kleene_step(seed):
+    """One PlaneSim steps with X, then without, then with X again; every net
+    matches the Kleene oracle at every step, so no unknown bit goes stale."""
+    n_inputs, lanes = 4, 70
+    n = random_netlist(seed, n_inputs, 0, 30, n_outputs=2, name="comb")
+    rng = random.Random(seed)
+    rows_per_lane = [
+        [
+            "".join(rng.choice("01x" if cycle in (0, 3) else "01") for _ in range(n_inputs))
+            for cycle in range(4)
+        ]
+        for _ in range(lanes)
+    ]
+    nets = tuple(g.output for g in n.gates)
+    traces = [
+        simulate_kleene(n, Stimulus.from_strings(rows), watch=nets) for rows in rows_per_lane
+    ]
+    plane = PlaneSim(n, lanes)
+    plane.reset("zero")
+    for cycle in range(4):
+        planes = {
+            char: [
+                sum((rows_per_lane[lane][cycle][i] == char) << lane for lane in range(lanes))
+                for i in range(n_inputs)
+            ]
+            for char in "1x"
+        }
+        plane.step(planes["1"], None, planes["x"])
+        for ni, net in enumerate(nets):
+            idx = plane.c.index[net]
+            for lane in range(lanes):
+                got = _lane_value((plane.h[idx], plane.x[idx]), lane)
+                assert got == traces[lane].watched[cycle][ni], (net, cycle, lane)
+
+
+def test_unknown_bit_wins_over_high_bit(s27):
+    """A lane set on both input planes is unknown, whatever its high bit."""
+    lanes = 16
+    mask = (1 << lanes) - 1
+    rng = random.Random(3)
+    loose, clean = PlaneSim(s27, lanes), PlaneSim(s27, lanes)
+    for _ in range(4):
+        unknown = [rng.getrandbits(lanes) for _ in range(4)]
+        loose.step([mask] * 4, None, unknown)
+        clean.step([mask & ~x for x in unknown], None, unknown)
+        assert loose.output_planes() == clean.output_planes()
+        assert loose.next_state_planes() == clean.next_state_planes()
+
+
+@pytest.mark.parametrize("stem,num_keys,key_bits", [("b03_like", 2, 4), ("b14_like", 8, 3)])
+def test_two_valued_pass_matches_kleene_pass(stem, num_keys, key_bits):
+    """Lanes 0..L-1 carry the same known stimulus in two sims; an X on lane L
+    of one sim forces its 3-valued pass, a 0 there keeps the other two-valued.
+    The known lanes agree bit for bit and stay known."""
+    netlist, manifest = lock_structural(
+        corpus.load_bench(stem), LockConfig(num_keys=num_keys, key_bits=key_bits, seed=1)
+    )
+    known_lanes = 100
+    known = (1 << known_lanes) - 1
+    n_inputs = len(netlist.compiled.nonkey_idx)
+    with_x, without_x = PlaneSim(netlist, known_lanes + 1), PlaneSim(netlist, known_lanes + 1)
+    with_x.reset("zero")
+    without_x.reset("zero")
+    rng = random.Random(num_keys)
+    for cycle in range(6):
+        highs = [rng.getrandbits(known_lanes) for _ in range(n_inputs)]
+        key = manifest.schedule.key_at(cycle)
+        with_x.step(highs, key, [1 << known_lanes] * n_inputs)
+        without_x.step(highs, key, [0] * n_inputs)
+        assert any(x >> known_lanes for x in with_x.x)
+        for got, want in (
+            (with_x.output_planes(), without_x.output_planes()),
+            (with_x.next_state_planes(), without_x.next_state_planes()),
+        ):
+            assert [(h & known, x & known) for h, x in got] == [(h & known, x) for h, x in want]
+            assert all(x == 0 for _, x in want)
 
 
 @settings(max_examples=40, deadline=None)
