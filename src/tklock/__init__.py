@@ -47,7 +47,6 @@ from .analysis import (
     corruption_rate,
     overhead_report,
     replay_counterexample,
-    static_key_attack,
 )
 
 __version__ = "0.1.0"

@@ -1,6 +1,10 @@
 """Sequential equivalence checking, corruption measurement, key-recovery
 attack oracles, and overhead reporting.
 
+There is one key search, :func:`brute_force_attack`, over key-value
+sequences applied cyclically. A static (single-key) attack is the period-1
+case, ``num_keys=1``: every candidate holds one key value every cycle.
+
 Exhaustive equivalence covers every input sequence up to a depth. It is
 implemented as a breadth-first sweep of reachable joint states, evaluating
 all ``2**n`` input minterms of a cycle at once in bit-parallel planes; the
@@ -18,11 +22,14 @@ from itertools import product
 
 from .circuit import Netlist
 from .keys import KeySchedule
-from .sim import CompiledNetlist, KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, simulate
+from .sim import KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, simulate
 from .structural import LockManifest, added_mux_count, expected_added_gate_count
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes: the default sequence budget at depth 1
+_MAX_JOINT_STATES = 200_000  # joint states one exhaustive sweep may expand
+_ATTACK_SEQUENCES = 256  # random-mode attack: stimuli per candidate
+_ATTACK_CYCLES = 64  # random-mode attack: cycles per stimulus
 
 
 class BudgetExceededError(RuntimeError):
@@ -58,8 +65,6 @@ class AttackResult:
     elapsed: float
     depth: int
     mode: str
-    kind: str
-    key_bits: int
 
 
 @dataclass(frozen=True)
@@ -82,28 +87,26 @@ class OverheadReport:
 
     @property
     def relative_gate_overhead(self) -> float:
+        if not self.original.gates:
+            raise ValueError("original netlist has no gates; relative gate overhead is undefined")
         return self.delta.gates / self.original.gates
 
 
-def _check_interfaces(a: Netlist, b: Netlist) -> None:
-    nonkey_a, nonkey_b = a.compiled.nonkey_names, b.compiled.nonkey_names
-    if nonkey_a != nonkey_b:
-        raise ValueError(f"non-key input mismatch: {nonkey_a} vs {nonkey_b}")
+def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy, KeyPolicy]:
+    """Check that `a` and `b` share their non-key inputs and outputs and that
+    `policy` fits every side with key inputs; return the policy for each side
+    (none for a side without key inputs)."""
+    ca, cb = a.compiled, b.compiled
+    if ca.nonkey_names != cb.nonkey_names:
+        raise ValueError(f"non-key input mismatch: {ca.nonkey_names} vs {cb.nonkey_names}")
     if a.outputs != b.outputs:
         raise ValueError(f"output mismatch: {a.outputs} vs {b.outputs}")
-
-
-def _check_equiv_policy(ca: CompiledNetlist, cb: CompiledNetlist, policy: KeyPolicy) -> None:
     if not ca.key_idx and not cb.key_idx and policy.kind != "none":
         raise ValueError("key policy given but neither netlist has key inputs")
     for compiled in (ca, cb):
         if compiled.key_idx:
             check_policy(compiled, policy)
-
-
-def _side_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> KeyPolicy:
-    """The policy drives a side only when that side has key inputs."""
-    return policy if compiled.key_idx else KeyPolicy.none()
+    return tuple(policy if compiled.key_idx else KeyPolicy.none() for compiled in (ca, cb))
 
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
@@ -138,14 +141,14 @@ def _random_lockstep(
     that has key inputs.
 
     Yields ``(cycle, non-key input planes, output planes of a, of b)`` after
-    every cycle. Raises ValueError for an empty run, which would decide
-    nothing.
+    every cycle. Raises ValueError for a mismatched pair or policy, and for
+    an empty run, which would decide nothing.
     """
+    pa, pb = _pair_policies(a, b, policy)
     if sequences < 1 or cycles < 1:
         raise ValueError(
             f"random run needs sequences >= 1 and cycles >= 1, got {sequences} and {cycles}"
         )
-    pa, pb = _side_policy(a.compiled, policy), _side_policy(b.compiled, policy)
     rng = random.Random(seed)
     n = len(a.compiled.nonkey_idx)
     sa = PlaneSim(a, sequences)
@@ -178,7 +181,6 @@ def check_equivalence_exhaustive(
     key_policy: KeyPolicy | None = None,
     init: str = "zero",
     sequence_budget: int | None = 2**20,
-    state_budget: int = 200_000,
 ) -> EquivVerdict:
     """Compare outputs over every input sequence of length <= depth.
 
@@ -186,16 +188,13 @@ def check_equivalence_exhaustive(
     compare equal to unknown; definite-vs-unknown counts as divergence.
     Raises :class:`BudgetExceededError` when ``(2**inputs)**depth`` exceeds
     `sequence_budget` (pass None to lift it; the sweep itself is bounded by
-    reachable states, capped by `state_budget`) and, whatever the budget,
-    when there are more than 20 non-key inputs.
+    reachable states, at most 200,000 joint states) and, whatever the
+    budget, when there are more than 20 non-key inputs.
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
-    policy = key_policy or KeyPolicy.none()
+    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy.none())
     ca, cb = a.compiled, b.compiled
-    _check_interfaces(a, b)
-    _check_equiv_policy(ca, cb, policy)
-    pa, pb = _side_policy(ca, policy), _side_policy(cb, policy)
     n = len(ca.nonkey_idx)
     if sequence_budget is not None and (2**n) ** depth > sequence_budget:
         raise BudgetExceededError(
@@ -225,9 +224,9 @@ def check_equivalence_exhaustive(
             cached = memo.get(key)
             if cached is None:
                 evals += 1
-                if evals > state_budget:
+                if evals > _MAX_JOINT_STATES:
                     raise BudgetExceededError(
-                        f"reachable-state budget {state_budget} exceeded; use random mode"
+                        f"reachable-state budget {_MAX_JOINT_STATES} exceeded; use random mode"
                     )
                 outs_a, nexts_a = _eval_state(sa, st_a, planes, kv_a, lanes)
                 outs_b, nexts_b = _eval_state(sb, st_b, planes, kv_b, lanes)
@@ -287,14 +286,10 @@ def check_equivalence_random(
     init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
-    policy = key_policy or KeyPolicy.none()
-    ca, cb = a.compiled, b.compiled
-    _check_interfaces(a, b)
-    _check_equiv_policy(ca, cb, policy)
-    n = len(ca.nonkey_idx)
+    n = len(a.compiled.nonkey_idx)
     history: list[list[int]] = []
     for cycle, planes, outs_a, outs_b in _random_lockstep(
-        a, b, policy, sequences, cycles, seed, init
+        a, b, key_policy or KeyPolicy.none(), sequences, cycles, seed, init
     ):
         history.append(planes)
         divergence = _first_divergence(outs_a, outs_b)
@@ -324,14 +319,13 @@ def replay_counterexample(
     init: str = "zero",
 ) -> bool:
     """Re-simulate a counterexample; True when the reported divergence recurs."""
-    policy = key_policy or KeyPolicy.none()
 
-    def run(netlist: Netlist):
-        side_policy = _side_policy(netlist.compiled, policy)
-        stim = Stimulus(cycles=len(cex.inputs), inputs=tuple(cex.inputs), key_policy=side_policy)
+    def run(netlist: Netlist, policy: KeyPolicy):
+        stim = Stimulus(cycles=len(cex.inputs), inputs=tuple(cex.inputs), key_policy=policy)
         return simulate(netlist, stim, init=init)
 
-    ta, tb = run(a), run(b)
+    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy.none())
+    ta, tb = run(a, pa), run(b, pb)
     va = ta.value(cex.cycle, cex.output)
     vb = tb.value(cex.cycle, cex.output)
     return va != vb and (va, vb) == (cex.left_value, cex.right_value)
@@ -349,16 +343,9 @@ def corruption_rate(
 ) -> float:
     """Fraction of (sequence, cycle, output-bit) observations where the locked
     circuit under a tampered key schedule differs from the original."""
-    policy = (
-        KeyPolicy.correct(schedule)
-        if not overrides
-        else KeyPolicy.tampered(schedule, overrides)
-    )
-    _check_interfaces(orig, locked)
-    check_policy(locked.compiled, policy)
     differing = 0
     for _, _, outs_o, outs_l in _random_lockstep(
-        orig, locked, policy, sequences, cycles, seed, init
+        orig, locked, KeyPolicy.tampered(schedule, overrides), sequences, cycles, seed, init
     ):
         for po, pl in zip(outs_o, outs_l):
             differing += ((po[0] ^ pl[0]) | (po[1] ^ pl[1])).bit_count()
@@ -371,27 +358,6 @@ def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
     return "random"
 
 
-def _bounded_equivalent(
-    oracle: Netlist,
-    locked: Netlist,
-    policy: KeyPolicy,
-    mode: str,
-    depth: int,
-    seed: int,
-    sequences: int,
-    cycles: int,
-) -> bool:
-    if mode == "exhaustive":
-        verdict = check_equivalence_exhaustive(
-            oracle, locked, depth, key_policy=policy, sequence_budget=None
-        )
-    else:
-        verdict = check_equivalence_random(
-            oracle, locked, sequences, cycles, seed, key_policy=policy
-        )
-    return verdict.equivalent
-
-
 def brute_force_attack(
     locked: Netlist,
     oracle: Netlist,
@@ -399,31 +365,35 @@ def brute_force_attack(
     key_bits: int,
     depth: int = 8,
     candidate_budget: int = 2**20,
-    mode: str = "auto",
     seed: int = 0,
-    sequences: int = 256,
-    cycles: int = 64,
 ) -> AttackResult:
     """Enumerate every length-`num_keys` key sequence against the oracle.
 
     A candidate survives when the locked circuit, driven with the candidate
     applied cyclically, is bounded-equivalent to the oracle: exhaustively to
-    `depth` for small circuits (<= 6 non-key inputs and <= 8 oracle DFFs,
-    unless `mode` overrides), otherwise over seeded random stimuli. The
-    generating schedule always survives.
+    `depth` for small circuits (<= 6 non-key inputs and <= 8 oracle DFFs),
+    otherwise over 256 seeded random stimuli of 64 cycles. The generating
+    schedule always survives. ``num_keys=1`` is the static attack: each
+    candidate holds one key value every cycle, so against a time-varying
+    schedule the survivor set is typically empty.
     """
     space = (2**key_bits) ** num_keys
     if space > candidate_budget:
         raise BudgetExceededError(f"key-sequence space {space} exceeds budget {candidate_budget}")
-    if mode == "auto":
-        mode = _pick_eq_mode(locked, oracle)
+    mode = _pick_eq_mode(locked, oracle)
     survivors = []
     started = time.perf_counter()
     for candidate in product(range(2**key_bits), repeat=num_keys):
-        schedule = KeySchedule(keys=candidate, width=key_bits)
-        if _bounded_equivalent(
-            oracle, locked, KeyPolicy.correct(schedule), mode, depth, seed, sequences, cycles
-        ):
+        policy = KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits))
+        if mode == "exhaustive":
+            verdict = check_equivalence_exhaustive(
+                oracle, locked, depth, key_policy=policy, sequence_budget=None
+            )
+        else:
+            verdict = check_equivalence_random(
+                oracle, locked, _ATTACK_SEQUENCES, _ATTACK_CYCLES, seed, key_policy=policy
+            )
+        if verdict.equivalent:
             survivors.append(candidate)
     return AttackResult(
         search_space_size=space,
@@ -431,48 +401,6 @@ def brute_force_attack(
         elapsed=time.perf_counter() - started,
         depth=depth,
         mode=mode,
-        kind="sequence",
-        key_bits=key_bits,
-    )
-
-
-def static_key_attack(
-    locked: Netlist,
-    oracle: Netlist,
-    key_bits: int,
-    depth: int = 8,
-    candidate_budget: int = 2**20,
-    mode: str = "auto",
-    seed: int = 0,
-    sequences: int = 256,
-    cycles: int = 64,
-) -> AttackResult:
-    """Enumerate constant key values held across all cycles.
-
-    When the generating schedule is itself constant, that constant survives;
-    against a time-varying schedule the survivor set is typically empty,
-    which is the point of multi-key locking.
-    """
-    space = 2**key_bits
-    if space > candidate_budget:
-        raise BudgetExceededError(f"static key space {space} exceeds budget {candidate_budget}")
-    if mode == "auto":
-        mode = _pick_eq_mode(locked, oracle)
-    survivors = []
-    started = time.perf_counter()
-    for value in range(space):
-        if _bounded_equivalent(
-            oracle, locked, KeyPolicy.static(value), mode, depth, seed, sequences, cycles
-        ):
-            survivors.append(value)
-    return AttackResult(
-        search_space_size=space,
-        survivors=survivors,
-        elapsed=time.perf_counter() - started,
-        depth=depth,
-        mode=mode,
-        kind="static",
-        key_bits=key_bits,
     )
 
 

@@ -20,7 +20,6 @@ from .analysis import (
     check_equivalence_exhaustive,
     check_equivalence_random,
     overhead_report,
-    static_key_attack,
 )
 from .behavioral import BehLockConfig, lock_behavioral
 from .circuit import BenchFormatError, parse_bench, write_bench
@@ -105,6 +104,12 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
         schedule = manifest.schedule
     elif args.keys or args.keys_file:
         schedule = _schedule_from_args(args, None, None)
+    overrides = {}
+    for item in getattr(args, "override", None) or []:
+        cycle, _, bits = item.partition("=")
+        overrides[int(cycle)] = from_binary(bits)
+    if overrides and schedule is None:
+        raise ValueError("--override needs a schedule from --manifest, --keys or --keys-file")
     if getattr(args, "static_key", None) is not None:
         if schedule is not None:
             raise ValueError("--static-key conflicts with --keys/--manifest")
@@ -113,13 +118,7 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
         if key_inputs:
             raise ValueError("netlist has key inputs; give --manifest, --keys, or --static-key")
         return KeyPolicy.none()
-    overrides = {}
-    for item in getattr(args, "override", None) or []:
-        cycle, _, bits = item.partition("=")
-        overrides[int(cycle)] = from_binary(bits)
-    if overrides:
-        return KeyPolicy.tampered(schedule, overrides)
-    return KeyPolicy.correct(schedule)
+    return KeyPolicy.tampered(schedule, overrides)
 
 
 def _cmd_sim(args) -> int:
@@ -198,30 +197,18 @@ def _cmd_attack(args) -> int:
         num_keys, key_bits = args.k, args.ki
     else:
         raise ValueError("give --manifest or both --k and --ki")
-    if args.mode == "bruteforce":
-        result = brute_force_attack(
-            locked,
-            orig,
-            num_keys=num_keys,
-            key_bits=key_bits,
-            depth=args.depth,
-            candidate_budget=args.budget,
-            seed=args.seed,
-        )
-        survivors = [
-            ",".join(KeySchedule(keys=s, width=key_bits).binary_strings())
-            for s in result.survivors
-        ]
-    else:
-        result = static_key_attack(
-            locked,
-            orig,
-            key_bits=key_bits,
-            depth=args.depth,
-            candidate_budget=args.budget,
-            seed=args.seed,
-        )
-        survivors = [KeySchedule(keys=(v,), width=key_bits).binary_strings()[0] for v in result.survivors]
+    result = brute_force_attack(
+        locked,
+        orig,
+        num_keys=num_keys if args.mode == "bruteforce" else 1,
+        key_bits=key_bits,
+        depth=args.depth,
+        candidate_budget=args.budget,
+        seed=args.seed,
+    )
+    survivors = [
+        ",".join(KeySchedule(keys=s, width=key_bits).binary_strings()) for s in result.survivors
+    ]
     doc = {
         "mode": args.mode,
         "search_space_size": result.search_space_size,

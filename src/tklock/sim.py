@@ -40,7 +40,11 @@ _INVERTED = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR", "NOT": "BUF"}
 
 @dataclass
 class KeyPolicy:
-    """How key inputs are driven: none, correct(schedule), tampered, or static."""
+    """How key inputs are driven: none, a schedule, or one static value.
+
+    ``correct`` and ``tampered`` both build the schedule kind; a tampered
+    policy is the correct one with per-cycle key overrides.
+    """
 
     kind: str
     schedule: KeySchedule | None = None
@@ -53,11 +57,11 @@ class KeyPolicy:
 
     @classmethod
     def correct(cls, schedule: KeySchedule) -> "KeyPolicy":
-        return cls(kind="correct", schedule=schedule)
+        return cls(kind="schedule", schedule=schedule)
 
     @classmethod
     def tampered(cls, schedule: KeySchedule, overrides: dict[int, int]) -> "KeyPolicy":
-        return cls(kind="tampered", schedule=schedule, overrides=dict(overrides))
+        return cls(kind="schedule", schedule=schedule, overrides=dict(overrides))
 
     @classmethod
     def static(cls, value: int) -> "KeyPolicy":
@@ -68,7 +72,7 @@ class KeyPolicy:
             return None
         if self.kind == "static":
             return self.value
-        if self.kind == "tampered" and cycle in self.overrides:
+        if cycle in self.overrides:
             return self.overrides[cycle]
         return self.schedule.key_at(cycle)
 
@@ -223,6 +227,9 @@ def simulate(
     for cycle in stimulus.key_policy.overrides:
         if not 0 <= cycle < stimulus.cycles:
             raise ValueError(f"override cycle {cycle} outside stimulus")
+    for net in watch:
+        if net not in compiled.index:
+            raise ValueError(f"watched net '{net}' not in netlist '{netlist.name}'")
     watch_idx = [compiled.index[n] for n in watch]
 
     sim = PlaneSim(netlist, 1)

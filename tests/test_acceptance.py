@@ -17,7 +17,6 @@ from tklock.analysis import (
     check_equivalence_exhaustive,
     check_equivalence_random,
     overhead_report,
-    static_key_attack,
 )
 from tklock.behavioral import BehLockConfig, lock_behavioral
 from tklock.circuit import parse_bench, structurally_equal, validate, write_bench
@@ -139,13 +138,13 @@ def test_c5_single_key_reduction(record_property, s27, s27_locked):
     locked_const, _ = lock_structural(
         s27, LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=constant)
     )
-    static_const = static_key_attack(locked_const, s27, key_bits=2, depth=8)
-    assert 3 in static_const.survivors
+    static_const = brute_force_attack(locked_const, s27, num_keys=1, key_bits=2, depth=8)
+    assert (3,) in static_const.survivors
 
     locked, _ = s27_locked
     brute = brute_force_attack(locked, s27, num_keys=4, key_bits=2, depth=8)
     assert (1, 3, 2, 0) in brute.survivors
-    static = static_key_attack(locked, s27, key_bits=2, depth=8)
+    static = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
     # recorded survivor set; empty for this seed (non-degenerate wrongful wiring)
     assert static.survivors == []
     elapsed = time.perf_counter() - started

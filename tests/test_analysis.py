@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from tklock import corpus
+from tklock import analysis, corpus
 from tklock.circuit import parse_bench
 from tklock.analysis import (
     BudgetExceededError,
@@ -12,7 +12,6 @@ from tklock.analysis import (
     corruption_rate,
     overhead_report,
     replay_counterexample,
-    static_key_attack,
 )
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
 from tklock.sim import KeyPolicy, Stimulus
@@ -157,6 +156,14 @@ def test_corruption_rate_wrong_keys_positive(s27, s27_locked):
     assert 0.0 < rate <= 1.0
 
 
+def test_corruption_rate_checks_keyed_original(s27, s27_locked):
+    # the schedule fits the 2-bit locked side but not a 3-bit keyed original
+    locked, manifest = s27_locked
+    keyed_orig, _ = lock_structural(s27, LockConfig(num_keys=4, key_bits=3, seed=0))
+    with pytest.raises(ValueError, match="does not match 3 key inputs"):
+        corruption_rate(keyed_orig, locked, manifest.schedule, {}, 8, 4, seed=0)
+
+
 def test_vacuous_runs_rejected(s27, s27_locked):
     # a wrong static key must not pass by checking nothing
     locked, manifest = s27_locked
@@ -191,15 +198,15 @@ def test_static_attack_constant_schedule_survives(s27):
     locked, _ = lock_structural(
         s27, LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=schedule)
     )
-    result = static_key_attack(locked, s27, key_bits=2, depth=8)
-    assert result.survivors == [3]
+    result = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
+    assert result.survivors == [(3,)]
     assert result.search_space_size == 4
 
 
 def test_static_attack_time_varying_schedule_finds_nothing(s27, s27_locked):
     # seeded regression: no constant key reproduces the 1,3,2,0 schedule
     locked, _ = s27_locked
-    result = static_key_attack(locked, s27, key_bits=2, depth=8)
+    result = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
     assert result.survivors == []
 
 
@@ -208,8 +215,36 @@ def test_static_attack_one_bit_space(s27):
         s27,
         LockConfig(num_keys=2, key_bits=1, seed=1, explicit_schedule=KeySchedule((0, 1), 1)),
     )
-    result = static_key_attack(locked, s27, key_bits=1, depth=8)
+    result = brute_force_attack(locked, s27, num_keys=1, key_bits=1, depth=8)
     assert result.search_space_size == 2
+
+
+@pytest.mark.parametrize("keys", [(1, 3, 2, 0), (3, 3, 3, 3)])
+def test_static_attack_matches_static_policy_check(s27, keys):
+    # a period-1 candidate (v,) survives exactly when holding v every cycle
+    # is equivalent under the static key policy
+    locked, _ = lock_structural(
+        s27,
+        LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=KeySchedule(keys, 2)),
+    )
+    result = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
+    expected = [
+        (v,)
+        for v in range(4)
+        if check_equivalence_exhaustive(
+            s27, locked, 8, key_policy=KeyPolicy.static(v), sequence_budget=None
+        ).equivalent
+    ]
+    assert result.survivors == expected
+
+
+def test_exhaustive_joint_state_cap(s27, s27_locked, monkeypatch):
+    locked, manifest = s27_locked
+    monkeypatch.setattr(analysis, "_MAX_JOINT_STATES", 3)
+    with pytest.raises(BudgetExceededError, match="reachable-state budget 3"):
+        check_equivalence_exhaustive(
+            s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule), sequence_budget=None
+        )
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -256,6 +291,14 @@ def test_overhead_added_gates_constant_and_relative_decreasing():
         ratios.append(report.relative_gate_overhead)
     assert len(set(deltas)) == 1
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
+
+
+def test_relative_overhead_of_gateless_original_is_rejected():
+    orig = parse_bench("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n", name="bare")
+    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=1, seed=0))
+    report = overhead_report(orig, locked, manifest)
+    with pytest.raises(ValueError, match="no gates"):
+        report.relative_gate_overhead
 
 
 def test_overhead_rejects_mismatched_manifest(s27, s27_locked):

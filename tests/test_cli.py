@@ -233,6 +233,46 @@ def test_sim_stimulus_file_and_override(tmp_path, s27_path, capsys):
     assert row1[header.index("keyinput1")] == "0"
 
 
+@pytest.mark.parametrize(
+    "keying",
+    [["--static-key", "01", "--override", "3=00"], ["--override", "3=00"]],
+)
+def test_sim_override_without_schedule_rejected(tmp_path, s27_path, capsys, keying):
+    out, _ = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    code = main(["sim", "--in", str(out), "--cycles", "4", *keying])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input"
+    assert "--override" in diag["detail"]
+
+
+def test_sim_unknown_watch_net_rejected(s27_path, capsys):
+    code = main(["sim", "--in", str(s27_path), "--cycles", "2", "--watch", "G10,nope"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input"
+    assert "'nope'" in diag["detail"]
+
+
+def test_report_gateless_original_rejected(tmp_path, capsys):
+    orig = tmp_path / "bare.bench"
+    orig.write_text("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n", encoding="utf-8")
+    locked, manifest = tmp_path / "bare_locked.bench", tmp_path / "bare.manifest"
+    lock = ["lock-str", "--in", str(orig), "--k", "2", "--ki", "1"]
+    assert main([*lock, "--out", str(locked), "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    code = main(["report", "--orig", str(orig), "--locked", str(locked), "--manifest", str(manifest)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-input"
+
+
 def test_sim_x_init_shows_unknowns(tmp_path, s27_path, capsys):
     stim = tmp_path / "stim.txt"
     stim.write_text("0101\n", encoding="utf-8")
