@@ -10,7 +10,16 @@ implemented as a breadth-first sweep of reachable joint states, evaluating
 all ``2**n`` input minterms of a cycle at once in bit-parallel planes; the
 verdict is identical to enumerating the sequences one by one (the test suite
 pins that with an independent brute-force enumerator) but the cost scales
-with reachable states instead of with ``(2**n)**depth``.
+with reachable states instead of with ``(2**n)**depth``. The successors of a
+joint state are read off the next-state planes by splitting the minterm
+lanes into 0/1/unknown classes, one class per successor.
+
+On small circuits the attack runs the same sweep depth-first over key
+prefixes. Whether cycle ``c`` diverges depends only on the key values of
+cycles ``0..c``, so a divergence under a prefix prunes every candidate that
+extends it, and one memo of expanded joint states serves every candidate.
+The survivors are those of one exhaustive check per candidate, in the same
+order; the whole search is capped at 200,000 distinct joint states.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from .structural import LockManifest, added_mux_count, expected_added_gate_count
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes: the default sequence budget at depth 1
-_MAX_JOINT_STATES = 200_000  # joint states one exhaustive sweep may expand
+_MAX_JOINT_STATES = 200_000  # distinct joint states one exhaustive check or attack search may expand
 _ATTACK_SEQUENCES = 256  # random-mode attack: stimuli per candidate
 _ATTACK_CYCLES = 64  # random-mode attack: cycles per stimulus
 
@@ -162,16 +171,68 @@ def _random_lockstep(
         yield cycle, planes, sa.output_planes(), sb.output_planes()
 
 
-def _eval_state(sim: PlaneSim, state, planes, key_value, lanes: int):
-    """Evaluate one cycle from a broadcast state over all input minterms."""
-    sim.load_state(state)
-    sim.step(planes, key_value, latch=False)
-    outs = sim.output_planes()
-    dff_planes = sim.next_state_planes()
-    nexts = []
-    for lane in range(lanes):
-        nexts.append(tuple(_plane_lane(p, lane) for p in dff_planes))
-    return outs, nexts
+class _JointSweep:
+    """Both circuits of a pair over all ``2**n`` input minterms, one lane per
+    minterm, with a memo of the joint states already expanded.
+
+    Raises :class:`BudgetExceededError` before allocating any plane when
+    there are more than 20 non-key inputs.
+    """
+
+    def __init__(self, a: Netlist, b: Netlist):
+        n = len(a.compiled.nonkey_idx)
+        if n > _MAX_MINTERM_INPUTS:
+            raise BudgetExceededError(
+                f"2^{n} input minterms exceed the 2^{_MAX_MINTERM_INPUTS}-lane cap; use random mode"
+            )
+        self.planes = minterm_planes(n)
+        self.sa = PlaneSim(a, 1 << n)
+        self.sb = PlaneSim(b, 1 << n)
+        self.memo: dict = {}
+
+    def expand(self, st_a, st_b, kv_a, kv_b):
+        """Evaluate one cycle from the joint state ``(st_a, st_b)`` under the
+        key values ``kv_a`` and ``kv_b``, over every input minterm.
+
+        Returns ``(divergence, successors)``: the first output divergence as
+        :func:`_first_divergence` reports it (None when the outputs agree),
+        and each distinct next joint state mapped to the lowest input lane
+        that reaches it, in order of that lane. The lanes are split into
+        classes by the 0/1/unknown value of every next-state plane of both
+        sides, so each class is one successor. Each distinct
+        ``(st_a, st_b, kv_a, kv_b)`` is evaluated once; the
+        ``_MAX_JOINT_STATES``-th distinct one is the last allowed.
+        """
+        key = (st_a, st_b, kv_a, kv_b)
+        cached = self.memo.get(key)
+        if cached is not None:
+            return cached
+        if len(self.memo) >= _MAX_JOINT_STATES:
+            raise BudgetExceededError(
+                f"reachable-state budget {_MAX_JOINT_STATES} exceeded; use random mode"
+            )
+        sa, sb = self.sa, self.sb
+        sa.load_state(st_a)
+        sa.step(self.planes, kv_a, latch=False)
+        sb.load_state(st_b)
+        sb.step(self.planes, kv_b, latch=False)
+        divergence = _first_divergence(sa.output_planes(), sb.output_planes())
+        classes = [(sa.mask, ())]
+        for h, x in sa.next_state_planes() + sb.next_state_planes():
+            split = []
+            for lanes, values in classes:
+                for part, value in ((lanes & ~(h | x), 0), (lanes & h, 1), (lanes & x, None)):
+                    if part:
+                        split.append((part, values + (value,)))
+            classes = split
+        classes.sort(key=lambda c: c[0] & -c[0])
+        width_a = len(st_a)
+        successors = {
+            (values[:width_a], values[width_a:]): (lanes & -lanes).bit_length() - 1
+            for lanes, values in classes
+        }
+        cached = self.memo[key] = (divergence, successors)
+        return cached
 
 
 def check_equivalence_exhaustive(
@@ -200,43 +261,18 @@ def check_equivalence_exhaustive(
         raise BudgetExceededError(
             f"(2^{n})^{depth} sequences exceed budget {sequence_budget}; use random mode"
         )
-    if n > _MAX_MINTERM_INPUTS:
-        raise BudgetExceededError(
-            f"2^{n} input minterms exceed the 2^{_MAX_MINTERM_INPUTS}-lane cap; use random mode"
-        )
-    lanes = 1 << n
-    planes = minterm_planes(n)
-    sa = PlaneSim(a, lanes)
-    sb = PlaneSim(b, lanes)
+    sweep = _JointSweep(a, b)
     output_names = list(a.outputs)
 
     # parents[i] = (previous entry, input lane taken); roots use entry -1
     parents: list[tuple[int, int | None]] = [(-1, None)]
     frontier = {(ca.initial_state(init), cb.initial_state(init)): 0}
-    memo: dict = {}
-    evals = 0
     for cycle in range(depth):
         kv_a = pa.key_value_at(cycle)
         kv_b = pb.key_value_at(cycle)
         next_frontier: dict = {}
         for (st_a, st_b), parent_idx in frontier.items():
-            key = (st_a, st_b, kv_a, kv_b)
-            cached = memo.get(key)
-            if cached is None:
-                evals += 1
-                if evals > _MAX_JOINT_STATES:
-                    raise BudgetExceededError(
-                        f"reachable-state budget {_MAX_JOINT_STATES} exceeded; use random mode"
-                    )
-                outs_a, nexts_a = _eval_state(sa, st_a, planes, kv_a, lanes)
-                outs_b, nexts_b = _eval_state(sb, st_b, planes, kv_b, lanes)
-                divergence = _first_divergence(outs_a, outs_b)
-                successors: dict = {}
-                for lane in range(lanes):
-                    successors.setdefault((nexts_a[lane], nexts_b[lane]), lane)
-                memo[key] = (divergence, successors)
-                cached = memo[key]
-            divergence, successors = cached
+            divergence, successors = sweep.expand(st_a, st_b, kv_a, kv_b)
             if divergence is not None:
                 lane, oi, va, vb = divergence
                 history = _input_history(parents, parent_idx, n)
@@ -358,6 +394,58 @@ def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
     return "random"
 
 
+def _prefix_search(oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int) -> list:
+    """Survivors of the exhaustive attack, found depth-first over key prefixes.
+
+    The frontier after a prefix is every joint state the pair can reach in
+    ``len(prefix)`` cycles under it. Cycle ``c < num_keys`` tries each key
+    value in ascending order; a value under which some frontier state
+    diverges prunes every candidate that extends the prefix with it. A
+    prefix that reaches `depth` survives with every completion; a full
+    candidate keeps sweeping to `depth` with the key ``prefix[c % num_keys]``.
+    One memo serves the whole search, so each joint state and key pair is
+    evaluated once.
+    """
+    # every candidate has the same shape, so one probe checks the pair and
+    # the key width for all of them and tells whether the oracle takes keys
+    probe = KeyPolicy.correct(KeySchedule(keys=(0,) * num_keys, width=key_bits))
+    pa, _ = _pair_policies(oracle, locked, probe)
+    keyed_oracle = pa.kind != "none"
+    sweep = _JointSweep(oracle, locked)
+    values = range(2**key_bits)
+    survivors: list = []
+
+    def advance(frontier: dict, kv: int) -> dict | None:
+        """The next frontier under key value `kv`, or None on a divergence."""
+        next_frontier: dict = {}
+        for st_a, st_b in frontier:
+            divergence, successors = sweep.expand(st_a, st_b, kv if keyed_oracle else None, kv)
+            if divergence is not None:
+                return None
+            next_frontier.update(successors)
+        return next_frontier
+
+    def search(prefix: tuple, frontier: dict) -> None:
+        if len(prefix) == depth:
+            survivors.extend(prefix + tail for tail in product(values, repeat=num_keys - depth))
+            return
+        if len(prefix) == num_keys:
+            for cycle in range(num_keys, depth):
+                frontier = advance(frontier, prefix[cycle % num_keys])
+                if frontier is None:
+                    return
+            survivors.append(prefix)
+            return
+        for kv in values:
+            next_frontier = advance(frontier, kv)
+            if next_frontier is not None:
+                search(prefix + (kv,), next_frontier)
+
+    init = oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero")
+    search((), {init: None})
+    return survivors
+
+
 def brute_force_attack(
     locked: Netlist,
     oracle: Netlist,
@@ -367,7 +455,7 @@ def brute_force_attack(
     candidate_budget: int = 2**20,
     seed: int = 0,
 ) -> AttackResult:
-    """Enumerate every length-`num_keys` key sequence against the oracle.
+    """Find every length-`num_keys` key sequence the oracle cannot tell apart.
 
     A candidate survives when the locked circuit, driven with the candidate
     applied cyclically, is bounded-equivalent to the oracle: exhaustively to
@@ -376,25 +464,39 @@ def brute_force_attack(
     schedule always survives. ``num_keys=1`` is the static attack: each
     candidate holds one key value every cycle, so against a time-varying
     schedule the survivor set is typically empty.
+
+    The exhaustive mode searches key prefixes depth-first instead of
+    checking candidates one by one: a divergence at cycle ``c < num_keys``
+    depends only on the first ``c + 1`` key values, so it prunes every
+    candidate sharing them. The survivors, in enumeration order, are those
+    of checking each candidate with :func:`check_equivalence_exhaustive`.
+    The whole search shares one memo of joint states and raises
+    :class:`BudgetExceededError` when it would expand more than 200,000
+    distinct ones. The random mode checks each candidate on its own.
+    Raises ValueError when `depth` < 1.
     """
+    if depth < 1:
+        raise ValueError(f"attack needs depth >= 1, got {depth}")
     space = (2**key_bits) ** num_keys
     if space > candidate_budget:
         raise BudgetExceededError(f"key-sequence space {space} exceeds budget {candidate_budget}")
     mode = _pick_eq_mode(locked, oracle)
-    survivors = []
     started = time.perf_counter()
-    for candidate in product(range(2**key_bits), repeat=num_keys):
-        policy = KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits))
-        if mode == "exhaustive":
-            verdict = check_equivalence_exhaustive(
-                oracle, locked, depth, key_policy=policy, sequence_budget=None
-            )
-        else:
-            verdict = check_equivalence_random(
-                oracle, locked, _ATTACK_SEQUENCES, _ATTACK_CYCLES, seed, key_policy=policy
-            )
-        if verdict.equivalent:
-            survivors.append(candidate)
+    if mode == "exhaustive":
+        survivors = _prefix_search(oracle, locked, num_keys, key_bits, depth)
+    else:
+        survivors = [
+            candidate
+            for candidate in product(range(2**key_bits), repeat=num_keys)
+            if check_equivalence_random(
+                oracle,
+                locked,
+                _ATTACK_SEQUENCES,
+                _ATTACK_CYCLES,
+                seed,
+                key_policy=KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits)),
+            ).equivalent
+        ]
     return AttackResult(
         search_space_size=space,
         survivors=survivors,

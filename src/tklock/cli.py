@@ -193,14 +193,16 @@ def _cmd_attack(args) -> int:
     if args.manifest:
         manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
         num_keys, key_bits = manifest.num_keys, manifest.key_bits
-    elif args.k and args.ki:
-        num_keys, key_bits = args.k, args.ki
     else:
-        raise ValueError("give --manifest or both --k and --ki")
+        num_keys, key_bits = args.k, args.ki
+    if args.mode == "static":
+        num_keys = 1  # a static key is the period-1 schedule
+    if not (num_keys and key_bits):
+        raise ValueError("give --manifest, or --ki and (for bruteforce) --k")
     result = brute_force_attack(
         locked,
         orig,
-        num_keys=num_keys if args.mode == "bruteforce" else 1,
+        num_keys=num_keys,
         key_bits=key_bits,
         depth=args.depth,
         candidate_budget=args.budget,
@@ -328,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locked", required=True)
     p.add_argument("--mode", choices=("bruteforce", "static"), default="bruteforce")
     p.add_argument("--manifest", help="read k and ki from a manifest")
-    p.add_argument("--k", type=int)
-    p.add_argument("--ki", type=int)
+    p.add_argument("--k", type=int, help="number of key values (bruteforce only)")
+    p.add_argument("--ki", type=int, help="bits per key value")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument("--budget", type=int, default=2**20)
     p.add_argument("--seed", type=int, default=0)

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tklock import analysis, corpus
+from tklock import analysis, corpus, synth
 from tklock.circuit import parse_bench
 from tklock.analysis import (
     BudgetExceededError,
@@ -14,10 +16,11 @@ from tklock.analysis import (
     replay_counterexample,
 )
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
-from tklock.sim import KeyPolicy, Stimulus
+from tklock.sim import KeyPolicy, PlaneSim, Stimulus, minterm_planes
 from tklock.structural import LockConfig, lock_structural
 from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import simulate_kleene
+from tests.lane_reference import lane_successors
 
 
 def _enumerate_equivalence(a, b, depth, key_policy, init="zero"):
@@ -255,6 +258,76 @@ def test_brute_force_soundness_generated_schedules(s27, seed):
     )
     result = brute_force_attack(locked, s27, num_keys=2, key_bits=1, depth=6)
     assert tuple(schedule.keys) in result.survivors
+
+
+def _candidate_survives(oracle, locked, candidate, key_bits, depth):
+    policy = KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits))
+    return check_equivalence_exhaustive(
+        oracle, locked, depth, key_policy=policy, sequence_budget=None
+    ).equivalent
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    lock_keys=st.sampled_from([2, 4]),
+    num_keys=st.sampled_from([1, 2, 4]),
+    key_bits=st.sampled_from([1, 2]),
+    depth=st.sampled_from([1, 2, 6]),
+)
+def test_prefix_search_matches_per_candidate_checks(seed, lock_keys, num_keys, key_bits, depth):
+    # the pruned search keeps exactly the candidates, in enumeration order,
+    # that one exhaustive check per candidate keeps
+    oracle = synth.random_netlist(seed, n_inputs=2, n_dffs=3, n_gates=10, n_outputs=2)
+    locked, _ = lock_structural(oracle, LockConfig(num_keys=lock_keys, key_bits=key_bits, seed=seed))
+    result = brute_force_attack(locked, oracle, num_keys=num_keys, key_bits=key_bits, depth=depth)
+    assert result.mode == "exhaustive"
+    expected = [
+        c
+        for c in itertools.product(range(2**key_bits), repeat=num_keys)
+        if _candidate_survives(oracle, locked, c, key_bits, depth)
+    ]
+    assert result.survivors == expected
+
+
+def test_prefix_search_keyed_oracle_keeps_every_candidate(s27_locked):
+    # both sides take the candidate, so no candidate can be told apart
+    locked, _ = s27_locked
+    result = brute_force_attack(locked, locked, num_keys=2, key_bits=2, depth=6)
+    assert result.survivors == list(itertools.product(range(4), repeat=2))
+
+
+def test_attack_joint_state_cap_spans_the_whole_search(s27, s27_locked, monkeypatch):
+    # one exhaustive check of any single candidate expands at most 24 joint
+    # states here, the whole pruned search 133
+    locked, _ = s27_locked
+    monkeypatch.setattr(analysis, "_MAX_JOINT_STATES", 100)
+    with pytest.raises(BudgetExceededError, match="reachable-state budget 100"):
+        brute_force_attack(locked, s27, num_keys=4, key_bits=2, depth=8)
+
+
+@pytest.mark.parametrize("init", ["zero", "x"])
+def test_expansion_matches_per_lane_reference(s27, s27_locked, init):
+    # every joint state reached in four cycles under any key value, expanded
+    # by the class partition and lane by lane, gives the same successors
+    locked, _ = s27_locked
+    sweep = analysis._JointSweep(s27, locked)
+    n = len(s27.compiled.nonkey_idx)
+    ref_a, ref_b = PlaneSim(s27, 1 << n), PlaneSim(locked, 1 << n)
+    planes = minterm_planes(n)
+    frontier = {(s27.compiled.initial_state(init), locked.compiled.initial_state(init))}
+    unknown_seen = False
+    for _ in range(4):
+        next_frontier = set()
+        for st_a, st_b in sorted(frontier, key=repr):
+            for kv in range(4):
+                _, successors = sweep.expand(st_a, st_b, None, kv)
+                expected = lane_successors(ref_a, ref_b, st_a, st_b, None, kv, planes)
+                assert list(successors.items()) == list(expected.items())
+                next_frontier.update(successors)
+                unknown_seen |= any(None in a + b for a, b in successors)
+        frontier = next_frontier
+    assert unknown_seen == (init == "x")
 
 
 def test_overhead_report_s27(s27, s27_locked):

@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from tklock import corpus
+from tklock.circuit import write_bench
 from tklock.cli import main
+from tklock.structural import LockConfig, lock_structural
 
 
 @pytest.fixture()
@@ -166,6 +168,43 @@ def test_attack_static_empty_survivors(tmp_path, s27_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["survivors"] == []
+
+
+def test_attack_static_needs_only_key_width(tmp_path, s27_path, capsys):
+    out, _ = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    argv = ["attack", "--orig", str(s27_path), "--locked", str(out), "--ki", "2"]
+    assert main([*argv, "--mode", "static"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["search_space_size"] == 4
+    assert doc["survivors"] == []
+    # a schedule search still needs the number of key values
+    assert main([*argv, "--mode", "bruteforce"]) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("stem", ["s27", "b08_like"])
+def test_attack_depth_below_one_rejected(tmp_path, capsys, stem):
+    # s27 is attacked exhaustively, b08_like (9 non-key inputs) at random
+    orig = tmp_path / f"{stem}.bench"
+    orig.write_text(corpus.read_text(f"{stem}.bench"), encoding="utf-8")
+    locked, _ = lock_structural(corpus.load_bench(stem), LockConfig(num_keys=2, key_bits=1, seed=5))
+    locked_path = tmp_path / f"{stem}.locked.bench"
+    locked_path.write_text(write_bench(locked), encoding="utf-8")
+    code = main(
+        [
+            "attack",
+            "--orig", str(orig),
+            "--locked", str(locked_path),
+            "--k", "2",
+            "--ki", "1",
+            "--depth", "0",
+        ]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-input"
 
 
 def test_report_outputs_counts(tmp_path, s27_path, capsys):
