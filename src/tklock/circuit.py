@@ -4,14 +4,23 @@ The IR is deliberately small: primary inputs, primary outputs, combinational
 gates over a fixed primitive set, and D flip-flops. Nets are identified by
 name; every net has exactly one driver (an input, a gate output, or a DFF
 output) and the combinational subgraph is acyclic once DFFs are cut.
+
+:func:`parse_bench` is one indexed pass: one full-match pattern per gate or
+DFF line, fanin names from one ``findall``, net names interned as read. Only
+lines that pattern rejects take the slower checks, which give each error its
+message and line number.
+``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
+gate positions, the cycle net) is built once and read by the parse's cycle
+check, :func:`validate`, :func:`topo_order` and the compiled form.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
@@ -91,33 +100,40 @@ class Netlist:
         return CompiledNetlist(self)
 
     @cached_property
-    def _kahn(self) -> tuple[tuple[Gate, ...], str | None]:
-        """Kahn's algorithm over the gate graph (DFFs cut), run once per netlist.
+    def _graph(self) -> tuple[dict[str, int], tuple[Gate, ...], str | None]:
+        """The integer gate graph (DFFs cut), built once per netlist.
 
-        Returns the gates in topological order and None or, when the graph
-        has a combinational cycle, the gates ordered so far and the smallest
-        name among the nets that could not be ordered (each on or downstream
-        of a cycle).
+        Returns the net index in :class:`CompiledNetlist` order (inputs, DFF
+        outputs, gate outputs), the gates in the topological order of a FIFO
+        Kahn pass over gate positions, and None or, when the graph has a
+        combinational cycle, the smallest name among the nets that could not
+        be ordered (each on or downstream of a cycle). With duplicate drivers
+        the last driver of a net stands for it.
         """
-        gate_by_output = {g.output: g for g in self.gates}
-        pending = {g.output: sum(1 for f in g.fanins if f in gate_by_output) for g in self.gates}
-        readers: dict[str, list[str]] = {}
-        for gate in self.gates:
+        gates = self.gates
+        names = [*self.inputs, *(d.output for d in self.dffs), *(g.output for g in gates)]
+        index = dict(zip(names, range(len(names))))
+        base = len(names) - len(gates)
+        pending = [0] * len(gates)
+        readers: list[list[int]] = [[] for _ in gates]
+        live = []
+        for p, gate in enumerate(gates):
+            node = index[gate.output] - base
+            live.append(node == p)
             for net in gate.fanins:
-                if net in gate_by_output:
-                    readers.setdefault(net, []).append(gate.output)
-        ready = deque(net for net, n in pending.items() if n == 0)
-        order: list[Gate] = []
-        while ready:
-            net = ready.popleft()
-            order.append(gate_by_output[net])
-            for reader in readers.get(net, ()):
+                driver = index.get(net, -1) - base
+                if driver >= 0:
+                    readers[driver].append(node)
+                    if node == p:
+                        pending[p] += 1
+        order = [p for p, n in enumerate(pending) if n == 0 and live[p]]
+        for p in order:  # the list is its own FIFO queue
+            for reader in readers[p]:
                 pending[reader] -= 1
                 if pending[reader] == 0:
-                    ready.append(reader)
-        if len(order) == len(pending):
-            return tuple(order), None
-        return tuple(order), min(net for net, n in pending.items() if n > 0)
+                    order.append(reader)
+        stuck = (gates[p].output for p, n in enumerate(pending) if n > 0 and live[p])
+        return index, tuple(map(gates.__getitem__, order)), min(stuck, default=None)
 
     def net_names(self) -> set[str]:
         names = set(self.inputs) | set(self.outputs)
@@ -128,8 +144,17 @@ class Netlist:
         return names
 
 
-_ASSIGN_RE = re.compile(r"^(?P<lhs>[^\s(),=#]+)\s*=\s*(?P<kind>[A-Za-z]+)\s*\((?P<args>.*)\)$")
-_IO_RE = re.compile(r"^(?P<kw>INPUT|OUTPUT)\s*\((?P<net>[^\s(),=#]+)\)$", re.IGNORECASE)
+_NAME = r"[^\s(),=#]+"
+# `y = KIND(a, b, ...)` with a well-formed, non-empty fanin list
+_GATE_RE = re.compile(rf"({_NAME})\s*=\s*([A-Za-z]+)\s*\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)")
+_NAME_RE = re.compile(_NAME)
+_IO_RE = re.compile(rf"(?P<kw>INPUT|OUTPUT)\s*\((?P<net>{_NAME})\)", re.IGNORECASE)
+# any `y = KIND(...)` line; only lines the gate pattern rejects, each an error,
+# reach it, so it is compiled on first use rather than at import
+_ASSIGN = rf"(?P<lhs>{_NAME})\s*=\s*(?P<kind>[A-Za-z]+)\s*\((?P<args>.*)\)"
+# upper-cased kind keyword -> the kind stored on the Gate ("DFF" builds a Dff)
+_KINDS = {kind: kind for kind in (*GATE_KINDS, "DFF")} | {"BUFF": "BUF"}
+_ONE_FANIN = (*UNARY_KINDS, "DFF")
 
 
 def parse_bench(text: str, name: str = "bench") -> Netlist:
@@ -147,60 +172,66 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     dffs: list[Dff] = []
     driver_line: dict[str, int] = {}
     output_line: dict[str, int] = {}
-    # first line referencing each net as a fanin, for error reporting
-    ref_line: dict[str, int] = {}
+    # every net name read, mapped to one shared string object
+    seen: dict[str, str] = {}
+    intern = seen.setdefault
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        io_match = _IO_RE.match(line)
-        if io_match:
-            net = io_match.group("net")
-            if io_match.group("kw").upper() == "INPUT":
-                if net in driver_line:
-                    raise BenchFormatError(f"duplicate driver for net '{net}'", lineno)
-                driver_line[net] = lineno
-                inputs.append(net)
-            else:
-                if net in output_line:
-                    raise BenchFormatError(f"duplicate output declaration '{net}'", lineno)
-                output_line[net] = lineno
-                outputs.append(net)
-            continue
-        assign = _ASSIGN_RE.match(line)
-        if assign is None:
-            raise BenchFormatError(f"unrecognized line: '{line}'", lineno)
-        lhs = assign.group("lhs")
-        kind = assign.group("kind").upper()
-        if kind == "BUFF":
-            kind = "BUF"
-        args = [a.strip() for a in assign.group("args").split(",")] if assign.group("args").strip() else []
-        if any(not a or re.search(r"[\s(),=#]", a) for a in args):
-            raise BenchFormatError(f"malformed fanin list: '{line}'", lineno)
+        match = _GATE_RE.fullmatch(line)
+        if match is not None:
+            lhs, kind_text, args = match.groups()
+            fanins = _NAME_RE.findall(args)
+        else:
+            io_match = _IO_RE.fullmatch(line)
+            if io_match:
+                net = intern(io_match["net"], io_match["net"])
+                if io_match["kw"].upper() == "INPUT":
+                    if net in driver_line:
+                        raise BenchFormatError(f"duplicate driver for net '{net}'", lineno)
+                    driver_line[net] = lineno
+                    inputs.append(net)
+                else:
+                    if net in output_line:
+                        raise BenchFormatError(f"duplicate output declaration '{net}'", lineno)
+                    output_line[net] = lineno
+                    outputs.append(net)
+                continue
+            assign = re.fullmatch(_ASSIGN, line)
+            if assign is None:
+                raise BenchFormatError(f"unrecognized line: '{line}'", lineno)
+            if assign["args"].strip():
+                raise BenchFormatError(f"malformed fanin list: '{line}'", lineno)
+            lhs, kind_text, fanins = assign["lhs"], assign["kind"], []
         if lhs in driver_line:
             raise BenchFormatError(f"duplicate driver for net '{lhs}'", lineno)
         driver_line[lhs] = lineno
-        for a in args:
-            ref_line.setdefault(a, lineno)
-        if kind == "DFF":
-            if len(args) != 1:
-                raise BenchFormatError("DFF takes exactly one fanin", lineno)
-            dffs.append(Dff(output=lhs, input=args[0]))
-        elif kind in UNARY_KINDS:
-            if len(args) != 1:
+        lhs = intern(lhs, lhs)
+        fanins = tuple(map(intern, fanins, fanins))
+        kind = _KINDS.get(kind_text.upper())
+        if kind is None:
+            raise BenchFormatError(f"unknown gate kind '{kind_text}'", lineno)
+        if kind in _ONE_FANIN:
+            if len(fanins) != 1:
                 raise BenchFormatError(f"{kind} takes exactly one fanin", lineno)
-            gates.append(Gate(output=lhs, kind=kind, fanins=tuple(args)))
-        elif kind in GATE_KINDS:
-            if len(args) < 2:
-                raise BenchFormatError(f"{kind} takes at least two fanins", lineno)
-            gates.append(Gate(output=lhs, kind=kind, fanins=tuple(args)))
+        elif len(fanins) < 2:
+            raise BenchFormatError(f"{kind} takes at least two fanins", lineno)
+        if kind == "DFF":
+            dffs.append(Dff(lhs, fanins[0]))
         else:
-            raise BenchFormatError(f"unknown gate kind '{assign.group('kind')}'", lineno)
+            gates.append(Gate(lhs, kind, fanins))
 
-    for net, lineno in ref_line.items():
-        if net not in driver_line:
-            raise BenchFormatError(f"undefined fanin net '{net}'", lineno)
+    if len(seen) > len(driver_line):
+        # a fanin or an output is undriven: report the first fanin reference
+        for lineno, fanins in sorted(
+            [(driver_line[g.output], g.fanins) for g in gates]
+            + [(driver_line[d.output], (d.input,)) for d in dffs]
+        ):
+            for net in fanins:
+                if net not in driver_line:
+                    raise BenchFormatError(f"undefined fanin net '{net}'", lineno)
     for net, lineno in output_line.items():
         if net not in driver_line:
             raise BenchFormatError(f"undefined output net '{net}'", lineno)
@@ -212,7 +243,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
-    _, cyclic = netlist._kahn
+    cyclic = netlist._graph[2]
     if cyclic is not None:
         raise BenchFormatError(
             f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
@@ -242,26 +273,18 @@ def validate(netlist: Netlist) -> list[Violation]:
     nets that are never read and are not declared outputs.
     """
     violations: list[Violation] = []
-    driver_count: dict[str, int] = {}
-    for net in netlist.inputs:
-        driver_count[net] = driver_count.get(net, 0) + 1
-    for gate in netlist.gates:
-        driver_count[gate.output] = driver_count.get(gate.output, 0) + 1
-    for dff in netlist.dffs:
-        driver_count[dff.output] = driver_count.get(dff.output, 0) + 1
-    for net, count in sorted(driver_count.items()):
-        if count > 1:
-            violations.append(
-                Violation("error", "duplicate-driver", net, f"duplicate driver: {net}")
-            )
+    index, _, cyclic = netlist._graph  # index holds each driven net once
+    count = Counter(netlist.inputs)
+    count.update(g.output for g in netlist.gates)
+    count.update(d.output for d in netlist.dffs)
+    for net in sorted(net for net, n in count.items() if n > 1):
+        violations.append(Violation("error", "duplicate-driver", net, f"duplicate driver: {net}"))
 
-    referenced: set[str] = set()
-    for gate in netlist.gates:
-        referenced.update(gate.fanins)
+    referenced = set(chain.from_iterable(g.fanins for g in netlist.gates))
     referenced.update(d.input for d in netlist.dffs)
-    for net in sorted(referenced | set(netlist.outputs)):
-        if net not in driver_count:
-            violations.append(Violation("error", "undriven", net, f"undriven net: {net}"))
+    read_or_output = referenced | set(netlist.outputs)
+    for net in sorted(read_or_output.difference(index)):
+        violations.append(Violation("error", "undriven", net, f"undriven net: {net}"))
 
     seen_outputs: set[str] = set()
     for net in netlist.outputs:
@@ -282,13 +305,11 @@ def validate(netlist: Netlist) -> list[Violation]:
                 Violation("error", "arity", gate.output, f"bad fanin count for {gate.kind}: {gate.output}")
             )
 
-    _, cyclic = netlist._kahn
     if cyclic is not None:
         violations.append(
             Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
         )
 
-    read_or_output = referenced | set(netlist.outputs)
     for gate in netlist.gates:
         if gate.output not in read_or_output:
             violations.append(
@@ -313,7 +334,7 @@ def topo_order(netlist: Netlist) -> list[Gate]:
     Primary inputs and DFF outputs are sources. Raises ValueError on a
     combinational cycle; run :func:`validate` first to get a diagnostic.
     """
-    order, cyclic = netlist._kahn
+    _, order, cyclic = netlist._graph
     if cyclic is not None:
         raise ValueError("combinational cycle")
     return list(order)

@@ -126,16 +126,19 @@ def _cmd_sim(args) -> int:
     policy = _key_policy_from_args(args, netlist)
     non_key, _ = split_inputs(netlist)
     if args.stimulus:
-        rows = [
-            line.strip()
-            for line in Path(args.stimulus).read_text(encoding="utf-8").splitlines()
-            if line.strip() and not line.startswith("#")
-        ]
+        lines = Path(args.stimulus).read_text(encoding="utf-8").splitlines()
+        rows = [row for row in (line.split("#", 1)[0].strip() for line in lines) if row]
     else:
         rng = random.Random(args.random_seed)
         rows = [
             "".join(str(rng.randint(0, 1)) for _ in non_key) for _ in range(args.cycles)
         ]
+    if not rows:
+        raise ValueError(
+            f"stimulus file '{args.stimulus}' has no rows"
+            if args.stimulus
+            else f"sim needs cycles >= 1, got {args.cycles}"
+        )
     stimulus = Stimulus.from_strings(rows, policy)
     watch = tuple(args.watch.split(",")) if args.watch else ()
     trace = simulate(netlist, stimulus, init=args.init, watch=watch)
@@ -301,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sim", help="simulate a netlist and export a trace CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--cycles", type=int, default=16)
-    p.add_argument("--stimulus", help="file with one row of non-key input bits per cycle")
+    p.add_argument("--stimulus", help="file with one row of non-key input bits per cycle, # comments")
     p.add_argument("--random-seed", type=int, default=0, help="seed for generated stimulus")
     p.add_argument("--manifest", help="drive key inputs with the manifest's schedule")
     p.add_argument("--override", action="append", help="CYCLE=BITS wrong-key injection")

@@ -84,9 +84,12 @@ def check_fsm(fsm: Fsm) -> None:
 def _header_count(parts: list[str], lineno: int) -> int:
     """The non-negative integer value of a `.i`/`.o`/`.p`/`.s` header."""
     directive, value = parts
-    if not value.isdecimal():
-        raise Kiss2FormatError(f"{directive} needs a non-negative integer, got '{value}'", lineno)
-    return int(value)
+    if value.isdecimal():
+        try:
+            return int(value)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise Kiss2FormatError(f"{directive} needs a non-negative integer, got '{value}'", lineno)
 
 
 def parse_kiss2(text: str) -> Fsm:

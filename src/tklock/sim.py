@@ -152,27 +152,27 @@ class CompiledNetlist:
     def __init__(self, netlist: Netlist):
         if has_errors(validate(netlist)):
             raise ValueError(f"netlist '{netlist.name}' fails validation")
-        names: list[str] = list(netlist.inputs)
-        names += [d.output for d in netlist.dffs]
-        names += [g.output for g in netlist.gates]
-        self.index = {name: i for i, name in enumerate(names)}
-        self.n_nets = len(names)
+        self.index = index = netlist._graph[0]
+        self.n_nets = len(index)
         nonkey, key = split_inputs(netlist)
-        self.nonkey_idx = [self.index[n] for n in nonkey]
-        self.key_idx = [self.index[n] for n in key]
+        self.nonkey_idx = [index[n] for n in nonkey]
+        self.key_idx = [index[n] for n in key]
         self.nonkey_names = nonkey
-        self.input_idx = [self.index[n] for n in netlist.inputs]
-        self.output_idx = [self.index[n] for n in netlist.outputs]
+        self.input_idx = [index[n] for n in netlist.inputs]
+        self.output_idx = [index[n] for n in netlist.outputs]
         self.ops = []
         for g in topo_order(netlist):
             family = _FAMILIES[_INVERTED.get(g.kind, g.kind)]
-            fanins = tuple(self.index[f] for f in g.fanins)
-            if len(fanins) > 2:
-                family, fanins = family + _AND_N, (fanins, None)
             invert = g.kind in _INVERTED
-            self.ops.append((family, self.index[g.output], fanins[0], fanins[-1], invert))
-        self.dff_q_idx = [self.index[d.output] for d in netlist.dffs]
-        self.dff_d_idx = [self.index[d.input] for d in netlist.dffs]
+            fanins = g.fanins
+            if len(fanins) > 2:
+                a, b = tuple(map(index.__getitem__, fanins)), None
+                family += _AND_N
+            else:
+                a, b = index[fanins[0]], index[fanins[-1]]
+            self.ops.append((family, index[g.output], a, b, invert))
+        self.dff_q_idx = [index[d.output] for d in netlist.dffs]
+        self.dff_d_idx = [index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
 
     def initial_state(self, init: str) -> tuple[int | None, ...]:

@@ -272,6 +272,35 @@ def test_sim_stimulus_file_and_override(tmp_path, s27_path, capsys):
     assert row1[header.index("keyinput1")] == "0"
 
 
+def test_sim_stimulus_comments_ignored(tmp_path, s27_path, capsys):
+    plain, commented = tmp_path / "plain.txt", tmp_path / "commented.txt"
+    plain.write_text("0101\n1010\n", encoding="utf-8")
+    commented.write_text("# rows\n  # indented note\n0101  # trailing note\n\t1010\n", encoding="utf-8")
+    traces = []
+    for stim in (plain, commented):
+        assert main(["sim", "--in", str(s27_path), "--stimulus", str(stim)]) == 0
+        traces.append(capsys.readouterr().out)
+    assert traces[1] == traces[0]
+    assert len(traces[0].splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "run",
+    [["--cycles", "0"], ["--cycles", "-3"], ["--stimulus", ""], ["--stimulus", "# none\n"]],
+    ids=["cycles-0", "cycles-negative", "empty-file", "comment-only-file"],
+)
+def test_sim_empty_run_rejected(tmp_path, s27_path, capsys, run):
+    if run[0] == "--stimulus":
+        stim = tmp_path / "stim.txt"
+        stim.write_text(run[1], encoding="utf-8")
+        run = ["--stimulus", str(stim)]
+    code = main(["sim", "--in", str(s27_path), *run])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "invalid-input"
+
+
 @pytest.mark.parametrize(
     "keying",
     [["--static-key", "01", "--override", "3=00"], ["--override", "3=00"]],

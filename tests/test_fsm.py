@@ -45,7 +45,7 @@ def test_parse_bad_pattern_width():
 
 
 @pytest.mark.parametrize("directive", [".i", ".o", ".p", ".s"])
-@pytest.mark.parametrize("value", ["x", "-1", "1.5"])
+@pytest.mark.parametrize("value", ["x", "-1", "1.5", pytest.param("9" * 5000, id="5000-digits")])
 def test_header_count_must_be_integer(directive, value):
     lines = [".i 1", ".o 1", ".p 1", ".s 1", "- s s 0"]
     lineno = [line.split()[0] for line in lines].index(directive) + 1
