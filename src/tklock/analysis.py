@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import product
 
 from .circuit import Netlist
@@ -354,13 +354,21 @@ def replay_counterexample(
     key_policy: KeyPolicy | None = None,
     init: str = "zero",
 ) -> bool:
-    """Re-simulate a counterexample; True when the reported divergence recurs."""
+    """Re-simulate a counterexample; True when the reported divergence recurs.
+
+    Key overrides at cycles past the counterexample cannot affect it and are
+    left out of the replay.
+    """
 
     def run(netlist: Netlist, policy: KeyPolicy):
         stim = Stimulus(cycles=len(cex.inputs), inputs=tuple(cex.inputs), key_policy=policy)
         return simulate(netlist, stim, init=init)
 
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy.none())
+    pa, pb = (
+        replace(p, overrides={c: v for c, v in p.overrides.items() if c < len(cex.inputs)})
+        for p in (pa, pb)
+    )
     ta, tb = run(a, pa), run(b, pb)
     va = ta.value(cex.cycle, cex.output)
     vb = tb.value(cex.cycle, cex.output)

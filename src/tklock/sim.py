@@ -20,11 +20,28 @@ it runs the strong Kleene pass over both planes. :func:`simulate` is the
 1-lane case: it checks its inputs, steps a 1-lane :class:`PlaneSim` and
 reads the trace back from the planes. The test suite pins the kernel to an
 independent gate-at-a-time Kleene oracle.
+
+A step need not evaluate every op. Control nets are the key inputs, the
+counter flip-flops and the gates fed only by control nets. When the key value
+is an int and every counter plane is uniform and known, each control net holds
+one known value in every lane, fixed by the key value and the counter bits.
+The step then evaluates the free ops (those no control net reaches) and, of
+the ops a control net reaches, only those that its roots (outputs, next-state
+nets and the nets the caller watches) still depend on. The search for them
+stops at each AND/NAND gate with a control fanin at 0 and each OR/NOR gate
+with one at 1, keeping only that fanin: the gate's formula gives its value
+whatever its other fanins hold, in both passes. XOR and BUF gates never stop
+it. The first step with a given key value and counter bits evaluates the
+control nets, derives the op list from them and caches it on the compiled
+netlist, where every :class:`PlaneSim` of the netlist shares it. Nets left
+out keep stale planes, so after a step only inputs, flip-flop outputs,
+outputs, next-state nets and watched nets are current.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .circuit import Netlist, has_errors, topo_order, validate
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
@@ -34,8 +51,12 @@ from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
 # fanin tuple in a under the n-ary family, whose code is the 2-fanin code plus
 # _AND_N. NAND, NOR, XNOR and NOT set invert.
 _AND, _OR, _XOR, _BUF, _AND_N, _OR_N, _XOR_N = range(7)
-_FAMILIES = {"AND": _AND, "OR": _OR, "XOR": _XOR, "BUF": _BUF}
-_INVERTED = {"NAND": "AND", "NOR": "OR", "XNOR": "XOR", "NOT": "BUF"}
+_KIND_OPS = {
+    "AND": (_AND, False), "NAND": (_AND, True), "OR": (_OR, False), "NOR": (_OR, True),
+    "XOR": (_XOR, False), "XNOR": (_XOR, True), "BUF": (_BUF, False), "NOT": (_BUF, True),
+}
+# Op lists cached per compiled netlist; past the cap the oldest is dropped.
+_MAX_OP_LISTS = 64
 
 
 @dataclass
@@ -160,20 +181,81 @@ class CompiledNetlist:
         self.nonkey_names = nonkey
         self.input_idx = [index[n] for n in netlist.inputs]
         self.output_idx = [index[n] for n in netlist.outputs]
-        self.ops = []
+        self.ops = ops = []
         for g in topo_order(netlist):
-            family = _FAMILIES[_INVERTED.get(g.kind, g.kind)]
-            invert = g.kind in _INVERTED
+            family, invert = _KIND_OPS[g.kind]
             fanins = g.fanins
             if len(fanins) > 2:
                 a, b = tuple(map(index.__getitem__, fanins)), None
                 family += _AND_N
             else:
                 a, b = index[fanins[0]], index[fanins[-1]]
-            self.ops.append((family, index[g.output], a, b, invert))
+            ops.append((family, index[g.output], a, b, invert))
         self.dff_q_idx = [index[d.output] for d in netlist.dffs]
         self.dff_d_idx = [index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
+        self.counter_pos = [p for p, forced in enumerate(self.dff_forced_zero) if forced]
+        # (watched nets, key value, counter bits) -> op list; see PlaneSim._ops
+        self.op_lists: dict[tuple, list] = {}
+
+    @cached_property
+    def _control(self) -> tuple[bytearray, list[int], list[tuple], list[tuple]]:
+        """Which nets are control nets, in one pass over ``ops``.
+
+        Control nets are the key inputs, the counter flip-flops and the gates
+        fed only by control nets. A net is fed when a control net reaches it.
+        Returns the control flags; the op position of the driver of each fed
+        gate net (-1 for every other net); the free ops, which read no fed net
+        and so depend only on inputs, flip-flop outputs and other free ops;
+        and the ops that drive control nets.
+        """
+        control = bytearray(self.n_nets)
+        fed = bytearray(self.n_nets)
+        for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
+            control[i] = fed[i] = 1
+        driver = [-1] * self.n_nets
+        free = []
+        for p, op in enumerate(self.ops):
+            family, out, a, b, _ = op
+            if family < _AND_N:
+                if fed[a] or fed[b]:
+                    fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                    continue
+            elif any(map(fed.__getitem__, a)):
+                fed[out], driver[out], control[out] = 1, p, all(map(control.__getitem__, a))
+                continue
+            free.append(op)
+        return control, driver, free, [op for op in self.ops if control[op[1]]]
+
+    def _select_ops(self, h: list[int], mask: int, roots: list[int]) -> list[tuple]:
+        """The ops for one step: every free op, then, in topological order,
+        the fed ops that `roots` depend on when a gate with a control fanin
+        at its controlling value (0 for AND, `mask` for OR) depends on that
+        fanin alone. `h` must hold this step's control nets."""
+        control, driver, free, _ = self._control
+        ops = self.ops
+        controlling = (0, mask, None, None, 0, mask, None)
+        seen = bytearray(self.n_nets)
+        kept = []
+        stack = list(roots)
+        while stack:
+            net = stack.pop()
+            p = driver[net]
+            if p < 0 or seen[net]:
+                continue
+            seen[net] = 1
+            kept.append(p)
+            family, _, a, b, _ = ops[p]
+            fanins = a if family >= _AND_N else (a, b)
+            value = controlling[family]
+            if value is not None:
+                for f in fanins:
+                    if control[f] and h[f] == value:
+                        fanins = (f,)
+                        break
+            stack.extend(fanins)
+        kept.sort()
+        return free + [ops[p] for p in kept]
 
     def initial_state(self, init: str) -> tuple[int | None, ...]:
         if init not in ("zero", "x"):
@@ -230,9 +312,8 @@ def simulate(
     for net in watch:
         if net not in compiled.index:
             raise ValueError(f"watched net '{net}' not in netlist '{netlist.name}'")
-    watch_idx = [compiled.index[n] for n in watch]
 
-    sim = PlaneSim(netlist, 1)
+    sim = PlaneSim(netlist, 1, watch)
     sim.reset(init)
     h, x = sim.h, sim.x
 
@@ -248,7 +329,7 @@ def simulate(
         )
         inputs_log.append(read(compiled.input_idx))
         outputs_log.append(read(compiled.output_idx))
-        watch_log.append(read(watch_idx))
+        watch_log.append(read(sim.watch_idx))
 
     return Trace(
         init_mode=init,
@@ -263,12 +344,19 @@ def simulate(
 
 class PlaneSim:
     """Bit-parallel 3-valued simulator over (high, unknown) integer bit planes,
-    with every high bit 0 where its unknown bit is 1."""
+    with every high bit 0 where its unknown bit is 1.
 
-    def __init__(self, netlist: Netlist, lanes: int):
+    After a step only the inputs, flip-flop outputs, outputs, next-state nets
+    and the `watch` nets are current; other nets may hold stale planes (see
+    the module docstring).
+    """
+
+    def __init__(self, netlist: Netlist, lanes: int, watch: tuple[str, ...] = ()):
         self.c = netlist.compiled
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
+        self.watch_idx = tuple(self.c.index[n] for n in watch)
+        self.roots = self.c.output_idx + self.c.dff_d_idx + list(self.watch_idx)
         self.h = [0] * self.c.n_nets
         self.x = [0] * self.c.n_nets
         self.state_h = [0] * len(self.c.dff_q_idx)
@@ -308,21 +396,45 @@ class PlaneSim:
             h[idx] = vh
             x[idx] = vx
         if any(unknown) or any(self.state_x):
-            self._step_kleene()
+            run = self._step_kleene
             self._x_stale = True
         else:
             if self._x_stale:
                 x[:] = [0] * len(x)
                 self._x_stale = False
-            self._step_known()
+            run = self._step_known
+        run(self._ops(key_value, run))
         if latch:
             self.state_h[:] = [h[d] for d in c.dff_d_idx]
             self.state_x[:] = [x[d] for d in c.dff_d_idx]
 
-    def _step_known(self) -> None:
+    def _ops(self, key_value: int | None, run) -> list[tuple]:
+        """The op list for this step: every op, unless `key_value` is an int
+        and every counter plane is uniform and known. Then it is the cached
+        list for the watched nets, key value and counter bits; on a miss,
+        `run` evaluates the control nets and the list is derived from them."""
+        c, mask = self.c, self.mask
+        if key_value is None:
+            return c.ops
+        counter = 0
+        for bit, p in enumerate(c.counter_pos):
+            vh = self.state_h[p]
+            if self.state_x[p] or vh and vh != mask:
+                return c.ops
+            counter |= (vh & 1) << bit
+        key = (self.watch_idx, key_value, counter)
+        ops = c.op_lists.get(key)
+        if ops is None:
+            run(c._control[3])
+            if len(c.op_lists) >= _MAX_OP_LISTS:
+                del c.op_lists[next(iter(c.op_lists))]
+            ops = c.op_lists[key] = c._select_ops(self.h, mask, self.roots)
+        return ops
+
+    def _step_known(self, ops: list[tuple]) -> None:
         """Two-valued pass over the high plane."""
         h, mask = self.h, self.mask
-        for family, out, a, b, invert in self.c.ops:
+        for family, out, a, b, invert in ops:
             if family == _AND:
                 v = h[a] & h[b]
             elif family == _OR:
@@ -345,14 +457,14 @@ class PlaneSim:
                     v ^= h[f]
             h[out] = v ^ mask if invert else v
 
-    def _step_kleene(self) -> None:
+    def _step_kleene(self, ops: list[tuple]) -> None:
         """Strong Kleene pass over both planes.
 
         Per gate, `u` is the unknown plane and `one` the high plane before
         inversion; the two are disjoint, so only an inverted gate masks `u`.
         """
         h, x, mask = self.h, self.x, self.mask
-        for family, out, a, b, invert in self.c.ops:
+        for family, out, a, b, invert in ops:
             if family == _AND:
                 one = h[a] & h[b]
                 u = ((h[a] | x[a]) & (h[b] | x[b])) ^ one

@@ -121,25 +121,47 @@ class LockManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "LockManifest":
+        """Raises ValueError, naming the field, on a malformed manifest."""
         doc = json.loads(text)
-        return cls(
-            key_input_nets=list(doc["key_input_nets"]),
-            counter_state_nets=list(doc["counter_state_nets"]),
-            onehot_time_nets=list(doc["onehot_time_nets"]),
-            locked_ffs=[
+        if not isinstance(doc, dict):
+            raise ValueError("manifest is not a JSON object")
+        schedule = _field(doc, "schedule", dict)
+        locked_ffs = []
+        for i, entry in enumerate(_field(doc, "locked_ffs", list, dict)):
+            where = f"locked_ffs[{i}]."
+            locked_ffs.append(
                 LockedFf(
-                    ff_output_net=entry["ff_output_net"],
-                    correct_d_net=entry["correct_d_net"],
-                    mux_tree_output_net=entry["mux_tree_output_net"],
-                    wrongful_source_nets=_wrongful_from_doc(entry["wrongful_source_nets"]),
+                    ff_output_net=_field(entry, "ff_output_net", str, where=where),
+                    correct_d_net=_field(entry, "correct_d_net", str, where=where),
+                    mux_tree_output_net=_field(entry, "mux_tree_output_net", str, where=where),
+                    wrongful_source_nets=_wrongful_from_doc(
+                        _field(entry, "wrongful_source_nets", dict, dict, where),
+                        f"{where}wrongful_source_nets",
+                    ),
                 )
-                for entry in doc["locked_ffs"]
-            ],
+            )
+        return cls(
+            key_input_nets=_field(doc, "key_input_nets", list, str),
+            counter_state_nets=_field(doc, "counter_state_nets", list, str),
+            onehot_time_nets=_field(doc, "onehot_time_nets", list, str),
+            locked_ffs=locked_ffs,
             schedule=KeySchedule(
-                keys=tuple(doc["schedule"]["keys"]), width=doc["schedule"]["width"]
+                keys=tuple(_field(schedule, "keys", list, int, "schedule.")),
+                width=_field(schedule, "width", int, where="schedule."),
             ),
-            layers=doc["layers"],
+            layers=_field(doc, "layers", int),
         )
+
+
+def _field(doc: dict, name: str, kind: type, item: type | None = None, where: str = ""):
+    """``doc[name]`` if it is a `kind` whose values are all `item`s (when
+    given); otherwise ValueError naming the field."""
+    value = doc.get(name)
+    values = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or (item and not all(isinstance(v, item) for v in values)):
+        of = f" of {item.__name__}" if item else ""
+        raise ValueError(f"manifest field '{where}{name}' is missing or not a {kind.__name__}{of}")
+    return value
 
 
 def _wrongful_to_doc(table: dict[tuple[int, int], str]) -> dict[str, dict[str, str]]:
@@ -149,12 +171,18 @@ def _wrongful_to_doc(table: dict[tuple[int, int], str]) -> dict[str, dict[str, s
     return doc
 
 
-def _wrongful_from_doc(doc: dict[str, dict[str, str]]) -> dict[tuple[int, int], str]:
-    return {
-        (int(time), int(value)): net
-        for time, row in doc.items()
-        for value, net in row.items()
-    }
+def _wrongful_from_doc(doc: dict[str, dict[str, str]], where: str) -> dict[tuple[int, int], str]:
+    try:
+        table = {
+            (int(time), int(value)): net
+            for time, row in doc.items()
+            for value, net in row.items()
+        }
+        if all(isinstance(net, str) for net in table.values()):
+            return table
+    except ValueError:
+        pass
+    raise ValueError(f"manifest field '{where}' is not a table of nets by time and key value")
 
 
 def tree_layers(num_keys: int) -> int:

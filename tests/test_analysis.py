@@ -414,3 +414,67 @@ def test_attack_random_mode_on_wide_circuit():
     result = brute_force_attack(locked, orig, num_keys=2, key_bits=1, seed=6)
     assert result.mode == "random"
     assert (1, 0) in result.survivors
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(1, 3),
+    n_dffs=st.integers(1, 3),
+    n_gates=st.integers(1, 20),
+    num_keys=st.sampled_from([2, 4]),
+    key_bits=st.integers(1, 3),
+    ffs=st.integers(1, 3),
+    init=st.sampled_from(["zero", "x"]),
+)
+def test_lock_then_verify_with_the_schedule_is_equivalent(
+    seed, n_inputs, n_dffs, n_gates, num_keys, key_bits, ffs, init
+):
+    """A random netlist locked with a random config is equivalent to the
+    original under its generating schedule, in exhaustive and random mode."""
+    orig = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    locked, manifest = lock_structural(
+        orig, LockConfig(num_keys, key_bits, num_locked_ffs=min(ffs, n_dffs), seed=seed)
+    )
+    policy = KeyPolicy.correct(manifest.schedule)
+    assert check_equivalence_exhaustive(orig, locked, depth=4, key_policy=policy, init=init).equivalent
+    assert check_equivalence_random(
+        orig, locked, sequences=64, cycles=16, seed=seed, key_policy=policy, init=init
+    ).equivalent
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(1, 3),
+    n_dffs=st.integers(1, 3),
+    n_gates=st.integers(1, 20),
+    num_keys=st.sampled_from([2, 4]),
+    key_bits=st.integers(1, 3),
+    init=st.sampled_from(["zero", "x"]),
+    data=st.data(),
+)
+def test_counterexamples_replay_under_tampered_schedules(
+    seed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, data
+):
+    """Every counterexample either checker reports under a tampered schedule
+    replays through the 1-lane `simulate`, in both init modes. The checkers
+    step many lanes and the replay one, so two lane counts share the
+    netlist's cached op lists."""
+    orig = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    locked, manifest = lock_structural(orig, LockConfig(num_keys, key_bits, seed=seed))
+    schedule = manifest.schedule
+    cycles = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+    overrides = {
+        c: (schedule.key_at(c) + data.draw(st.integers(1, 2**key_bits - 1))) % 2**key_bits
+        for c in cycles
+    }
+    policy = KeyPolicy.tampered(schedule, overrides)
+    for verdict in (
+        check_equivalence_exhaustive(orig, locked, depth=6, key_policy=policy, init=init),
+        check_equivalence_random(
+            orig, locked, sequences=64, cycles=8, seed=seed, key_policy=policy, init=init
+        ),
+    ):
+        if not verdict.equivalent:
+            assert replay_counterexample(orig, locked, verdict.counterexample, policy, init)

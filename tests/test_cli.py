@@ -430,3 +430,39 @@ def test_conflicting_schedule_sources_rejected(tmp_path, s27_path, capsys):
     )
     assert code == 1
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
+
+
+def _missing_key_inputs(doc):
+    del doc["key_input_nets"]
+    return doc
+
+
+def _string_key_values(doc):
+    doc["schedule"]["keys"] = ["01", "11", "10", "00"]
+    return doc
+
+
+@pytest.mark.parametrize(
+    "shape,field",
+    [
+        (_missing_key_inputs, "key_input_nets"),
+        (_string_key_values, "schedule.keys"),
+        (lambda doc: [doc], "JSON object"),
+    ],
+    ids=["missing-key-input-nets", "string-key-values", "json-list"],
+)
+@pytest.mark.parametrize("command", ["verify", "sim", "attack", "report"])
+def test_malformed_manifest_is_invalid_input(tmp_path, s27_path, capsys, shape, field, command):
+    """A malformed manifest gives the one-line invalid-input diagnostic and
+    exit 1, naming the field, from every command that reads one."""
+    out, manifest = _lock(tmp_path, s27_path)
+    manifest.write_text(json.dumps(shape(json.loads(manifest.read_text()))), encoding="utf-8")
+    capsys.readouterr()
+    locked = ["--locked", str(out)] if command != "sim" else ["--in", str(out)]
+    orig = ["--orig", str(s27_path)] if command != "sim" else []
+    code = main([command, *orig, *locked, "--manifest", str(manifest)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "invalid-input" and field in doc["detail"]

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklock import corpus
-from tklock.circuit import parse_bench
-from tklock.keys import KeySchedule
+from tklock.circuit import Dff, Gate, Netlist, parse_bench
+from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule
 from tklock.sim import (
     KeyPolicy,
     PlaneSim,
@@ -379,3 +379,177 @@ def test_x_resolution_is_monotonic(seed, n_gates, data):
             after = resolved.outputs[cycle][oi]
             if before is not None:
                 assert after == before
+
+
+def _keyed(netlist: Netlist, key_bits: int, counters: int) -> Netlist:
+    """`netlist` with its first inputs renamed key inputs and its first
+    flip-flops renamed counter flip-flops. Control nets then reach every gate
+    kind, and the counter planes can differ between lanes or be unknown."""
+    names = {f"I{i}": f"{KEY_INPUT_PREFIX}{i}" for i in range(key_bits)}
+    names.update((f"Q{i}", f"{COUNTER_NET_PREFIX}{i}") for i in range(counters))
+
+    def rename(net):
+        return names.get(net, net)
+
+    return Netlist(
+        name=f"{netlist.name}_keyed",
+        inputs=tuple(map(rename, netlist.inputs)),
+        outputs=tuple(map(rename, netlist.outputs)),
+        gates=tuple(
+            Gate(rename(g.output), g.kind, tuple(map(rename, g.fanins))) for g in netlist.gates
+        ),
+        dffs=tuple(Dff(rename(d.output), rename(d.input)) for d in netlist.dffs),
+    )
+
+
+def _full_step_sim(netlist: Netlist, lanes: int, watch: tuple[str, ...]) -> PlaneSim:
+    """A PlaneSim that evaluates every op on every step."""
+    sim = PlaneSim(netlist, lanes, watch)
+    sim._ops = lambda key_value, run: sim.c.ops
+    return sim
+
+
+def _root_planes(sim: PlaneSim):
+    watched = [(sim.h[i], sim.x[i]) for i in sim.watch_idx]
+    return sim.output_planes(), sim.next_state_planes(), watched
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    keyed=st.booleans(),
+    n_inputs=st.integers(2, 4),
+    n_dffs=st.integers(1, 3),
+    n_gates=st.integers(4, 30),
+    num_keys=st.sampled_from([2, 4]),
+    key_bits=st.integers(1, 3),
+    init=st.sampled_from(["zero", "x"]),
+    lanes=st.sampled_from([1, 8, 70]),
+    data=st.data(),
+)
+def test_cached_op_lists_match_full_steps(
+    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """Steps over the cached op lists give the output, next-state and watched
+    planes of steps over every op, at every cycle. Netlists are random ones
+    locked by `lock_structural`, or random ones whose inputs and flip-flops
+    are renamed key inputs and counters. Keys come from the schedule or are
+    random wrong values; stimuli hold 0, 1 and x."""
+    orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    if keyed:
+        key_bits = min(key_bits, n_inputs - 1)
+        netlist = _keyed(orig, key_bits, data.draw(st.integers(0, n_dffs)))
+        keys = tuple(data.draw(st.integers(0, 2**key_bits - 1)) for _ in range(num_keys))
+        schedule = KeySchedule(keys, key_bits)
+    else:
+        netlist, manifest = lock_structural(
+            orig, LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed)
+        )
+        schedule = manifest.schedule
+    gates = [g.output for g in netlist.gates]
+    watch = tuple(data.draw(st.lists(st.sampled_from(gates), max_size=6, unique=True)))
+    pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
+    pruned.reset(init)
+    full.reset(init)
+    rng = random.Random(seed)
+    n = len(netlist.compiled.nonkey_idx)
+    for cycle in range(8):
+        key = data.draw(st.sampled_from([schedule.key_at(cycle), rng.randrange(2**key_bits)]))
+        highs = [rng.getrandbits(lanes) for _ in range(n)]
+        unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
+        if not data.draw(st.booleans()):
+            unknown = [0] * n
+        for sim in (pruned, full):
+            sim.step(highs, key, unknown)
+        assert _root_planes(pruned) == _root_planes(full), cycle
+
+
+def test_cached_op_lists_match_full_steps_on_locked_b04():
+    """1000 lanes of locked b04 (k4/ki11): the cached op lists keep a few
+    hundred of its ~25k gates and match steps over every op, with the
+    schedule, a wrong key at cycle 3 and unknown inputs at cycles 0 and 5."""
+    netlist, manifest = lock_structural(
+        corpus.load_bench("b04_like"), LockConfig(num_keys=4, key_bits=11, seed=1)
+    )
+    lanes = 1000
+    watch = tuple(manifest.onehot_time_nets) + (manifest.locked_ffs[0].ff_output_net,)
+    pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
+    pruned.reset("x")
+    full.reset("x")
+    rng = random.Random(4)
+    n = len(netlist.compiled.nonkey_idx)
+    for cycle in range(8):
+        key = manifest.schedule.key_at(cycle) ^ (cycle == 3)
+        highs = [rng.getrandbits(lanes) for _ in range(n)]
+        unknown = [rng.getrandbits(lanes) if cycle in (0, 5) else 0 for _ in range(n)]
+        for sim in (pruned, full):
+            sim.step(highs, key, unknown)
+        assert _root_planes(pruned) == _root_planes(full), cycle
+    assert all(len(ops) < len(netlist.gates) // 20 for ops in netlist.compiled.op_lists.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(1, 4),
+    n_dffs=st.integers(1, 3),
+    n_gates=st.integers(1, 25),
+    key_bits=st.integers(1, 3),
+    num_keys=st.sampled_from([2, 4]),
+    init=st.sampled_from(["zero", "x"]),
+    data=st.data(),
+)
+def test_simulate_watching_mux_nets_matches_kleene_oracle(
+    seed, n_inputs, n_dffs, n_gates, key_bits, num_keys, init, data
+):
+    """`simulate` records nets inside the lock's mux trees as the scalar
+    oracle does, under a tampered schedule, although a step under a known key
+    skips the branches that key deselects."""
+    locked, manifest = lock_structural(
+        random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand"),
+        LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed),
+    )
+    mux_nets = [g.output for g in locked.gates if g.output.startswith("cl_f")]
+    watch = tuple(data.draw(st.lists(st.sampled_from(mux_nets), min_size=1, max_size=8, unique=True)))
+    cycles = 8
+    rows = ["".join(data.draw(st.sampled_from("01x")) for _ in range(n_inputs)) for _ in range(cycles)]
+    overrides = data.draw(
+        st.dictionaries(st.integers(0, cycles - 1), st.integers(0, 2**key_bits - 1), max_size=3)
+    )
+    stimulus = Stimulus.from_strings(rows, KeyPolicy.tampered(manifest.schedule, overrides))
+    assert simulate(locked, stimulus, init=init, watch=watch) == simulate_kleene(
+        locked, stimulus, init=init, watch=watch
+    )
+
+
+def test_mixed_counter_planes_do_not_reuse_an_op_list():
+    """A counter flip-flop whose lanes disagree makes the step run every op.
+    Here `s` is 0 while the counter is 0, so the cached list for key 1 and
+    counter 0 skips `d`; at cycle 2 lane 1's counter is 1, and lane 1 of `y`
+    needs `d`."""
+    netlist = parse_bench(
+        "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ncl_cnt0 = DFF(a)\n"
+        "s = AND(keyinput0, cl_cnt0)\nd = XOR(a, keyinput0)\ny = AND(s, d)\n"
+    )
+    pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
+    for a in (0b00, 0b10, 0b00):
+        for sim in (pruned, full):
+            sim.step([a], 1)
+        assert _root_planes(pruned) == _root_planes(full)
+    assert pruned.output_planes() == [(0b10, 0)]
+
+
+@pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
+def test_only_a_controlling_value_cuts_the_search(kind):
+    """`y = KIND(s, d)` with the control net `s` at 0, then at 1: a cached
+    op list skips `d` only where `s` holds the gate's controlling value, so
+    every step matches a step over every op."""
+    netlist = parse_bench(
+        "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\n"
+        f"s = BUF(keyinput0)\nd = XOR(a, keyinput0)\ny = {kind}(s, d)\n"
+    )
+    pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
+    for key, a in ((0, 0b01), (0, 0b10), (1, 0b01), (1, 0b10)):
+        for sim in (pruned, full):
+            sim.step([a], key)
+        assert _root_planes(pruned) == _root_planes(full), (key, a)
