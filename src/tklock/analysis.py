@@ -19,7 +19,12 @@ prefixes. Whether cycle ``c`` diverges depends only on the key values of
 cycles ``0..c``, so a divergence under a prefix prunes every candidate that
 extends it, and one memo of expanded joint states serves every candidate.
 The survivors are those of one exhaustive check per candidate, in the same
-order; the whole search is capped at 200,000 distinct joint states.
+order.
+
+One work budget bounds every search, and each search refuses before it does
+the work the budget bounds: the exhaustive check and attack count distinct
+joint states expanded, and the exhaustive attack also the survivors it
+emits; the random-mode attack counts candidates, each one full random check.
 """
 
 from __future__ import annotations
@@ -35,8 +40,8 @@ from .sim import KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, si
 from .structural import LockManifest, added_mux_count, expected_added_gate_count
 
 
-_MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes: the default sequence budget at depth 1
-_MAX_JOINT_STATES = 200_000  # distinct joint states one exhaustive check or attack search may expand
+_MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes, checked before any plane is allocated
+_DEFAULT_BUDGET = 200_000  # work budget: joint states, survivors or candidates
 _ATTACK_SEQUENCES = 256  # random-mode attack: stimuli per candidate
 _ATTACK_CYCLES = 64  # random-mode attack: cycles per stimulus
 
@@ -110,12 +115,12 @@ def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy
         raise ValueError(f"non-key input mismatch: {ca.nonkey_names} vs {cb.nonkey_names}")
     if a.outputs != b.outputs:
         raise ValueError(f"output mismatch: {a.outputs} vs {b.outputs}")
-    if not ca.key_idx and not cb.key_idx and policy.kind != "none":
+    if not ca.key_idx and not cb.key_idx and policy.keys:
         raise ValueError("key policy given but neither netlist has key inputs")
     for compiled in (ca, cb):
         if compiled.key_idx:
             check_policy(compiled, policy)
-    return tuple(policy if compiled.key_idx else KeyPolicy.none() for compiled in (ca, cb))
+    return tuple(policy if compiled.key_idx else KeyPolicy() for compiled in (ca, cb))
 
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
@@ -176,10 +181,11 @@ class _JointSweep:
     minterm, with a memo of the joint states already expanded.
 
     Raises :class:`BudgetExceededError` before allocating any plane when
-    there are more than 20 non-key inputs.
+    there are more than 20 non-key inputs, and before expanding a distinct
+    joint state past `budget` of them.
     """
 
-    def __init__(self, a: Netlist, b: Netlist):
+    def __init__(self, a: Netlist, b: Netlist, budget: int = _DEFAULT_BUDGET):
         n = len(a.compiled.nonkey_idx)
         if n > _MAX_MINTERM_INPUTS:
             raise BudgetExceededError(
@@ -189,6 +195,7 @@ class _JointSweep:
         self.sa = PlaneSim(a, 1 << n)
         self.sb = PlaneSim(b, 1 << n)
         self.memo: dict = {}
+        self.budget = budget
 
     def expand(self, st_a, st_b, kv_a, kv_b):
         """Evaluate one cycle from the joint state ``(st_a, st_b)`` under the
@@ -200,16 +207,16 @@ class _JointSweep:
         that reaches it, in order of that lane. The lanes are split into
         classes by the 0/1/unknown value of every next-state plane of both
         sides, so each class is one successor. Each distinct
-        ``(st_a, st_b, kv_a, kv_b)`` is evaluated once; the
-        ``_MAX_JOINT_STATES``-th distinct one is the last allowed.
+        ``(st_a, st_b, kv_a, kv_b)`` is evaluated once, and at most `budget`
+        distinct ones are.
         """
         key = (st_a, st_b, kv_a, kv_b)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        if len(self.memo) >= _MAX_JOINT_STATES:
+        if len(self.memo) >= self.budget:
             raise BudgetExceededError(
-                f"reachable-state budget {_MAX_JOINT_STATES} exceeded; use random mode"
+                f"reachable-state budget {self.budget} exceeded; use random mode"
             )
         sa, sb = self.sa, self.sb
         sa.load_state(st_a)
@@ -234,6 +241,23 @@ class _JointSweep:
         cached = self.memo[key] = (divergence, successors)
         return cached
 
+    def advance(self, frontier, kv_a, kv_b):
+        """One cycle from every joint state of `frontier`, in its order.
+
+        Returns ``(divergence, state)`` for the first state whose outputs
+        diverge, as :meth:`expand` reports it; otherwise ``(None, children)``,
+        each next joint state mapped to the first ``(state, lane)`` that
+        reaches it, in order of discovery.
+        """
+        children: dict = {}
+        for state in frontier:
+            divergence, successors = self.expand(*state, kv_a, kv_b)
+            if divergence is not None:
+                return divergence, state
+            for child, lane in successors.items():
+                children.setdefault(child, (state, lane))
+        return None, children
+
 
 def check_equivalence_exhaustive(
     a: Netlist,
@@ -241,75 +265,47 @@ def check_equivalence_exhaustive(
     depth: int,
     key_policy: KeyPolicy | None = None,
     init: str = "zero",
-    sequence_budget: int | None = 2**20,
+    budget: int = _DEFAULT_BUDGET,
 ) -> EquivVerdict:
     """Compare outputs over every input sequence of length <= depth.
 
     The key policy drives whichever side has key inputs. Unknown values
     compare equal to unknown; definite-vs-unknown counts as divergence.
-    Raises :class:`BudgetExceededError` when ``(2**inputs)**depth`` exceeds
-    `sequence_budget` (pass None to lift it; the sweep itself is bounded by
-    reachable states, at most 200,000 joint states) and, whatever the
-    budget, when there are more than 20 non-key inputs.
+    Raises :class:`BudgetExceededError` when the sweep would expand more
+    than `budget` distinct joint states and, whatever the budget, when there
+    are more than 20 non-key inputs.
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
-    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy.none())
-    ca, cb = a.compiled, b.compiled
-    n = len(ca.nonkey_idx)
-    if sequence_budget is not None and (2**n) ** depth > sequence_budget:
-        raise BudgetExceededError(
-            f"(2^{n})^{depth} sequences exceed budget {sequence_budget}; use random mode"
-        )
-    sweep = _JointSweep(a, b)
-    output_names = list(a.outputs)
-
-    # parents[i] = (previous entry, input lane taken); roots use entry -1
-    parents: list[tuple[int, int | None]] = [(-1, None)]
-    frontier = {(ca.initial_state(init), cb.initial_state(init)): 0}
+    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
+    n = len(a.compiled.nonkey_idx)
+    sweep = _JointSweep(a, b, budget)
+    # layers[c] maps each joint state after cycle c to the first (state, lane) reaching it
+    layers: list[dict] = []
+    frontier = [(a.compiled.initial_state(init), b.compiled.initial_state(init))]
     for cycle in range(depth):
-        kv_a = pa.key_value_at(cycle)
-        kv_b = pb.key_value_at(cycle)
-        next_frontier: dict = {}
-        for (st_a, st_b), parent_idx in frontier.items():
-            divergence, successors = sweep.expand(st_a, st_b, kv_a, kv_b)
-            if divergence is not None:
-                lane, oi, va, vb = divergence
-                history = _input_history(parents, parent_idx, n)
-                history.append(_lane_vector(lane, n))
-                return EquivVerdict(
-                    equivalent=False,
-                    counterexample=Counterexample(
-                        inputs=history,
-                        cycle=cycle,
-                        output=output_names[oi],
-                        left_value=va,
-                        right_value=vb,
-                    ),
-                    mode="exhaustive",
-                    depth=depth,
-                )
-            for child, lane in successors.items():
-                if child not in next_frontier:
-                    parents.append((parent_idx, lane))
-                    next_frontier[child] = len(parents) - 1
-        frontier = next_frontier
+        divergence, reached = sweep.advance(frontier, pa.key_value_at(cycle), pb.key_value_at(cycle))
+        if divergence is not None:
+            lane, oi, va, vb = divergence
+            lanes = [lane]
+            for layer in reversed(layers):
+                reached, lane = layer[reached]
+                lanes.append(lane)
+            return EquivVerdict(
+                equivalent=False,
+                counterexample=Counterexample(
+                    inputs=[tuple((lane >> i) & 1 for i in range(n)) for lane in reversed(lanes)],
+                    cycle=cycle,
+                    output=a.outputs[oi],
+                    left_value=va,
+                    right_value=vb,
+                ),
+                mode="exhaustive",
+                depth=depth,
+            )
+        layers.append(reached)
+        frontier = reached
     return EquivVerdict(equivalent=True, counterexample=None, mode="exhaustive", depth=depth)
-
-
-def _lane_vector(lane: int, n_inputs: int) -> tuple[int, ...]:
-    return tuple((lane >> i) & 1 for i in range(n_inputs))
-
-
-def _input_history(parents, idx: int, n_inputs: int) -> list[tuple[int, ...]]:
-    lanes = []
-    while idx >= 0:
-        prev, lane = parents[idx]
-        if lane is not None:
-            lanes.append(lane)
-        idx = prev
-    lanes.reverse()
-    return [_lane_vector(lane, n_inputs) for lane in lanes]
 
 
 def check_equivalence_random(
@@ -325,7 +321,7 @@ def check_equivalence_random(
     n = len(a.compiled.nonkey_idx)
     history: list[list[int]] = []
     for cycle, planes, outs_a, outs_b in _random_lockstep(
-        a, b, key_policy or KeyPolicy.none(), sequences, cycles, seed, init
+        a, b, key_policy or KeyPolicy(), sequences, cycles, seed, init
     ):
         history.append(planes)
         divergence = _first_divergence(outs_a, outs_b)
@@ -361,10 +357,10 @@ def replay_counterexample(
     """
 
     def run(netlist: Netlist, policy: KeyPolicy):
-        stim = Stimulus(cycles=len(cex.inputs), inputs=tuple(cex.inputs), key_policy=policy)
+        stim = Stimulus(inputs=tuple(cex.inputs), key_policy=policy)
         return simulate(netlist, stim, init=init)
 
-    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy.none())
+    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
     pa, pb = (
         replace(p, overrides={c: v for c, v in p.overrides.items() if c < len(cex.inputs)})
         for p in (pa, pb)
@@ -402,7 +398,9 @@ def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
     return "random"
 
 
-def _prefix_search(oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int) -> list:
+def _prefix_search(
+    oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int, budget: int
+) -> list:
     """Survivors of the exhaustive attack, found depth-first over key prefixes.
 
     The frontier after a prefix is every joint state the pair can reach in
@@ -412,45 +410,48 @@ def _prefix_search(oracle: Netlist, locked: Netlist, num_keys: int, key_bits: in
     prefix that reaches `depth` survives with every completion; a full
     candidate keeps sweeping to `depth` with the key ``prefix[c % num_keys]``.
     One memo serves the whole search, so each joint state and key pair is
-    evaluated once.
+    evaluated once. The memo and the survivor list each hold at most
+    `budget` entries; a prefix's completions are counted before they are
+    built.
     """
-    # every candidate has the same shape, so one probe checks the pair and
-    # the key width for all of them and tells whether the oracle takes keys
-    probe = KeyPolicy.correct(KeySchedule(keys=(0,) * num_keys, width=key_bits))
-    pa, _ = _pair_policies(oracle, locked, probe)
-    keyed_oracle = pa.kind != "none"
-    sweep = _JointSweep(oracle, locked)
+    # every candidate has the same key width, so one probe checks the pair
+    # and the width for all of them and tells whether the oracle takes keys
+    pa, _ = _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
+    keyed_oracle = bool(pa.keys)
+    sweep = _JointSweep(oracle, locked, budget)
     values = range(2**key_bits)
     survivors: list = []
 
-    def advance(frontier: dict, kv: int) -> dict | None:
-        """The next frontier under key value `kv`, or None on a divergence."""
-        next_frontier: dict = {}
-        for st_a, st_b in frontier:
-            divergence, successors = sweep.expand(st_a, st_b, kv if keyed_oracle else None, kv)
-            if divergence is not None:
-                return None
-            next_frontier.update(successors)
-        return next_frontier
+    def step(frontier, kv: int):
+        divergence, reached = sweep.advance(frontier, kv if keyed_oracle else None, kv)
+        return None if divergence is not None else reached
 
-    def search(prefix: tuple, frontier: dict) -> None:
-        if len(prefix) == depth:
-            survivors.extend(prefix + tail for tail in product(values, repeat=num_keys - depth))
-            return
-        if len(prefix) == num_keys:
-            for cycle in range(num_keys, depth):
-                frontier = advance(frontier, prefix[cycle % num_keys])
-                if frontier is None:
-                    return
-            survivors.append(prefix)
-            return
-        for kv in values:
-            next_frontier = advance(frontier, kv)
-            if next_frontier is not None:
-                search(prefix + (kv,), next_frontier)
-
+    # one entry per open prefix: the prefix, its frontier, its untried key values
     init = oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero")
-    search((), {init: None})
+    stack = [((), [init], iter(values))]
+    while stack:
+        prefix, frontier, untried = stack[-1]
+        kv = next(untried, None)
+        if kv is None:
+            stack.pop()
+            continue
+        frontier = step(frontier, kv)
+        if frontier is None:
+            continue
+        prefix += (kv,)
+        if len(prefix) < min(depth, num_keys):
+            stack.append((prefix, frontier, iter(values)))
+            continue
+        for cycle in range(len(prefix), depth):
+            frontier = step(frontier, prefix[cycle % num_keys])
+            if frontier is None:
+                break
+        if frontier is None:
+            continue
+        emitted = len(survivors) + len(values) ** (num_keys - len(prefix))
+        if emitted > budget:
+            raise BudgetExceededError(f"{emitted} surviving candidates exceed budget {budget}")
+        survivors.extend(prefix + tail for tail in product(values, repeat=num_keys - len(prefix)))
     return survivors
 
 
@@ -460,7 +461,7 @@ def brute_force_attack(
     num_keys: int,
     key_bits: int,
     depth: int = 8,
-    candidate_budget: int = 2**20,
+    budget: int = _DEFAULT_BUDGET,
     seed: int = 0,
 ) -> AttackResult:
     """Find every length-`num_keys` key sequence the oracle cannot tell apart.
@@ -479,20 +480,24 @@ def brute_force_attack(
     candidate sharing them. The survivors, in enumeration order, are those
     of checking each candidate with :func:`check_equivalence_exhaustive`.
     The whole search shares one memo of joint states and raises
-    :class:`BudgetExceededError` when it would expand more than 200,000
-    distinct ones. The random mode checks each candidate on its own.
-    Raises ValueError when `depth` < 1.
+    :class:`BudgetExceededError` before it would expand more than `budget`
+    distinct ones or hold more than `budget` survivors. The random mode
+    checks each candidate on its own and refuses more than `budget`
+    candidates up front. Raises ValueError when `num_keys`, `key_bits` or
+    `depth` is < 1.
     """
+    if num_keys < 1 or key_bits < 1:
+        raise ValueError(f"attack needs num_keys >= 1 and key_bits >= 1, got {num_keys} and {key_bits}")
     if depth < 1:
         raise ValueError(f"attack needs depth >= 1, got {depth}")
     space = (2**key_bits) ** num_keys
-    if space > candidate_budget:
-        raise BudgetExceededError(f"key-sequence space {space} exceeds budget {candidate_budget}")
     mode = _pick_eq_mode(locked, oracle)
     started = time.perf_counter()
     if mode == "exhaustive":
-        survivors = _prefix_search(oracle, locked, num_keys, key_bits, depth)
+        survivors = _prefix_search(oracle, locked, num_keys, key_bits, depth, budget)
     else:
+        if space > budget:
+            raise BudgetExceededError(f"key-sequence space {space} exceeds budget {budget}")
         survivors = [
             candidate
             for candidate in product(range(2**key_bits), repeat=num_keys)

@@ -74,22 +74,6 @@ class Netlist:
     dffs: tuple[Dff, ...]
 
     @cached_property
-    def drivers(self) -> dict[str, str | Gate | Dff]:
-        """Map net name to its driver: the string "input", a Gate, or a Dff.
-
-        On a malformed netlist with duplicate drivers the last one wins;
-        use :func:`validate` to detect that case.
-        """
-        table: dict[str, str | Gate | Dff] = {}
-        for name in self.inputs:
-            table[name] = "input"
-        for gate in self.gates:
-            table[gate.output] = gate
-        for dff in self.dffs:
-            table[dff.output] = dff
-        return table
-
-    @cached_property
     def compiled(self) -> CompiledNetlist:
         """The validated index-based simulation form, built once per netlist.
 

@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 from .analysis import (
+    _DEFAULT_BUDGET,
     BudgetExceededError,
     brute_force_attack,
     check_equivalence_exhaustive,
@@ -117,7 +118,7 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     if schedule is None:
         if key_inputs:
             raise ValueError("netlist has key inputs; give --manifest, --keys, or --static-key")
-        return KeyPolicy.none()
+        return KeyPolicy()
     return KeyPolicy.tampered(schedule, overrides)
 
 
@@ -162,7 +163,7 @@ def _cmd_verify(args) -> int:
             depth=args.depth,
             key_policy=policy,
             init=args.init,
-            sequence_budget=args.budget,
+            budget=args.budget,
         )
     else:
         verdict = check_equivalence_random(
@@ -208,7 +209,7 @@ def _cmd_attack(args) -> int:
         num_keys=num_keys,
         key_bits=key_bits,
         depth=args.depth,
-        candidate_budget=args.budget,
+        budget=args.budget,
         seed=args.seed,
     )
     survivors = [
@@ -320,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--manifest")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--depth", type=int, default=6)
-    p.add_argument("--budget", type=int, default=2**20, help="exhaustive sequence budget")
+    p.add_argument(
+        "--budget", type=int, default=_DEFAULT_BUDGET,
+        help="most distinct joint states the exhaustive check may expand",
+    )
     p.add_argument("--sequences", type=int, default=1000)
     p.add_argument("--cycles", type=int, default=64)
     p.add_argument("--seed", type=int, default=0)
@@ -336,7 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, help="number of key values (bruteforce only)")
     p.add_argument("--ki", type=int, help="bits per key value")
     p.add_argument("--depth", type=int, default=8)
-    p.add_argument("--budget", type=int, default=2**20)
+    p.add_argument(
+        "--budget", type=int, default=_DEFAULT_BUDGET,
+        help="most joint states or survivors (exhaustive), or candidates (random)",
+    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the attack report JSON here")
     p.set_defaults(func=_cmd_attack)

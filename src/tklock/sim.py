@@ -61,50 +61,49 @@ _MAX_OP_LISTS = 64
 
 @dataclass
 class KeyPolicy:
-    """How key inputs are driven: none, a schedule, or one static value.
+    """How key inputs are driven: `keys` applied cyclically, so the key at
+    cycle ``c`` is ``keys[c % len(keys)]``, with per-cycle `overrides`. The
+    empty tuple drives no key input.
 
-    ``correct`` and ``tampered`` both build the schedule kind; a tampered
-    policy is the correct one with per-cycle key overrides.
+    ``correct`` and ``tampered`` take their keys and `width` from a schedule,
+    and the netlist must have exactly `width` key inputs. ``static(v)`` holds
+    one value every cycle; with no width, it is only range-checked.
     """
 
-    kind: str
-    schedule: KeySchedule | None = None
+    keys: tuple[int, ...] = ()
+    width: int | None = None
     overrides: dict[int, int] = field(default_factory=dict)
-    value: int | None = None
-
-    @classmethod
-    def none(cls) -> "KeyPolicy":
-        return cls(kind="none")
 
     @classmethod
     def correct(cls, schedule: KeySchedule) -> "KeyPolicy":
-        return cls(kind="schedule", schedule=schedule)
+        return cls(schedule.keys, schedule.width)
 
     @classmethod
     def tampered(cls, schedule: KeySchedule, overrides: dict[int, int]) -> "KeyPolicy":
-        return cls(kind="schedule", schedule=schedule, overrides=dict(overrides))
+        return cls(schedule.keys, schedule.width, dict(overrides))
 
     @classmethod
     def static(cls, value: int) -> "KeyPolicy":
-        return cls(kind="static", value=value)
+        return cls((value,))
 
     def key_value_at(self, cycle: int) -> int | None:
-        if self.kind == "none":
+        if not self.keys:
             return None
-        if self.kind == "static":
-            return self.value
         if cycle in self.overrides:
             return self.overrides[cycle]
-        return self.schedule.key_at(cycle)
+        return self.keys[cycle % len(self.keys)]
 
 
 @dataclass
 class Stimulus:
     """Per-cycle vectors for the non-key inputs plus a key-driving policy."""
 
-    cycles: int
     inputs: tuple[tuple[int | None, ...], ...]
-    key_policy: KeyPolicy = field(default_factory=KeyPolicy.none)
+    key_policy: KeyPolicy = field(default_factory=KeyPolicy)
+
+    @property
+    def cycles(self) -> int:
+        return len(self.inputs)
 
     @classmethod
     def from_strings(cls, rows: list[str], key_policy: KeyPolicy | None = None) -> "Stimulus":
@@ -114,11 +113,7 @@ class Stimulus:
             if set(row) - set(table):
                 raise ValueError(f"bad stimulus row '{row}'")
             vectors.append(tuple(table[ch] for ch in row))
-        return cls(
-            cycles=len(vectors),
-            inputs=tuple(vectors),
-            key_policy=key_policy or KeyPolicy.none(),
-        )
+        return cls(inputs=tuple(vectors), key_policy=key_policy or KeyPolicy())
 
 
 def value_str(v: int | None) -> str:
@@ -267,20 +262,17 @@ class CompiledNetlist:
 
 def check_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> None:
     width = len(compiled.key_idx)
-    if policy.kind == "none":
+    if not policy.keys:
         if width:
             raise ValueError("netlist has key inputs; a key policy is required")
         return
     if not width:
         raise ValueError("key policy given for a netlist without key inputs")
-    if policy.kind == "static":
-        if not 0 <= policy.value < 2**width:
-            raise ValueError(f"static key {policy.value} out of range for {width} key bits")
-        return
-    if policy.schedule.width != width:
-        raise ValueError(
-            f"schedule width {policy.schedule.width} does not match {width} key inputs"
-        )
+    if policy.width not in (None, width):
+        raise ValueError(f"schedule width {policy.width} does not match {width} key inputs")
+    for value in policy.keys:
+        if not 0 <= value < 2**width:
+            raise ValueError(f"static key {value} out of range for {width} key bits")
     for cycle, value in policy.overrides.items():
         if not 0 <= value < 2**width:
             raise ValueError(f"override {value} at cycle {cycle} out of range")
@@ -299,8 +291,6 @@ def simulate(
     """
     compiled = netlist.compiled
     check_policy(compiled, stimulus.key_policy)
-    if len(stimulus.inputs) != stimulus.cycles:
-        raise ValueError("stimulus cycle count does not match input rows")
     for row in stimulus.inputs:
         if len(row) != len(compiled.nonkey_idx):
             raise ValueError(

@@ -63,7 +63,6 @@ def test_c1_correct_key_equivalence_s27(record_property, s27, s27_locked):
         locked,
         depth=6,
         key_policy=KeyPolicy.correct(manifest.schedule),
-        sequence_budget=2**24,
     )
     elapsed = time.perf_counter() - started
     assert verdict.equivalent and verdict.counterexample is None

@@ -1,4 +1,6 @@
 import itertools
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,8 +35,8 @@ def _enumerate_equivalence(a, b, depth, key_policy, init="zero"):
 
         def trace(netlist):
             _, keyed = split_inputs(netlist)
-            policy = key_policy if keyed else KeyPolicy.none()
-            stim = Stimulus(cycles=depth, inputs=rows, key_policy=policy)
+            policy = key_policy if keyed else KeyPolicy()
+            stim = Stimulus(inputs=rows, key_policy=policy)
             return simulate_kleene(netlist, stim, init=init).outputs
 
         if trace(a) != trace(b):
@@ -69,8 +71,7 @@ def test_exhaustive_matches_oracle_in_x_init(s27, s27_locked):
 def test_locked_equivalent_at_depth6(s27, s27_locked):
     locked, manifest = s27_locked
     verdict = check_equivalence_exhaustive(
-        s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule),
-        sequence_budget=2**24,
+        s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule)
     )
     assert verdict.equivalent
 
@@ -84,9 +85,7 @@ def test_static_key_finds_counterexample_and_replays(s27):
             LockConfig(num_keys=4, key_bits=2, seed=seed, explicit_schedule=S27_SCHEDULE),
         )
         policy = KeyPolicy.static(1)
-        verdict = check_equivalence_exhaustive(
-            s27, locked, depth=6, key_policy=policy, sequence_budget=2**24
-        )
+        verdict = check_equivalence_exhaustive(s27, locked, depth=6, key_policy=policy)
         if verdict.equivalent:
             continue
         cex = verdict.counterexample
@@ -97,21 +96,22 @@ def test_static_key_finds_counterexample_and_replays(s27):
 
 
 def test_exhaustive_budget_guard(s27, s27_locked):
+    # the depth-6 check expands 24 joint states
     locked, manifest = s27_locked
     with pytest.raises(BudgetExceededError, match="use random mode"):
         check_equivalence_exhaustive(
-            s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule)
+            s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule), budget=10
         )
 
 
 def test_exhaustive_lane_cap_checked_before_allocation():
-    """2**21 minterm lanes are refused even with the sequence budget lifted."""
+    """2**21 minterm lanes are refused whatever the work budget."""
     names = [f"I{i}" for i in range(21)]
     wide = parse_bench(
         "".join(f"INPUT({n})\n" for n in names) + f"OUTPUT(y)\ny = AND({', '.join(names)})\n"
     )
     with pytest.raises(BudgetExceededError, match="lane cap"):
-        check_equivalence_exhaustive(wide, wide, depth=1, sequence_budget=None)
+        check_equivalence_exhaustive(wide, wide, depth=1, budget=2**40)
 
 
 def test_interface_mismatch_rejected(s27):
@@ -190,10 +190,12 @@ def test_brute_force_space_and_survivors(s27, s27_locked):
     assert result.survivors == [(1, 3, 2, 0)]
 
 
-def test_brute_force_budget(s27, s27_locked):
-    locked, _ = s27_locked
-    with pytest.raises(BudgetExceededError):
-        brute_force_attack(locked, s27, num_keys=4, key_bits=2, candidate_budget=100)
+def test_brute_force_budget():
+    # the random mode runs one full check per candidate: 16 here
+    orig = corpus.load_bench("b08_like")
+    locked, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=1, seed=5))
+    with pytest.raises(BudgetExceededError, match="space 16 exceeds budget 15"):
+        brute_force_attack(locked, orig, num_keys=4, key_bits=1, budget=15)
 
 
 def test_static_attack_constant_schedule_survives(s27):
@@ -234,19 +236,16 @@ def test_static_attack_matches_static_policy_check(s27, keys):
     expected = [
         (v,)
         for v in range(4)
-        if check_equivalence_exhaustive(
-            s27, locked, 8, key_policy=KeyPolicy.static(v), sequence_budget=None
-        ).equivalent
+        if check_equivalence_exhaustive(s27, locked, 8, key_policy=KeyPolicy.static(v)).equivalent
     ]
     assert result.survivors == expected
 
 
-def test_exhaustive_joint_state_cap(s27, s27_locked, monkeypatch):
+def test_exhaustive_joint_state_cap(s27, s27_locked):
     locked, manifest = s27_locked
-    monkeypatch.setattr(analysis, "_MAX_JOINT_STATES", 3)
     with pytest.raises(BudgetExceededError, match="reachable-state budget 3"):
         check_equivalence_exhaustive(
-            s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule), sequence_budget=None
+            s27, locked, depth=6, key_policy=KeyPolicy.correct(manifest.schedule), budget=3
         )
 
 
@@ -262,9 +261,7 @@ def test_brute_force_soundness_generated_schedules(s27, seed):
 
 def _candidate_survives(oracle, locked, candidate, key_bits, depth):
     policy = KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits))
-    return check_equivalence_exhaustive(
-        oracle, locked, depth, key_policy=policy, sequence_budget=None
-    ).equivalent
+    return check_equivalence_exhaustive(oracle, locked, depth, key_policy=policy).equivalent
 
 
 @settings(max_examples=60, deadline=None)
@@ -297,13 +294,24 @@ def test_prefix_search_keyed_oracle_keeps_every_candidate(s27_locked):
     assert result.survivors == list(itertools.product(range(4), repeat=2))
 
 
-def test_attack_joint_state_cap_spans_the_whole_search(s27, s27_locked, monkeypatch):
+def test_attack_joint_state_cap_spans_the_whole_search(s27, s27_locked):
     # one exhaustive check of any single candidate expands at most 24 joint
     # states here, the whole pruned search 133
     locked, _ = s27_locked
-    monkeypatch.setattr(analysis, "_MAX_JOINT_STATES", 100)
     with pytest.raises(BudgetExceededError, match="reachable-state budget 100"):
-        brute_force_attack(locked, s27, num_keys=4, key_bits=2, depth=8)
+        brute_force_attack(locked, s27, num_keys=4, key_bits=2, depth=8, budget=100)
+
+
+def test_attack_survivors_counted_before_they_are_built(s27, s27_locked, monkeypatch):
+    # at depth 1 all four first key values survive, each with 4**7
+    # completions: the first batch alone exceeds the budget, so the search
+    # refuses before building any completion
+    locked, _ = s27_locked
+    built = []
+    monkeypatch.setattr(analysis, "product", lambda *a, **kw: built.append(a) or iter(()))
+    with pytest.raises(BudgetExceededError, match="16384 surviving candidates exceed budget 1000"):
+        brute_force_attack(locked, s27, num_keys=8, key_bits=2, depth=1, budget=1000)
+    assert built == []
 
 
 @pytest.mark.parametrize("init", ["zero", "x"])
@@ -478,3 +486,10 @@ def test_counterexamples_replay_under_tampered_schedules(
     ):
         if not verdict.equivalent:
             assert replay_counterexample(orig, locked, verdict.counterexample, policy, init)
+
+
+def test_readme_python_api_block_runs():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -116,6 +116,25 @@ def test_verify_vacuous_run_rejected(tmp_path, s27_path, capsys, run):
 
 
 def test_verify_budget_exceeded(tmp_path, s27_path, capsys):
+    # the depth-6 sweep expands 24 joint states
+    out, manifest = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    code = main(
+        [
+            "verify",
+            "--orig", str(s27_path),
+            "--locked", str(out),
+            "--manifest", str(manifest),
+            "--mode", "exhaustive",
+            "--depth", "6",
+            "--budget", "10",
+        ]
+    )
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "budget-exceeded"
+
+
+def test_verify_readme_flow_needs_no_budget(tmp_path, s27_path, capsys):
     out, manifest = _lock(tmp_path, s27_path)
     capsys.readouterr()
     code = main(
@@ -128,8 +147,8 @@ def test_verify_budget_exceeded(tmp_path, s27_path, capsys):
             "--depth", "6",
         ]
     )
-    assert code == 1
-    assert json.loads(capsys.readouterr().err)["error"] == "budget-exceeded"
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["equivalent"] is True
 
 
 def test_attack_bruteforce_recovers_schedule(tmp_path, s27_path, capsys):
@@ -183,28 +202,35 @@ def test_attack_static_needs_only_key_width(tmp_path, s27_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "invalid-input"
 
 
-@pytest.mark.parametrize("stem", ["s27", "b08_like"])
-def test_attack_depth_below_one_rejected(tmp_path, capsys, stem):
-    # s27 is attacked exhaustively, b08_like (9 non-key inputs) at random
+def _attack_k2_ki1_lock(tmp_path, stem, *args) -> int:
+    """Run `attack` against a k=2/ki=1 lock of `stem` with `args` appended."""
     orig = tmp_path / f"{stem}.bench"
     orig.write_text(corpus.read_text(f"{stem}.bench"), encoding="utf-8")
     locked, _ = lock_structural(corpus.load_bench(stem), LockConfig(num_keys=2, key_bits=1, seed=5))
     locked_path = tmp_path / f"{stem}.locked.bench"
     locked_path.write_text(write_bench(locked), encoding="utf-8")
-    code = main(
-        [
-            "attack",
-            "--orig", str(orig),
-            "--locked", str(locked_path),
-            "--k", "2",
-            "--ki", "1",
-            "--depth", "0",
-        ]
-    )
+    return main(["attack", "--orig", str(orig), "--locked", str(locked_path), *args])
+
+
+@pytest.mark.parametrize("stem", ["s27", "b08_like"])
+def test_attack_depth_below_one_rejected(tmp_path, capsys, stem):
+    # s27 is attacked exhaustively, b08_like (9 non-key inputs) at random
+    code = _attack_k2_ki1_lock(tmp_path, stem, "--k", "2", "--ki", "1", "--depth", "0")
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "invalid-input"
+
+
+@pytest.mark.parametrize("k,ki,name", [("2", "-1", "key_bits"), ("-2", "1", "num_keys")])
+@pytest.mark.parametrize("stem", ["s27", "b08_like"])
+def test_attack_key_shape_below_one_rejected(tmp_path, capsys, stem, k, ki, name):
+    code = _attack_k2_ki1_lock(tmp_path, stem, "--k", k, "--ki", ki)
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input" and name in diag["detail"]
 
 
 def test_report_outputs_counts(tmp_path, s27_path, capsys):

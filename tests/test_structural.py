@@ -188,7 +188,9 @@ def test_manifest_wrongful_map_complete(s27_locked):
 
 def test_manifest_nets_exist_and_drive_as_described(s27_locked):
     locked, manifest = s27_locked
-    drivers = locked.drivers
+    drivers = {name: "input" for name in locked.inputs}
+    drivers.update((gate.output, gate) for gate in locked.gates)
+    drivers.update((dff.output, dff) for dff in locked.dffs)
     for net in manifest.key_input_nets:
         assert drivers[net] == "input"
     for net in manifest.counter_state_nets:
