@@ -392,6 +392,11 @@ def corruption_rate(
     return differing / (sequences * cycles * len(orig.outputs))
 
 
+def _exceeds(bits: int, budget: int) -> bool:
+    """Whether ``2**bits`` exceeds `budget`, decided without building it."""
+    return budget < 0 or bits >= budget.bit_length()
+
+
 def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
     if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8:
         return "exhaustive"
@@ -448,9 +453,11 @@ def _prefix_search(
                 break
         if frontier is None:
             continue
-        emitted = len(survivors) + len(values) ** (num_keys - len(prefix))
-        if emitted > budget:
-            raise BudgetExceededError(f"{emitted} surviving candidates exceed budget {budget}")
+        tail_bits = key_bits * (num_keys - len(prefix))
+        if _exceeds(tail_bits, budget) or len(survivors) + (1 << tail_bits) > budget:
+            raise BudgetExceededError(
+                f"{len(survivors)} + 2^{tail_bits} surviving candidates exceed budget {budget}"
+            )
         survivors.extend(prefix + tail for tail in product(values, repeat=num_keys - len(prefix)))
     return survivors
 
@@ -490,14 +497,15 @@ def brute_force_attack(
         raise ValueError(f"attack needs num_keys >= 1 and key_bits >= 1, got {num_keys} and {key_bits}")
     if depth < 1:
         raise ValueError(f"attack needs depth >= 1, got {depth}")
-    space = (2**key_bits) ** num_keys
     mode = _pick_eq_mode(locked, oracle)
     started = time.perf_counter()
     if mode == "exhaustive":
         survivors = _prefix_search(oracle, locked, num_keys, key_bits, depth, budget)
     else:
-        if space > budget:
-            raise BudgetExceededError(f"key-sequence space {space} exceeds budget {budget}")
+        if _exceeds(key_bits * num_keys, budget):
+            raise BudgetExceededError(
+                f"key-sequence space 2^{key_bits * num_keys} exceeds budget {budget}"
+            )
         survivors = [
             candidate
             for candidate in product(range(2**key_bits), repeat=num_keys)
@@ -511,7 +519,7 @@ def brute_force_attack(
             ).equivalent
         ]
     return AttackResult(
-        search_space_size=space,
+        search_space_size=(2**key_bits) ** num_keys,
         survivors=survivors,
         elapsed=time.perf_counter() - started,
         depth=depth,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -97,6 +98,13 @@ def _cmd_lock_beh(args) -> int:
     return 0
 
 
+def _key_value(bits: str, width: int, what: str) -> int:
+    value = from_binary(bits)
+    if len(bits) != width:
+        raise ValueError(f"{what} '{bits}' has {len(bits)} bits, the netlist has {width} key inputs")
+    return value
+
+
 def _key_policy_from_args(args, netlist) -> KeyPolicy:
     _, key_inputs = split_inputs(netlist)
     schedule = None
@@ -108,13 +116,13 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     overrides = {}
     for item in getattr(args, "override", None) or []:
         cycle, _, bits = item.partition("=")
-        overrides[int(cycle)] = from_binary(bits)
+        overrides[int(cycle)] = _key_value(bits, len(key_inputs), f"override at cycle {cycle}")
     if overrides and schedule is None:
         raise ValueError("--override needs a schedule from --manifest, --keys or --keys-file")
     if getattr(args, "static_key", None) is not None:
         if schedule is not None:
             raise ValueError("--static-key conflicts with --keys/--manifest")
-        return KeyPolicy.static(from_binary(args.static_key))
+        return KeyPolicy.static(_key_value(args.static_key, len(key_inputs), "--static-key"))
     if schedule is None:
         if key_inputs:
             raise ValueError("netlist has key inputs; give --manifest, --keys, or --static-key")
@@ -203,6 +211,11 @@ def _cmd_attack(args) -> int:
         num_keys = 1  # a static key is the period-1 schedule
     if not (num_keys and key_bits):
         raise ValueError("give --manifest, or --ki and (for bruteforce) --k")
+    limit = sys.get_int_max_str_digits()
+    if limit and key_bits * num_keys > limit * math.log2(10):
+        raise BudgetExceededError(
+            f"key-sequence space 2^{key_bits * num_keys} has too many digits to report (limit {limit})"
+        )
     result = brute_force_attack(
         locked,
         orig,

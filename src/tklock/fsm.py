@@ -96,9 +96,9 @@ def parse_kiss2(text: str) -> Fsm:
     """Parse KISS2 text into a validated :class:`Fsm`.
 
     Expects `.i .o .p .s` headers with transition lines of the form
-    `inputs from to outputs`; `.r` names the reset state and defaults to the
-    source state of the first transition. `.ilb`/`.ob` name lines and `.e`
-    are accepted and ignored.
+    `inputs from to outputs`, where a zero-width pattern is left out. `.r`
+    names the reset state and defaults to the source state of the first
+    transition. `.ilb`/`.ob` name lines and `.e` are accepted and ignored.
     """
     input_width = output_width = None
     declared_terms = declared_states = None
@@ -139,6 +139,11 @@ def parse_kiss2(text: str) -> Fsm:
                 raise Kiss2FormatError(f"unknown directive '{directive}'", lineno)
             continue
         fields = line.split()
+        # a zero-width pattern is written as nothing, so its field is absent
+        if input_width == 0:
+            fields.insert(0, "")
+        if output_width == 0:
+            fields.append("")
         if len(fields) != 4:
             raise Kiss2FormatError(f"expected 'inputs from to outputs', got '{line}'", lineno)
         ins, src, dst, outs = fields

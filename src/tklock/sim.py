@@ -13,8 +13,10 @@ the per-cycle stimulus vectors, which cover non-key inputs only.
 
 :class:`PlaneSim` is the only evaluation kernel. Every net holds two integer
 bit planes, high and unknown, and bit ``l`` of each plane belongs to run
-``l``, so one pass evaluates arbitrarily many runs. Gates compile to one op
-form, ``(family, out, a, b, invert)``. A step whose input and state planes
+``l``, so one pass evaluates arbitrarily many runs. Every gate compiles to
+two-fanin ops ``(family, out, a, b, invert)`` with ``family`` AND, OR or
+XOR: NOT and BUF read ``(a, a)``, and a gate with ``n > 2`` fanins is a chain
+of ``n - 1`` ops through unnamed nets. A step whose input and state planes
 carry no unknown bit evaluates the high plane alone (two-valued); otherwise
 it runs the strong Kleene pass over both planes. :func:`simulate` is the
 1-lane case: it checks its inputs, steps a 1-lane :class:`PlaneSim` and
@@ -22,20 +24,20 @@ reads the trace back from the planes. The test suite pins the kernel to an
 independent gate-at-a-time Kleene oracle.
 
 A step need not evaluate every op. Control nets are the key inputs, the
-counter flip-flops and the gates fed only by control nets. When the key value
-is an int and every counter plane is uniform and known, each control net holds
-one known value in every lane, fixed by the key value and the counter bits.
-The step then evaluates the free ops (those no control net reaches) and, of
-the ops a control net reaches, only those that its roots (outputs, next-state
-nets and the nets the caller watches) still depend on. The search for them
-stops at each AND/NAND gate with a control fanin at 0 and each OR/NOR gate
-with one at 1, keeping only that fanin: the gate's formula gives its value
-whatever its other fanins hold, in both passes. XOR and BUF gates never stop
-it. The first step with a given key value and counter bits evaluates the
-control nets, derives the op list from them and caches it on the compiled
-netlist, where every :class:`PlaneSim` of the netlist shares it. Nets left
-out keep stale planes, so after a step only inputs, flip-flop outputs,
-outputs, next-state nets and watched nets are current.
+counter flip-flops and the nets whose ops read only control nets. When the
+key value is an int and every counter plane is uniform and known, each
+control net holds one known value in every lane, fixed by the key value and
+the counter bits. The step then evaluates the free ops (those no control net
+reaches) and, of the ops a control net reaches, only those that its roots
+(outputs, next-state nets and the nets the caller watches) still depend on.
+The search for them stops at each AND op with a control fanin at 0 and each
+OR op with one at 1, keeping only that fanin: the op's formula gives its
+value whatever its other fanin holds, in both passes. XOR ops never stop it.
+The first step with a given key value and counter bits evaluates the control
+nets, derives the op list from them and caches it on the compiled netlist,
+where every :class:`PlaneSim` of the netlist shares it. Nets left out keep
+stale planes, so after a step only inputs, flip-flop outputs, outputs,
+next-state nets and watched nets are current.
 """
 
 from __future__ import annotations
@@ -46,14 +48,14 @@ from functools import cached_property
 from .circuit import Netlist, has_errors, topo_order, validate
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
 
-# Op families. A gate compiles to (family, out, a, b, invert): 1- and 2-fanin
-# gates name their fanins a and b (a == b for NOT/BUF); wider gates keep the
-# fanin tuple in a under the n-ary family, whose code is the 2-fanin code plus
-# _AND_N. NAND, NOR, XNOR and NOT set invert.
-_AND, _OR, _XOR, _BUF, _AND_N, _OR_N, _XOR_N = range(7)
+# Op families. Every op is (family, out, a, b, invert) with net indices a and
+# b; a gate kind maps to its (family, invert). NOT and BUF are NAND and AND
+# of (a, a). A wider gate chains ops through unnamed nets numbered from
+# len(index) up; only its last op inverts.
+_AND, _OR, _XOR = range(3)
 _KIND_OPS = {
     "AND": (_AND, False), "NAND": (_AND, True), "OR": (_OR, False), "NOR": (_OR, True),
-    "XOR": (_XOR, False), "XNOR": (_XOR, True), "BUF": (_BUF, False), "NOT": (_BUF, True),
+    "XOR": (_XOR, False), "XNOR": (_XOR, True), "BUF": (_AND, False), "NOT": (_AND, True),
 }
 # Op lists cached per compiled netlist; past the cap the oldest is dropped.
 _MAX_OP_LISTS = 64
@@ -169,7 +171,6 @@ class CompiledNetlist:
         if has_errors(validate(netlist)):
             raise ValueError(f"netlist '{netlist.name}' fails validation")
         self.index = index = netlist._graph[0]
-        self.n_nets = len(index)
         nonkey, key = split_inputs(netlist)
         self.nonkey_idx = [index[n] for n in nonkey]
         self.key_idx = [index[n] for n in key]
@@ -177,15 +178,16 @@ class CompiledNetlist:
         self.input_idx = [index[n] for n in netlist.inputs]
         self.output_idx = [index[n] for n in netlist.outputs]
         self.ops = ops = []
+        n_nets = len(index)
         for g in topo_order(netlist):
             family, invert = _KIND_OPS[g.kind]
             fanins = g.fanins
-            if len(fanins) > 2:
-                a, b = tuple(map(index.__getitem__, fanins)), None
-                family += _AND_N
-            else:
-                a, b = index[fanins[0]], index[fanins[-1]]
-            ops.append((family, index[g.output], a, b, invert))
+            a = index[fanins[0]]
+            for f in fanins[1:-1]:
+                ops.append((family, n_nets, a, index[f], False))
+                a, n_nets = n_nets, n_nets + 1
+            ops.append((family, index[g.output], a, index[fanins[-1]], invert))
+        self.n_nets = n_nets
         self.dff_q_idx = [index[d.output] for d in netlist.dffs]
         self.dff_d_idx = [index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
@@ -197,12 +199,12 @@ class CompiledNetlist:
     def _control(self) -> tuple[bytearray, list[int], list[tuple], list[tuple]]:
         """Which nets are control nets, in one pass over ``ops``.
 
-        Control nets are the key inputs, the counter flip-flops and the gates
-        fed only by control nets. A net is fed when a control net reaches it.
-        Returns the control flags; the op position of the driver of each fed
-        gate net (-1 for every other net); the free ops, which read no fed net
-        and so depend only on inputs, flip-flop outputs and other free ops;
-        and the ops that drive control nets.
+        Control nets are the key inputs, the counter flip-flops and the nets
+        whose ops read only control nets. A net is fed when a control net
+        reaches it. Returns the control flags; the op position of the driver
+        of each fed op net (-1 for every other net); the free ops, which read
+        no fed net and so depend only on inputs, flip-flop outputs and other
+        free ops; and the ops that drive control nets.
         """
         control = bytearray(self.n_nets)
         fed = bytearray(self.n_nets)
@@ -211,25 +213,21 @@ class CompiledNetlist:
         driver = [-1] * self.n_nets
         free = []
         for p, op in enumerate(self.ops):
-            family, out, a, b, _ = op
-            if family < _AND_N:
-                if fed[a] or fed[b]:
-                    fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-                    continue
-            elif any(map(fed.__getitem__, a)):
-                fed[out], driver[out], control[out] = 1, p, all(map(control.__getitem__, a))
-                continue
-            free.append(op)
+            _, out, a, b, _ = op
+            if fed[a] or fed[b]:
+                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+            else:
+                free.append(op)
         return control, driver, free, [op for op in self.ops if control[op[1]]]
 
     def _select_ops(self, h: list[int], mask: int, roots: list[int]) -> list[tuple]:
         """The ops for one step: every free op, then, in topological order,
-        the fed ops that `roots` depend on when a gate with a control fanin
+        the fed ops that `roots` depend on when an op with a control fanin
         at its controlling value (0 for AND, `mask` for OR) depends on that
         fanin alone. `h` must hold this step's control nets."""
         control, driver, free, _ = self._control
         ops = self.ops
-        controlling = (0, mask, None, None, 0, mask, None)
+        controlling = (0, mask, None)
         seen = bytearray(self.n_nets)
         kept = []
         stack = list(roots)
@@ -241,7 +239,7 @@ class CompiledNetlist:
             seen[net] = 1
             kept.append(p)
             family, _, a, b, _ = ops[p]
-            fanins = a if family >= _AND_N else (a, b)
+            fanins = (a, b)
             value = controlling[family]
             if value is not None:
                 for f in fanins:
@@ -429,22 +427,8 @@ class PlaneSim:
                 v = h[a] & h[b]
             elif family == _OR:
                 v = h[a] | h[b]
-            elif family == _XOR:
-                v = h[a] ^ h[b]
-            elif family == _BUF:
-                v = h[a]
-            elif family == _AND_N:
-                v = mask
-                for f in a:
-                    v &= h[f]
-            elif family == _OR_N:
-                v = 0
-                for f in a:
-                    v |= h[f]
             else:
-                v = 0
-                for f in a:
-                    v ^= h[f]
+                v = h[a] ^ h[b]
             h[out] = v ^ mask if invert else v
 
     def _step_kleene(self, ops: list[tuple]) -> None:
@@ -461,29 +445,9 @@ class PlaneSim:
             elif family == _OR:
                 one = h[a] | h[b]
                 u = (x[a] | x[b]) & ~one
-            elif family == _XOR:
+            else:
                 u = x[a] | x[b]
                 one = (h[a] ^ h[b]) & ~u
-            elif family == _BUF:
-                one, u = h[a], x[a]
-            elif family == _AND_N:
-                one = maybe = mask
-                for f in a:
-                    one &= h[f]
-                    maybe &= h[f] | x[f]
-                u = maybe ^ one
-            elif family == _OR_N:
-                one = u = 0
-                for f in a:
-                    one |= h[f]
-                    u |= x[f]
-                u &= ~one
-            else:
-                one = u = 0
-                for f in a:
-                    one ^= h[f]
-                    u |= x[f]
-                one &= ~u
             h[out] = (one ^ mask) & ~u if invert else one
             x[out] = u
 

@@ -1,4 +1,6 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -492,3 +494,76 @@ def test_malformed_manifest_is_invalid_input(tmp_path, s27_path, capsys, shape, 
     assert len(err) == 1
     doc = json.loads(err[0])
     assert doc["error"] == "invalid-input" and field in doc["detail"]
+
+
+@pytest.mark.parametrize(
+    "k,detail",
+    [
+        # the survivors of the README prefix reach depth 8 with 4**12 completions
+        ("20", "0 + 2^24 surviving candidates exceed budget 200000"),
+        # 2^16000 has 4,817 digits, past what the report can print
+        ("8000", "key-sequence space 2^16000 has too many digits"),
+        ("100000000", "key-sequence space 2^200000000 has too many digits"),
+    ],
+    ids=["survivors", "report-digits", "huge"],
+)
+def test_attack_budgets_checked_by_exponent(tmp_path, s27_path, capsys, k, detail):
+    out, _ = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    code = main(["attack", "--orig", str(s27_path), "--locked", str(out), "--k", k, "--ki", "2"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "budget-exceeded"
+    assert detail in diag["detail"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sim", "--cycles", "4", "--manifest", "{manifest}", "--override", "2=0000"],
+        ["sim", "--cycles", "4", "--manifest", "{manifest}", "--override", "2=1"],
+        ["sim", "--cycles", "4", "--static-key", "010"],
+        ["verify", "--orig", "{orig}", "--static-key", "0000"],
+        ["verify", "--orig", "{orig}", "--static-key", "1"],
+    ],
+    ids=["sim-override-wide", "sim-override-narrow", "sim-static", "verify-static-wide", "verify-static-narrow"],
+)
+def test_key_strings_must_match_key_width(tmp_path, s27_path, capsys, argv):
+    out, manifest = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    argv = [arg.format(manifest=manifest, orig=s27_path) for arg in argv]
+    target = "--in" if argv[0] == "sim" else "--locked"
+    code = main([*argv, target, str(out)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input"
+    assert "the netlist has 2 key inputs" in diag["detail"]
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    """Each `tklock` command of the README's ```sh blocks, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    commands = []
+    for block in re.findall(r"```sh\n(.*?)```", readme, re.DOTALL):
+        for command in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(command, comments=True)
+            if argv and argv[0] == "tklock":
+                commands.append(argv[1:])
+    return commands
+
+
+def test_readme_cli_examples_run(tmp_path, s27_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["lock-str", "verify", "attack", "attack", "sim", "report"]
+    survivors = []
+    for argv in commands:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "attack":
+            survivors.append(json.loads(out)["survivors"])
+    assert survivors == [["01,11,10,00"], []]

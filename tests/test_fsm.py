@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tklock import corpus
 from tklock.fsm import (
@@ -6,6 +8,7 @@ from tklock.fsm import (
     FsmError,
     Kiss2FormatError,
     Transition,
+    check_fsm,
     parse_kiss2,
     patterns_overlap,
     simulate_fsm,
@@ -72,6 +75,37 @@ def test_round_trip_fixed_point(name):
     second = parse_kiss2(text)
     assert first == second
     assert write_kiss2(second) == text
+
+
+@st.composite
+def deterministic_fsms(draw):
+    """Random deterministic machines with 0-3 input and output bits, in the
+    form KISS2 text can state: every state is in a transition, and `states`
+    lists them in order of first appearance. A state's input patterns care
+    about the same positions and differ there, so no two overlap."""
+    input_width = draw(st.integers(0, 3))
+    output_width = draw(st.integers(0, 3))
+    names = draw(st.lists(st.sampled_from(["s0", "s1", "idle", "7", "q_2"]), min_size=1, unique=True))
+    transitions = []
+    for src in names:
+        cared = draw(st.lists(st.integers(0, input_width - 1), unique=True)) if input_width else []
+        for value in draw(st.lists(st.integers(0, 2 ** len(cared) - 1), unique=True, max_size=4)):
+            pattern = ["-"] * input_width
+            for bit, pos in enumerate(cared):
+                pattern[pos] = "01"[(value >> bit) & 1]
+            outputs = draw(st.text("01-", min_size=output_width, max_size=output_width))
+            transitions.append(Transition("".join(pattern), src, draw(st.sampled_from(names)), outputs))
+    assume(transitions)
+    transitions = draw(st.permutations(transitions))
+    states = tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
+    return Fsm(input_width, output_width, states, draw(st.sampled_from(states)), tuple(transitions))
+
+
+@settings(max_examples=100, deadline=None)
+@given(fsm=deterministic_fsms())
+def test_write_then_parse_is_identity(fsm):
+    check_fsm(fsm)
+    assert parse_kiss2(write_kiss2(fsm)) == fsm
 
 
 def test_write_single_state_header():
@@ -143,7 +177,5 @@ def test_programmatic_fsm_validation():
         reset_state="b",
         transitions=(Transition("0", "a", "a", "0"),),
     )
-    from tklock.fsm import check_fsm
-
     with pytest.raises(FsmError, match="reset state"):
         check_fsm(bad)

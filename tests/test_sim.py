@@ -71,6 +71,34 @@ def test_kleene_matches_resolution_oracle(kind):
             assert simulate(gate, Stimulus.from_strings([row])).outputs[0][0] == expected, (kind, values)
 
 
+@pytest.mark.parametrize("lanes", [1, 70])
+@pytest.mark.parametrize("arity", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
+def test_wide_gates_match_kleene_oracle(kind, arity, lanes):
+    """A gate with 3-6 fanins compiles to a chain of two-fanin ops. Every
+    0/1 fanin tuple goes through the two-valued pass, then every 0/1/x tuple
+    through the Kleene pass, `lanes` tuples per step; each lane matches
+    :func:`kleene_eval`."""
+    names = [f"a{i}" for i in range(arity)]
+    gate = parse_bench(
+        "".join(f"INPUT({a})\n" for a in names) + f"OUTPUT(y)\ny = {kind}({', '.join(names)})\n"
+    )
+    sim = PlaneSim(gate, lanes)
+    for alphabet, kleene in (((0, 1), False), (VALUES, True)):
+        cases = list(itertools.product(alphabet, repeat=arity))
+        for start in range(0, len(cases), lanes):
+            batch = cases[start : start + lanes]
+            sim.step(
+                [sum((v == 1) << lane for lane, v in enumerate(vs)) for vs in zip(*batch)],
+                None,
+                [sum((v is None) << lane for lane, v in enumerate(vs)) for vs in zip(*batch)],
+            )
+            assert sim._x_stale == (kleene and any(None in values for values in batch))
+            for lane, values in enumerate(batch):
+                got = _lane_value(sim.output_planes()[0], lane)
+                assert got == kleene_eval(kind, values), (values, kleene)
+
+
 def test_buf_circuit_passthrough():
     n = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     trace = simulate(n, Stimulus.from_strings(["1", "0", "1"]))
@@ -228,7 +256,8 @@ def test_plane_sim_matches_scalar(seed, n_inputs, n_dffs, n_gates, init, alphabe
 
 
 def test_random_netlists_mix_two_and_wide_fanin_gates():
-    """The kernel tests' random netlists exercise both compiled op shapes."""
+    """The kernel tests' random netlists hold 1-, 2- and 3-fanin gates, so
+    they exercise (a, a) ops and chained ops."""
     arities = set()
     for seed in range(20):
         n = random_netlist(seed, 3, 2, 30, n_outputs=2)
@@ -541,15 +570,20 @@ def test_mixed_counter_planes_do_not_reuse_an_op_list():
 
 @pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
 def test_only_a_controlling_value_cuts_the_search(kind):
-    """`y = KIND(s, d)` with the control net `s` at 0, then at 1: a cached
-    op list skips `d` only where `s` holds the gate's controlling value, so
-    every step matches a step over every op."""
-    netlist = parse_bench(
-        "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\n"
-        f"s = BUF(keyinput0)\nd = XOR(a, keyinput0)\ny = {kind}(s, d)\n"
-    )
-    pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
-    for key, a in ((0, 0b01), (0, 0b10), (1, 0b01), (1, 0b10)):
-        for sim in (pruned, full):
-            sim.step([a], key)
-        assert _root_planes(pruned) == _root_planes(full), (key, a)
+    """`y = KIND(s, d, ...)` with the control net `s` at 0, then at 1: a
+    cached op list skips `d` only where `s` holds the gate's controlling
+    value, so every step matches a step over every op. Widths 2-5 put `s`
+    first and last in the chain of ops a wide gate compiles to."""
+    for width in range(2, 6):
+        data = [f"d{i}" for i in range(width - 1)]
+        for fanins in (["s", *data], [*data, "s"]):
+            netlist = parse_bench(
+                "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ns = BUF(keyinput0)\n"
+                + "".join(f"{d} = {('XOR', 'XNOR')[i % 2]}(a, keyinput0)\n" for i, d in enumerate(data))
+                + f"y = {kind}({', '.join(fanins)})\n"
+            )
+            pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
+            for key, a in ((0, 0b01), (0, 0b10), (1, 0b01), (1, 0b10)):
+                for sim in (pruned, full):
+                    sim.step([a], key)
+                assert _root_planes(pruned) == _root_planes(full), (fanins, key, a)
