@@ -20,7 +20,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .fsm import Fsm, FsmError, Transition, check_fsm
+from .fsm import Fsm, FsmError, Transition, check_fsm, _listed_states
 from .keys import KeySchedule, generate_key_schedule, to_binary
 
 
@@ -149,20 +149,14 @@ def lock_behavioral(fsm: Fsm, config: BehLockConfig) -> tuple[Fsm, BehManifest]:
                     )
                 )
 
-    states: list[str] = []
-    seen: set[str] = set()
-    for tr in transitions:
-        for name in (tr.src, tr.dst):
-            if name not in seen:
-                seen.add(name)
-                states.append(name)
+    states = _listed_states(transitions)
     if len(states) != len(fsm.states) * k:
         raise FsmError("product construction lost states")
 
     locked = Fsm(
         input_width=config.key_bits + fsm.input_width,
         output_width=fsm.output_width,
-        states=tuple(states),
+        states=states,
         reset_state=f"{fsm.reset_state}@0",
         transitions=tuple(transitions),
     )

@@ -12,6 +12,11 @@ message and line number.
 ``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
 gate positions, the cycle net) is built once and read by the parse's cycle
 check, :func:`validate`, :func:`topo_order` and the compiled form.
+
+Those line checks cover every error-level check of :func:`validate`, so a
+netlist from :func:`parse_bench` is marked as free of errors and the compiled
+form and the structural locker do not validate it again. A netlist built in
+code is validated the first time one of them needs it.
 """
 
 from __future__ import annotations
@@ -72,16 +77,32 @@ class Netlist:
     outputs: tuple[str, ...]
     gates: tuple[Gate, ...]
     dffs: tuple[Dff, ...]
+    # True once the netlist is known to have no error-level violation: set by
+    # parse_bench, by lock_structural on its checked output and by _require_valid
+    _checked: bool = field(default=False, init=False, repr=False, compare=False)
 
     @cached_property
     def compiled(self) -> CompiledNetlist:
-        """The validated index-based simulation form, built once per netlist.
+        """The index-based simulation form, built once per netlist.
 
-        Raises ValueError when :func:`validate` reports an error.
+        Validates the netlist first unless it is already known to be free of
+        errors (see :meth:`_require_valid`); raises ValueError when
+        :func:`validate` reports an error.
         """
         from .sim import CompiledNetlist  # sim imports this module
 
         return CompiledNetlist(self)
+
+    def _require_valid(self) -> None:
+        """Raise ValueError when :func:`validate` reports an error.
+
+        A netlist is validated at most once, and one from :func:`parse_bench`
+        never: the parse has already made every error-level check.
+        """
+        if not self._checked:
+            if has_errors(validate(self)):
+                raise ValueError(f"netlist '{self.name}' fails validation")
+            self._checked = True
 
     @cached_property
     def _graph(self) -> tuple[dict[str, int], tuple[Gate, ...], str | None]:
@@ -232,6 +253,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         raise BenchFormatError(
             f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
         )
+    netlist._checked = True
     return netlist
 
 

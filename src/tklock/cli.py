@@ -4,38 +4,45 @@ Every artifact written (locked netlists, manifests, trace CSVs, reports) is
 byte-deterministic for a fixed argv and input files. Exit codes: 0 success,
 1 analytic failure (validation, equivalence, budget) with a one-line JSON
 diagnostic on stderr, 2 usage errors.
+
+A job runs only the modules its subcommand uses. Importing this module puts
+every layer in ``sys.modules`` unexecuted (:class:`importlib.util.LazyLoader`):
+a layer runs on its first attribute access, so each handler imports what it
+calls, while tools that look the layers up after importing the CLI (the span
+tracer in ``bench/spans.py``) still find all of them. :func:`main` maps errors
+to their kinds without running a layer the job never used.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import random
 import sys
 from pathlib import Path
+from types import ModuleType
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    _DEFAULT_BUDGET,
-    BudgetExceededError,
-    brute_force_attack,
-    check_equivalence_exhaustive,
-    check_equivalence_random,
-    overhead_report,
-)
-from .behavioral import BehLockConfig, lock_behavioral
-from .circuit import BenchFormatError, parse_bench, write_bench
-from .fsm import FsmError, Kiss2FormatError, parse_kiss2, write_kiss2
-from .keys import (
-    KeySchedule,
-    from_binary,
-    generate_key_schedule,
-    parse_key_list,
-    schedule_from_text,
-    split_inputs,
-)
-from .sim import KeyPolicy, Stimulus, simulate
-from .structural import LockConfig, LockManifest, lock_structural
+if TYPE_CHECKING:
+    from .keys import KeySchedule
+    from .sim import KeyPolicy
+
+
+def _register_lazily(layer: str) -> None:
+    name = f"{__package__}.{layer}"
+    if name in sys.modules:  # already imported, or registered by an earlier import
+        return
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+
+
+for _layer in ("circuit", "fsm", "keys", "structural", "behavioral", "sim", "analysis"):
+    _register_lazily(_layer)
 
 
 def _fail(kind: str, detail: str) -> int:
@@ -44,11 +51,21 @@ def _fail(kind: str, detail: str) -> int:
 
 
 def _load_bench(path: str):
+    from .circuit import parse_bench
+
     text = Path(path).read_text(encoding="utf-8")
     return parse_bench(text, name=Path(path).stem)
 
 
+def _load_manifest(path: str):
+    from .structural import LockManifest
+
+    return LockManifest.from_json(Path(path).read_text(encoding="utf-8"))
+
+
 def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> KeySchedule:
+    from .keys import generate_key_schedule, parse_key_list, schedule_from_text
+
     sources = [s for s in (args.keys, args.keys_file) if s]
     if len(sources) > 1:
         raise ValueError("give at most one of --keys and --keys-file")
@@ -68,6 +85,9 @@ def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> Key
 
 
 def _cmd_lock_str(args) -> int:
+    from .circuit import write_bench
+    from .structural import LockConfig, lock_structural
+
     netlist = _load_bench(args.infile)
     schedule = _schedule_from_args(args, args.k, args.ki)
     config = LockConfig(
@@ -86,6 +106,9 @@ def _cmd_lock_str(args) -> int:
 
 
 def _cmd_lock_beh(args) -> int:
+    from .behavioral import BehLockConfig, lock_behavioral
+    from .fsm import parse_kiss2, write_kiss2
+
     fsm = parse_kiss2(Path(args.infile).read_text(encoding="utf-8"))
     schedule = _schedule_from_args(args, args.k, args.ki)
     config = BehLockConfig(
@@ -99,6 +122,8 @@ def _cmd_lock_beh(args) -> int:
 
 
 def _key_value(bits: str, width: int, what: str) -> int:
+    from .keys import from_binary
+
     value = from_binary(bits)
     if len(bits) != width:
         raise ValueError(f"{what} '{bits}' has {len(bits)} bits, the netlist has {width} key inputs")
@@ -106,11 +131,13 @@ def _key_value(bits: str, width: int, what: str) -> int:
 
 
 def _key_policy_from_args(args, netlist) -> KeyPolicy:
+    from .keys import split_inputs
+    from .sim import KeyPolicy
+
     _, key_inputs = split_inputs(netlist)
     schedule = None
     if args.manifest:
-        manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
-        schedule = manifest.schedule
+        schedule = _load_manifest(args.manifest).schedule
     elif args.keys or args.keys_file:
         schedule = _schedule_from_args(args, None, None)
     overrides = {}
@@ -131,6 +158,9 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
 
 
 def _cmd_sim(args) -> int:
+    from .keys import split_inputs
+    from .sim import Stimulus, simulate
+
     netlist = _load_bench(args.infile)
     policy = _key_policy_from_args(args, netlist)
     non_key, _ = split_inputs(netlist)
@@ -161,6 +191,8 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .analysis import _DEFAULT_BUDGET, check_equivalence_exhaustive, check_equivalence_random
+
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     policy = _key_policy_from_args(args, locked)
@@ -171,7 +203,7 @@ def _cmd_verify(args) -> int:
             depth=args.depth,
             key_policy=policy,
             init=args.init,
-            budget=args.budget,
+            budget=_DEFAULT_BUDGET if args.budget is None else args.budget,
         )
     else:
         verdict = check_equivalence_random(
@@ -200,10 +232,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
+    from .analysis import _DEFAULT_BUDGET, BudgetExceededError, brute_force_attack
+    from .keys import KeySchedule
+
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     if args.manifest:
-        manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+        manifest = _load_manifest(args.manifest)
         num_keys, key_bits = manifest.num_keys, manifest.key_bits
     else:
         num_keys, key_bits = args.k, args.ki
@@ -222,7 +257,7 @@ def _cmd_attack(args) -> int:
         num_keys=num_keys,
         key_bits=key_bits,
         depth=args.depth,
-        budget=args.budget,
+        budget=_DEFAULT_BUDGET if args.budget is None else args.budget,
         seed=args.seed,
     )
     survivors = [
@@ -244,9 +279,11 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .analysis import overhead_report
+
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
-    manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = _load_manifest(args.manifest)
     report = overhead_report(orig, locked, manifest)
     doc = {
         "original": vars(report.original),
@@ -335,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
     p.add_argument("--depth", type=int, default=6)
     p.add_argument(
-        "--budget", type=int, default=_DEFAULT_BUDGET,
+        "--budget", type=int,
         help="most distinct joint states the exhaustive check may expand",
     )
     p.add_argument("--sequences", type=int, default=1000)
@@ -354,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ki", type=int, help="bits per key value")
     p.add_argument("--depth", type=int, default=8)
     p.add_argument(
-        "--budget", type=int, default=_DEFAULT_BUDGET,
+        "--budget", type=int,
         help="most joint states or survivors (exhaustive), or candidates (random)",
     )
     p.add_argument("--seed", type=int, default=0)
@@ -372,16 +409,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded(*names: str) -> tuple[type, ...]:
+    """The named ``module.Class`` errors of the tklock modules this job has
+    run. A module that never ran cannot have raised its error, so none is run
+    here: a layer still unexecuted keeps LazyLoader's module type, and any
+    attribute lookup on it would execute it."""
+    classes = []
+    for name in names:
+        module, _, cls = name.partition(".")
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if type(loaded) is ModuleType:
+            classes.append(getattr(loaded, cls))
+    return tuple(classes)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BenchFormatError, Kiss2FormatError) as exc:
+    # each except clause is evaluated only when an error reaches it
+    except _loaded("circuit.BenchFormatError", "fsm.Kiss2FormatError") as exc:
         return _fail("parse-error", str(exc))
-    except BudgetExceededError as exc:
+    except _loaded("analysis.BudgetExceededError") as exc:
         return _fail("budget-exceeded", str(exc))
-    except (FsmError, ValueError) as exc:
+    except ValueError as exc:  # FsmError is a ValueError
         return _fail("invalid-input", str(exc))
     except OSError as exc:
         return _fail("io-error", str(exc))

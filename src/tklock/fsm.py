@@ -62,6 +62,12 @@ def determinism_conflicts(fsm: Fsm) -> list[tuple[Transition, Transition]]:
     return conflicts
 
 
+def _listed_states(transitions) -> tuple[str, ...]:
+    """The states of the transitions in order of first appearance: the state
+    list KISS2 text implies, having none of its own."""
+    return tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
+
+
 def check_fsm(fsm: Fsm) -> None:
     if fsm.reset_state not in fsm.states:
         raise FsmError(f"reset state '{fsm.reset_state}' is not a state")
@@ -104,13 +110,6 @@ def parse_kiss2(text: str) -> Fsm:
     declared_terms = declared_states = None
     reset: str | None = None
     transitions: list[Transition] = []
-    states: list[str] = []
-    seen: set[str] = set()
-
-    def note_state(name: str) -> None:
-        if name not in seen:
-            seen.add(name)
-            states.append(name)
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -153,8 +152,6 @@ def parse_kiss2(text: str) -> Fsm:
             raise Kiss2FormatError(f"bad input pattern '{ins}'", lineno)
         if len(outs) != output_width or set(outs) - set("01-"):
             raise Kiss2FormatError(f"bad output pattern '{outs}'", lineno)
-        note_state(src)
-        note_state(dst)
         transitions.append(Transition(inputs=ins, src=src, dst=dst, outputs=outs))
 
     if input_width is None or output_width is None:
@@ -163,17 +160,18 @@ def parse_kiss2(text: str) -> Fsm:
         raise Kiss2FormatError("no transitions")
     if declared_terms is not None and declared_terms != len(transitions):
         raise Kiss2FormatError(f".p declares {declared_terms} terms, found {len(transitions)}")
+    states = _listed_states(transitions)
     if declared_states is not None and declared_states != len(states):
         raise Kiss2FormatError(f".s declares {declared_states} states, found {len(states)}")
     if reset is None:
         reset = transitions[0].src
-    if reset not in seen:
+    if reset not in states:
         raise Kiss2FormatError(f"reset state '{reset}' never appears in a transition")
 
     fsm = Fsm(
         input_width=input_width,
         output_width=output_width,
-        states=tuple(states),
+        states=states,
         reset_state=reset,
         transitions=tuple(transitions),
     )
@@ -185,7 +183,18 @@ def parse_kiss2(text: str) -> Fsm:
 
 
 def write_kiss2(fsm: Fsm) -> str:
-    """Emit KISS2 text that re-parses to an equal :class:`Fsm`."""
+    """Emit KISS2 text that re-parses to an equal :class:`Fsm`.
+
+    Raises :class:`FsmError` for a machine whose `states` is not the
+    transitions' states in order of first appearance (an unused state, or
+    another order): KISS2 text has no state list, so none can state it.
+    """
+    listed = _listed_states(fsm.transitions)
+    if fsm.states != listed:
+        raise FsmError(
+            f"states {list(fsm.states)} are not the transitions' states in order of first appearance, "
+            f"{list(listed)}"
+        )
     lines = [
         f".i {fsm.input_width}",
         f".o {fsm.output_width}",

@@ -11,8 +11,10 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .circuit import Netlist
+if TYPE_CHECKING:  # the behavioral lock needs keys but not circuit
+    from .circuit import Netlist
 
 KEY_INPUT_PREFIX = "keyinput"
 COUNTER_NET_PREFIX = "cl_cnt"

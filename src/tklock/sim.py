@@ -45,7 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .circuit import Netlist, has_errors, topo_order, validate
+from .circuit import Netlist, topo_order
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
 
 # Op families. Every op is (family, out, a, b, invert) with net indices a and
@@ -163,13 +163,13 @@ class Trace:
 class CompiledNetlist:
     """Index-based form of a netlist that :class:`PlaneSim` evaluates.
 
-    Build it through ``Netlist.compiled``, which validates and compiles each
-    netlist once.
+    Build it through ``Netlist.compiled``, which compiles each netlist once.
+    A netlist from ``parse_bench`` is not validated again; any other is
+    validated once, and one with an error raises ValueError.
     """
 
     def __init__(self, netlist: Netlist):
-        if has_errors(validate(netlist)):
-            raise ValueError(f"netlist '{netlist.name}' fails validation")
+        netlist._require_valid()
         self.index = index = netlist._graph[0]
         nonkey, key = split_inputs(netlist)
         self.nonkey_idx = [index[n] for n in nonkey]

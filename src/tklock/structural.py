@@ -30,7 +30,7 @@ import json
 import random
 from dataclasses import dataclass, field
 
-from .circuit import Dff, Gate, Netlist, has_errors, validate
+from .circuit import Dff, Gate, Netlist, validate
 from .keys import (
     KEY_INPUT_PREFIX,
     LOCK_NET_PREFIX,
@@ -285,8 +285,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
     net names are preserved; only the locked flip-flops' D connections move
     onto the new mux trees.
     """
-    if has_errors(validate(netlist)):
-        raise ValueError(f"netlist '{netlist.name}' fails validation")
+    netlist._require_valid()
     if not netlist.dffs:
         raise ValueError("netlist has no flip-flops to lock")
     for name in netlist.net_names():
@@ -431,6 +430,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
     problems = validate(locked)
     if problems:
         raise RuntimeError(f"locked netlist fails validation: {problems[0].message}")
+    locked._checked = True  # this check, warnings included, stands for the compile's
     manifest = LockManifest(
         key_input_nets=key_nets,
         counter_state_nets=counter_nets,

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tklock import corpus
+from tklock import circuit, corpus, structural
 from tklock.circuit import (
     BenchFormatError,
     Dff,
     Gate,
     Netlist,
+    Violation,
     has_errors,
     parse_bench,
     structurally_equal,
@@ -18,6 +19,7 @@ from tklock.circuit import (
     write_bench,
 )
 from tklock.fsm import Kiss2FormatError, parse_kiss2
+from tklock.structural import LockConfig, lock_structural
 from tklock.synth import random_netlist
 from tests.bench_reference import kahn_by_name, reference_parse_bench
 
@@ -246,6 +248,8 @@ def _assert_parses_like_reference(text):
     assert got == want
     if isinstance(want, Netlist):
         assert topo_order(got) == kahn_by_name(want)[0]
+        # the compiled form and the locker trust a parsed netlist to have no error
+        assert not has_errors(validate(got))
 
 
 @pytest.mark.parametrize(
@@ -339,3 +343,53 @@ def test_parse_kiss2_raises_only_format_errors(text):
         parse_kiss2(text)
     except Kiss2FormatError:
         pass
+
+
+def _validate_calls(monkeypatch, result=None) -> list:
+    """Record each netlist that `validate` is called on, from any module;
+    `result(netlist)` may stand in for the real check."""
+    calls = []
+
+    def counting(netlist):
+        calls.append(netlist)
+        return validate(netlist) if result is None else result(netlist)
+
+    monkeypatch.setattr(circuit, "validate", counting)
+    monkeypatch.setattr(structural, "validate", counting)
+    return calls
+
+
+def test_parsed_netlist_is_not_validated_again(monkeypatch):
+    calls = _validate_calls(monkeypatch)
+    netlist = parse_bench(corpus.read_text("s27.bench"), name="s27")
+    assert netlist.compiled is netlist.compiled
+    locked, _ = lock_structural(netlist, LockConfig(num_keys=2, key_bits=1))
+    # the lock checks its own output, and that check stands for the compile's
+    assert len(calls) == 1 and calls[0] is locked
+    locked.compiled
+    assert len(calls) == 1
+
+
+def test_netlist_built_in_code_is_validated_once(monkeypatch):
+    calls = _validate_calls(monkeypatch)
+    netlist = random_netlist(3, 3, 2, 12, n_outputs=2, name="rand")
+    locked, _ = lock_structural(netlist, LockConfig(num_keys=2, key_bits=1))
+    netlist.compiled
+    assert [id(n) for n in calls] == [id(netlist), id(locked)]
+
+
+def test_netlist_built_in_code_with_error_is_refused():
+    undriven = Netlist("u", ("a",), ("y",), (Gate("y", "AND", ("a", "zz")),), (Dff("q", "y"),))
+    for _ in range(2):  # a failed check is not remembered as a pass
+        with pytest.raises(ValueError, match="netlist 'u' fails validation"):
+            undriven.compiled
+        with pytest.raises(ValueError, match="netlist 'u' fails validation"):
+            lock_structural(undriven, LockConfig(num_keys=2, key_bits=1))
+
+
+def test_lock_output_check_includes_warnings(monkeypatch, s27):
+    dangling = [Violation("warning", "dangling", "x", "dangling net: x")]
+    calls = _validate_calls(monkeypatch, lambda netlist: dangling)
+    with pytest.raises(RuntimeError, match="locked netlist fails validation: dangling net: x"):
+        lock_structural(s27, LockConfig(num_keys=2, key_bits=1))
+    assert len(calls) == 1

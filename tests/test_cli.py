@@ -8,6 +8,7 @@ import pytest
 from tklock import corpus
 from tklock.circuit import write_bench
 from tklock.cli import main
+from tklock.fsm import FsmError
 from tklock.structural import LockConfig, lock_structural
 
 
@@ -436,6 +437,59 @@ def test_kiss2_bad_header_is_parse_error(tmp_path, capsys):
     diag = json.loads(capsys.readouterr().err)
     assert diag["error"] == "parse-error"
     assert diag["detail"].startswith("line 1:")
+
+
+def _raise_fsm_error(fsm):
+    raise FsmError("nondeterministic transitions from 's': patterns '0' and '-' overlap")
+
+
+_S27 = corpus.read_text("s27.bench")
+_DETECTOR = corpus.read_text("detector1001.kiss2")
+_LOCK_STR = ["lock-str", "--in", "{bench}", "--k", "2", "--ki", "1", "--out", "{tmp}/o.bench",
+             "--manifest", "{tmp}/m.json"]
+_LOCK_BEH = ["lock-beh", "--in", "{kiss2}", "--k", "2", "--ki", "1", "--out", "{tmp}/o.kiss2",
+             "--manifest", "{tmp}/m.json"]
+
+
+@pytest.mark.parametrize(
+    "argv,bench,kiss2,patch,kind,detail",
+    [
+        (_LOCK_STR, "INPUT(a)\nOUTPUT(y)\ny = AND(a, zz)\n", None, None,
+         "parse-error", "line 3: undefined fanin net 'zz'"),
+        (_LOCK_BEH, None, ".i 1\n.o 1\n.s 2\n0 s s 1\n1 s s 0\n", None,
+         "parse-error", ".s declares 2 states, found 1"),
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--budget", "1"], _S27, None, None,
+         "budget-exceeded", "reachable-state budget 1 exceeded"),
+        (["lock-str", "--in", "{bench}", "--k", "3", "--ki", "1", "--out", "{tmp}/o.bench",
+          "--manifest", "{tmp}/m.json"], _S27, None, None,
+         "invalid-input", "num_keys must be a power of two"),
+        # the parser turns every FsmError into a parse error, so a stand-in raises one from the locker
+        (_LOCK_BEH, None, _DETECTOR, ("tklock.behavioral.check_fsm", _raise_fsm_error),
+         "invalid-input", "nondeterministic transitions from 's'"),
+        (_LOCK_STR, None, None, None, "io-error", "No such file or directory"),
+    ],
+    ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
+         "missing-in-file"],
+)
+def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, kind, detail):
+    """Each typed failure exits 1 with its kind and message as one JSON line on stderr."""
+    paths = {"tmp": str(tmp_path)}
+    for suffix, text in (("bench", bench), ("kiss2", kiss2)):
+        path = tmp_path / f"in.{suffix}"
+        if text is not None:  # else the file is missing
+            path.write_text(text, encoding="utf-8")
+        paths[suffix] = str(path)
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    code = main([arg.format(**paths) for arg in argv])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == kind
+    assert detail in doc["detail"]
 
 
 def test_usage_error_exits_two(capsys):

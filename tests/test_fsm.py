@@ -77,12 +77,17 @@ def test_round_trip_fixed_point(name):
     assert write_kiss2(second) == text
 
 
+def _first_appearance(transitions) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
+
+
 @st.composite
 def deterministic_fsms(draw):
-    """Random deterministic machines with 0-3 input and output bits, in the
-    form KISS2 text can state: every state is in a transition, and `states`
-    lists them in order of first appearance. A state's input patterns care
-    about the same positions and differ there, so no two overlap."""
+    """Random deterministic machines with 0-3 input and output bits. A state's
+    input patterns care about the same positions and differ there, so no two
+    overlap. Half the draws are in the form KISS2 text can state: every state
+    is in a transition, and `states` lists them in order of first appearance.
+    The other half list a permutation of those states plus unused ones."""
     input_width = draw(st.integers(0, 3))
     output_width = draw(st.integers(0, 3))
     names = draw(st.lists(st.sampled_from(["s0", "s1", "idle", "7", "q_2"]), min_size=1, unique=True))
@@ -97,15 +102,37 @@ def deterministic_fsms(draw):
             transitions.append(Transition("".join(pattern), src, draw(st.sampled_from(names)), outputs))
     assume(transitions)
     transitions = draw(st.permutations(transitions))
-    states = tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
-    return Fsm(input_width, output_width, states, draw(st.sampled_from(states)), tuple(transitions))
+    listed = _first_appearance(transitions)
+    states = listed
+    if draw(st.booleans()):
+        unused = draw(st.lists(st.sampled_from(["spare", "u_1"]), unique=True))
+        states = tuple(draw(st.permutations([*listed, *unused])))
+    return Fsm(input_width, output_width, states, draw(st.sampled_from(listed)), tuple(transitions))
 
 
 @settings(max_examples=100, deadline=None)
 @given(fsm=deterministic_fsms())
 def test_write_then_parse_is_identity(fsm):
+    """Every machine KISS2 can state round-trips; every other one is refused."""
     check_fsm(fsm)
-    assert parse_kiss2(write_kiss2(fsm)) == fsm
+    if fsm.states == _first_appearance(fsm.transitions):
+        assert parse_kiss2(write_kiss2(fsm)) == fsm
+    else:
+        with pytest.raises(FsmError, match="order of first appearance"):
+            write_kiss2(fsm)
+
+
+@pytest.mark.parametrize(
+    "states", [("a", "b", "c"), ("b", "a")], ids=["unused-state", "not-first-appearance"]
+)
+def test_write_refuses_states_kiss2_cannot_state(states):
+    """Such a machine used to be written as text the parser refuses
+    (".s declares 3 states, found 2") or reads back with another state order."""
+    fsm = Fsm(1, 1, states, "a", (Transition("0", "a", "b", "1"), Transition("1", "a", "a", "0"),
+                                  Transition("-", "b", "a", "0")))
+    check_fsm(fsm)
+    with pytest.raises(FsmError, match=r"order of first appearance, \['a', 'b'\]"):
+        write_kiss2(fsm)
 
 
 def test_write_single_state_header():
