@@ -31,8 +31,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
 from itertools import product
+from typing import NamedTuple
 
 from .circuit import Netlist
 from .keys import KeySchedule
@@ -50,8 +50,7 @@ class BudgetExceededError(RuntimeError):
     """The requested search is larger than the configured budget."""
 
 
-@dataclass
-class Counterexample:
+class Counterexample(NamedTuple):
     """A replayable stimulus: per-cycle non-key input vectors, and where the
     two circuits' outputs first diverged under it."""
 
@@ -62,16 +61,14 @@ class Counterexample:
     right_value: int | None
 
 
-@dataclass
-class EquivVerdict:
+class EquivVerdict(NamedTuple):
     equivalent: bool
     counterexample: Counterexample | None
     mode: str
     depth: int
 
 
-@dataclass
-class AttackResult:
+class AttackResult(NamedTuple):
     """Outcome of a key-space enumeration against an oracle."""
 
     search_space_size: int
@@ -81,16 +78,14 @@ class AttackResult:
     mode: str
 
 
-@dataclass(frozen=True)
-class CircuitCounts:
+class CircuitCounts(NamedTuple):
     gates: int
     dffs: int
     inputs: int
     outputs: int
 
 
-@dataclass
-class OverheadReport:
+class OverheadReport(NamedTuple):
     original: CircuitCounts
     locked: CircuitCounts
     delta: CircuitCounts
@@ -362,7 +357,7 @@ def replay_counterexample(
 
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
     pa, pb = (
-        replace(p, overrides={c: v for c, v in p.overrides.items() if c < len(cex.inputs)})
+        p._replace(overrides={c: v for c, v in p.overrides.items() if c < len(cex.inputs)})
         for p in (pa, pb)
     )
     ta, tb = run(a, pa), run(b, pb)

@@ -18,42 +18,46 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+import re
+from typing import NamedTuple
 
 from .fsm import Fsm, FsmError, Transition, check_fsm, _listed_states
-from .keys import KeySchedule, generate_key_schedule, to_binary
+from .keys import KeySchedule, _field, _manifest_schedule, generate_key_schedule, to_binary
+
+# manifest map keys, "state@time" and "state@time|input pattern"; only
+# from_json reads them, so re compiles them on first use, not at import
+_MAP_KEYS = {"state_map": r"(.*)@([0-9]+)", "wrongful_map": r"(.*)@([0-9]+)\|([^|]*)"}
 
 
-@dataclass(frozen=True)
 class BehLockConfig:
     """Behavioral lock parameters; any `num_keys >= 2` is allowed."""
 
-    num_keys: int
-    key_bits: int
-    seed: int = 0
-    explicit_schedule: KeySchedule | None = None
-
-    def __post_init__(self):
-        if self.num_keys < 2:
+    def __init__(
+        self, num_keys: int, key_bits: int, seed: int = 0, explicit_schedule: KeySchedule | None = None
+    ):
+        if num_keys < 2:
             raise ValueError("num_keys must be >= 2")
-        if self.key_bits < 1:
+        if key_bits < 1:
             raise ValueError("key_bits must be >= 1")
-        if self.explicit_schedule is not None:
-            if self.explicit_schedule.period != self.num_keys:
+        if explicit_schedule is not None:
+            if explicit_schedule.period != num_keys:
                 raise ValueError("explicit schedule period does not match num_keys")
-            if self.explicit_schedule.width != self.key_bits:
+            if explicit_schedule.width != key_bits:
                 raise ValueError("explicit schedule width does not match key_bits")
+        self.num_keys = num_keys
+        self.key_bits = key_bits
+        self.seed = seed
+        self.explicit_schedule = explicit_schedule
 
 
-@dataclass
-class BehManifest:
+class BehManifest(NamedTuple):
     """Record of the product construction."""
 
     schedule: KeySchedule
     # (original state, time) -> locked state name
-    state_map: dict[tuple[str, int], str] = field(default_factory=dict)
+    state_map: dict[tuple[str, int], str]
     # (original state, time, original input pattern) -> wrongful next original state
-    wrongful_map: dict[tuple[str, int, str], str] = field(default_factory=dict)
+    wrongful_map: dict[tuple[str, int, str], str]
 
     def to_json(self) -> str:
         doc = {
@@ -67,23 +71,21 @@ class BehManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "BehManifest":
+        """Raises ValueError, naming the field, on a malformed manifest."""
         doc = json.loads(text)
-        state_map = {}
-        for key, name in doc["state_map"].items():
-            state, t = key.rsplit("@", 1)
-            state_map[(state, int(t))] = name
-        wrongful = {}
-        for key, w in doc["wrongful_map"].items():
-            left, pattern = key.rsplit("|", 1)
-            state, t = left.rsplit("@", 1)
-            wrongful[(state, int(t), pattern)] = w
-        return cls(
-            schedule=KeySchedule(
-                keys=tuple(doc["schedule"]["keys"]), width=doc["schedule"]["width"]
-            ),
-            state_map=state_map,
-            wrongful_map=wrongful,
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("manifest is not a JSON object")
+        schedule = _manifest_schedule(doc)
+        maps = {}
+        for name, form in _MAP_KEYS.items():
+            maps[name] = table = {}
+            for key, value in _field(doc, name, dict, str).items():
+                match = re.fullmatch(form, key)
+                if match is None:
+                    raise ValueError(f"manifest field '{name}' has a malformed key '{key}'")
+                state, time, *pattern = match.groups()
+                table[(state, int(time), *pattern)] = value
+        return cls(schedule, **maps)
 
 
 def wrong_key_cubes(value: int, width: int) -> list[str]:

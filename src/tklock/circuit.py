@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .sim import CompiledNetlist
@@ -43,23 +42,20 @@ class BenchFormatError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(NamedTuple):
     output: str
     kind: str
     fanins: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Dff:
+class Dff(NamedTuple):
     """D flip-flop: `output` is the present-state Q net, `input` the next-state D net."""
 
     output: str
     input: str
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One structural defect found by :func:`validate`. Severity is `error` or `warning`."""
 
     severity: str
@@ -68,18 +64,30 @@ class Violation:
     message: str
 
 
-@dataclass
 class Netlist:
     """A sequential circuit. Treated as immutable after construction."""
 
-    name: str
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    dffs: tuple[Dff, ...]
-    # True once the netlist is known to have no error-level violation: set by
-    # parse_bench, by lock_structural on its checked output and by _require_valid
-    _checked: bool = field(default=False, init=False, repr=False, compare=False)
+    def __init__(
+        self,
+        name: str,
+        inputs: tuple[str, ...],
+        outputs: tuple[str, ...],
+        gates: tuple[Gate, ...],
+        dffs: tuple[Dff, ...],
+    ):
+        self.name = name
+        self.inputs = inputs
+        self.outputs = outputs
+        self.gates = gates
+        self.dffs = dffs
+        # True once the netlist is known to have no error-level violation: set by
+        # parse_bench, by lock_structural on its checked output and by _require_valid
+        self._checked = False
+
+    def __eq__(self, other) -> bool:  # the circuits, not their cached forms or _checked
+        return type(other) is Netlist and all(
+            getattr(self, f) == getattr(other, f) for f in ("name", "inputs", "outputs", "gates", "dffs")
+        )
 
     @cached_property
     def compiled(self) -> CompiledNetlist:

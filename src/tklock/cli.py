@@ -286,9 +286,9 @@ def _cmd_report(args) -> int:
     manifest = _load_manifest(args.manifest)
     report = overhead_report(orig, locked, manifest)
     doc = {
-        "original": vars(report.original),
-        "locked": vars(report.locked),
-        "delta": vars(report.delta),
+        "original": report.original._asdict(),
+        "locked": report.locked._asdict(),
+        "delta": report.delta._asdict(),
         "per_ff_mux_count": report.per_ff_mux_count,
         "key_inputs": report.key_inputs,
         "schedule_bits": report.schedule_bits,

@@ -7,7 +7,7 @@ concrete input vector.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class Kiss2FormatError(ValueError):
@@ -22,16 +22,14 @@ class FsmError(ValueError):
     """Semantic state-machine error (nondeterminism, incomplete machine, ...)."""
 
 
-@dataclass(frozen=True)
-class Transition:
+class Transition(NamedTuple):
     inputs: str
     src: str
     dst: str
     outputs: str
 
 
-@dataclass(frozen=True)
-class Fsm:
+class Fsm(NamedTuple):
     input_width: int
     output_width: int
     states: tuple[str, ...]
@@ -69,14 +67,23 @@ def _listed_states(transitions) -> tuple[str, ...]:
 
 
 def check_fsm(fsm: Fsm) -> None:
+    """Raise :class:`FsmError` for a machine that is malformed, nondeterministic
+    or not writable as KISS2 text: fields are split on whitespace, ``#`` starts
+    a comment, and with no input field a line starting with ``.`` is a directive."""
     if fsm.reset_state not in fsm.states:
         raise FsmError(f"reset state '{fsm.reset_state}' is not a state")
+    for state in fsm.states:
+        if state.split() != [state] or "#" in state or (fsm.input_width == 0 and state[0] == "."):
+            raise FsmError(f"state name '{state}' cannot be written as KISS2")
     state_set = set(fsm.states)
     for tr in fsm.transitions:
         if len(tr.inputs) != fsm.input_width:
             raise FsmError(f"input pattern '{tr.inputs}' does not match width {fsm.input_width}")
         if len(tr.outputs) != fsm.output_width:
             raise FsmError(f"output pattern '{tr.outputs}' does not match width {fsm.output_width}")
+        for pattern in (tr.inputs, tr.outputs):
+            if pattern.strip("01-"):
+                raise FsmError(f"pattern '{pattern}' holds a character other than 0, 1 and -")
         if tr.src not in state_set or tr.dst not in state_set:
             raise FsmError(f"transition references unknown state: {tr.src} -> {tr.dst}")
     conflicts = determinism_conflicts(fsm)

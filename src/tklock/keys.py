@@ -3,14 +3,14 @@
 A schedule is an ordered list of key values, one per counter time, applied
 cyclically: the key expected at cycle t is ``keys[t mod period]``. Key bits
 appear in a circuit as primary inputs ``keyinput0..keyinput{width-1}`` with
-``keyinput0`` carrying the least significant bit.
+``keyinput0`` carrying the least significant bit. Both lock manifests store
+their schedule as ``{"keys": [...], "width": n}`` and read it here.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # the behavioral lock needs keys but not circuit
@@ -23,21 +23,22 @@ LOCK_NET_PREFIX = "cl_"
 _KEY_INPUT_RE = re.compile(rf"^{KEY_INPUT_PREFIX}(\d+)$")
 
 
-@dataclass(frozen=True)
 class KeySchedule:
     """Ordered key values. `width` is the bit width of each value."""
 
-    keys: tuple[int, ...]
-    width: int
-
-    def __post_init__(self):
-        if self.width < 1:
+    def __init__(self, keys: tuple[int, ...], width: int):
+        if width < 1:
             raise ValueError("key width must be >= 1")
-        if len(self.keys) < 1:
+        if len(keys) < 1:
             raise ValueError("schedule must hold at least one key")
-        for value in self.keys:
-            if not 0 <= value < 2**self.width:
-                raise ValueError(f"key value {value} out of range for width {self.width}")
+        for value in keys:
+            if not 0 <= value < 2**width:
+                raise ValueError(f"key value {value} out of range for width {width}")
+        self.keys = keys
+        self.width = width
+
+    def __eq__(self, other) -> bool:
+        return type(other) is KeySchedule and (self.keys, self.width) == (other.keys, other.width)
 
     @property
     def period(self) -> int:
@@ -48,6 +49,31 @@ class KeySchedule:
 
     def binary_strings(self) -> list[str]:
         return [to_binary(value, self.width) for value in self.keys]
+
+
+def _field(doc: dict, name: str, kind: type, item: type | None = None, where: str = ""):
+    """Manifest field ``doc[name]`` if it is a `kind` whose values are all
+    `item`s (when given); otherwise ValueError naming the field. A JSON
+    boolean is no int here, though Python's bool is one."""
+    value = doc.get(name)
+    values = value.values() if isinstance(value, dict) else value
+    if not _is_a(value, kind) or (item and not all(_is_a(v, item) for v in values)):
+        of = f" of {item.__name__}" if item else ""
+        raise ValueError(f"manifest field '{where}{name}' is missing or not a {kind.__name__}{of}")
+    return value
+
+
+def _is_a(value, kind: type) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _manifest_schedule(doc: dict) -> KeySchedule:
+    """The ``schedule`` object of a lock manifest; ValueError naming a bad field."""
+    schedule = _field(doc, "schedule", dict)
+    return KeySchedule(
+        keys=tuple(_field(schedule, "keys", list, int, "schedule.")),
+        width=_field(schedule, "width", int, where="schedule."),
+    )
 
 
 def to_binary(value: int, width: int) -> str:

@@ -42,8 +42,10 @@ next-state nets and watched nets are current.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from functools import cached_property
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .circuit import Netlist, topo_order
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
@@ -61,8 +63,7 @@ _KIND_OPS = {
 _MAX_OP_LISTS = 64
 
 
-@dataclass
-class KeyPolicy:
+class KeyPolicy(NamedTuple):
     """How key inputs are driven: `keys` applied cyclically, so the key at
     cycle ``c`` is ``keys[c % len(keys)]``, with per-cycle `overrides`. The
     empty tuple drives no key input.
@@ -74,7 +75,7 @@ class KeyPolicy:
 
     keys: tuple[int, ...] = ()
     width: int | None = None
-    overrides: dict[int, int] = field(default_factory=dict)
+    overrides: Mapping[int, int] = MappingProxyType({})  # read-only: the default is shared
 
     @classmethod
     def correct(cls, schedule: KeySchedule) -> "KeyPolicy":
@@ -96,12 +97,11 @@ class KeyPolicy:
         return self.keys[cycle % len(self.keys)]
 
 
-@dataclass
-class Stimulus:
+class Stimulus(NamedTuple):
     """Per-cycle vectors for the non-key inputs plus a key-driving policy."""
 
     inputs: tuple[tuple[int | None, ...], ...]
-    key_policy: KeyPolicy = field(default_factory=KeyPolicy)
+    key_policy: KeyPolicy = KeyPolicy()
 
     @property
     def cycles(self) -> int:
@@ -122,8 +122,7 @@ def value_str(v: int | None) -> str:
     return "x" if v is None else str(v)
 
 
-@dataclass
-class Trace:
+class Trace(NamedTuple):
     """Per-cycle values of all primary inputs, primary outputs, and watched nets."""
 
     init_mode: str

@@ -28,61 +28,64 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import Dff, Gate, Netlist, validate
 from .keys import (
     KEY_INPUT_PREFIX,
     LOCK_NET_PREFIX,
     KeySchedule,
+    _field,
+    _manifest_schedule,
     generate_key_schedule,
     key_input_names,
 )
 
 
-@dataclass(frozen=True)
 class LockConfig:
     """Structural lock parameters. `num_keys` must be a power of two >= 2."""
 
-    num_keys: int
-    key_bits: int
-    num_locked_ffs: int = 1
-    seed: int = 0
-    explicit_targets: tuple[str, ...] | None = None
-    explicit_schedule: KeySchedule | None = None
-
-    def __post_init__(self):
-        if self.num_keys < 2 or self.num_keys & (self.num_keys - 1):
+    def __init__(
+        self,
+        num_keys: int,
+        key_bits: int,
+        num_locked_ffs: int = 1,
+        seed: int = 0,
+        explicit_targets: tuple[str, ...] | None = None,
+        explicit_schedule: KeySchedule | None = None,
+    ):
+        if num_keys < 2 or num_keys & (num_keys - 1):
             raise ValueError("num_keys must be a power of two >= 2")
-        if self.key_bits < 1:
+        if key_bits < 1:
             raise ValueError("key_bits must be >= 1")
-        if self.num_locked_ffs < 1:
+        if num_locked_ffs < 1:
             raise ValueError("num_locked_ffs must be >= 1")
-        if self.explicit_schedule is not None:
-            if self.explicit_schedule.period != self.num_keys:
+        if explicit_schedule is not None:
+            if explicit_schedule.period != num_keys:
                 raise ValueError("explicit schedule period does not match num_keys")
-            if self.explicit_schedule.width != self.key_bits:
+            if explicit_schedule.width != key_bits:
                 raise ValueError("explicit schedule width does not match key_bits")
-        if (
-            self.explicit_targets is not None
-            and len(self.explicit_targets) != self.num_locked_ffs
-        ):
+        if explicit_targets is not None and len(explicit_targets) != num_locked_ffs:
             raise ValueError("explicit_targets length does not match num_locked_ffs")
+        self.num_keys = num_keys
+        self.key_bits = key_bits
+        self.num_locked_ffs = num_locked_ffs
+        self.seed = seed
+        self.explicit_targets = explicit_targets
+        self.explicit_schedule = explicit_schedule
 
 
-@dataclass
-class LockedFf:
+class LockedFf(NamedTuple):
     """Manifest record for one locked flip-flop."""
 
     ff_output_net: str
     correct_d_net: str
     mux_tree_output_net: str
     # (counter time, wrong key value) -> net loaded instead of the correct one
-    wrongful_source_nets: dict[tuple[int, int], str] = field(default_factory=dict)
+    wrongful_source_nets: dict[tuple[int, int], str]
 
 
-@dataclass
-class LockManifest:
+class LockManifest(NamedTuple):
     """Everything the lock added, keyed by stable net names."""
 
     key_input_nets: list[str]
@@ -125,7 +128,7 @@ class LockManifest:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError("manifest is not a JSON object")
-        schedule = _field(doc, "schedule", dict)
+        schedule = _manifest_schedule(doc)
         locked_ffs = []
         for i, entry in enumerate(_field(doc, "locked_ffs", list, dict)):
             where = f"locked_ffs[{i}]."
@@ -145,23 +148,9 @@ class LockManifest:
             counter_state_nets=_field(doc, "counter_state_nets", list, str),
             onehot_time_nets=_field(doc, "onehot_time_nets", list, str),
             locked_ffs=locked_ffs,
-            schedule=KeySchedule(
-                keys=tuple(_field(schedule, "keys", list, int, "schedule.")),
-                width=_field(schedule, "width", int, where="schedule."),
-            ),
+            schedule=schedule,
             layers=_field(doc, "layers", int),
         )
-
-
-def _field(doc: dict, name: str, kind: type, item: type | None = None, where: str = ""):
-    """``doc[name]`` if it is a `kind` whose values are all `item`s (when
-    given); otherwise ValueError naming the field."""
-    value = doc.get(name)
-    values = value.values() if isinstance(value, dict) else value
-    if not isinstance(value, kind) or (item and not all(isinstance(v, item) for v in values)):
-        of = f" of {item.__name__}" if item else ""
-        raise ValueError(f"manifest field '{where}{name}' is missing or not a {kind.__name__}{of}")
-    return value
 
 
 def _wrongful_to_doc(table: dict[tuple[int, int], str]) -> dict[str, dict[str, str]]:

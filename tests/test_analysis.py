@@ -387,7 +387,8 @@ def test_overhead_rejects_mismatched_manifest(s27, s27_locked):
     import copy
 
     broken = copy.deepcopy(manifest)
-    broken.locked_ffs[0].mux_tree_output_net = broken.locked_ffs[0].correct_d_net
+    ff = broken.locked_ffs[0]
+    broken.locked_ffs[0] = ff._replace(mux_tree_output_net=ff.correct_d_net)
     with pytest.raises(ValueError, match="not driven by its mux tree"):
         overhead_report(s27, locked, broken)
 

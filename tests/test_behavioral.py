@@ -1,4 +1,6 @@
 import itertools
+import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,38 @@ def test_manifest_json_round_trip(detector):
     assert again.schedule == manifest.schedule
     assert again.state_map == manifest.state_map
     assert again.wrongful_map == manifest.wrongful_map
+
+
+
+def _rekey(name, old, new):
+    """An edit of a manifest document: rename key `old` of map `name` to `new`."""
+    return lambda doc: doc[name].__setitem__(new, doc[name].pop(old))
+
+
+@pytest.mark.parametrize(
+    "edit,detail",
+    [
+        (lambda doc: doc.clear(), "manifest field 'schedule' is missing or not a dict"),
+        (lambda doc: [doc], "manifest is not a JSON object"),
+        (lambda doc: doc.__delitem__("state_map"), "field 'state_map' is missing or not a dict of str"),
+        (lambda doc: doc["wrongful_map"].update({"S0@0|0": 1}), "'wrongful_map' is missing or not a dict"),
+        (lambda doc: doc["schedule"].update(width=True), "manifest field 'schedule.width' is missing"),
+        (_rekey("state_map", "S0@0", "S0"), "manifest field 'state_map' has a malformed key 'S0'"),
+        (_rekey("state_map", "S0@0", "S0@x"), "manifest field 'state_map' has a malformed key 'S0@x'"),
+        (_rekey("wrongful_map", "S0@0|0", "S0@0"), "field 'wrongful_map' has a malformed key 'S0@0'"),
+        (_rekey("wrongful_map", "S0@0|0", "S0|0"), "field 'wrongful_map' has a malformed key 'S0|0'"),
+    ],
+    ids=["empty", "json-list", "no-state-map", "wrongful-not-str", "width-true", "state-no-time",
+         "state-bad-time", "wrongful-no-pattern", "wrongful-no-time"],
+)
+def test_manifest_from_json_names_the_bad_field(detector, edit, detail):
+    """A malformed document used to raise KeyError, TypeError or a bare
+    unpacking ValueError."""
+    _, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    doc = json.loads(manifest.to_json())
+    doc = edit(doc) or doc
+    with pytest.raises(ValueError, match=re.escape(detail)):
+        BehManifest.from_json(json.dumps(doc))
 
 
 def test_explicit_schedule_respected(detector):

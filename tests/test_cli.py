@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -621,3 +623,31 @@ def test_readme_cli_examples_run(tmp_path, s27_path, capsys, monkeypatch):
         if argv[0] == "attack":
             survivors.append(json.loads(out)["survivors"])
     assert survivors == [["01,11,10,00"], []]
+
+
+_LOCKED = ["--locked", "s27_locked.bench", "--manifest", "s27.manifest"]
+# each job's arguments, run in the directory `_lock` writes to
+_JOBS = {
+    "lock-str": ["--in", "s27.bench", "--k", "4", "--ki", "2", "--out", "o.bench", "--manifest", "o.json"],
+    "lock-beh": ["--in", "d.kiss2", "--k", "4", "--ki", "2", "--out", "o.kiss2", "--manifest", "o.json"],
+    "sim": ["--in", "s27_locked.bench", "--manifest", "s27.manifest", "--cycles", "8"],
+    "verify": ["--orig", "s27.bench", *_LOCKED],
+    "report": ["--orig", "s27.bench", *_LOCKED],
+    "attack": ["--orig", "s27.bench", *_LOCKED],
+}
+
+
+@pytest.mark.parametrize("command", list(_JOBS))
+def test_job_loads_no_dataclass_machinery(tmp_path, s27_path, command):
+    """Records cost nothing to define: `dataclasses` imports `inspect` (and
+    with it `dis` and `tokenize`) and execs the methods of every class, a
+    start-up cost each job would pay. `-S` keeps site hooks out of the count."""
+    _lock(tmp_path, s27_path)
+    (tmp_path / "d.kiss2").write_text(corpus.read_text("detector1001.kiss2"), encoding="utf-8")
+    src = Path(corpus.__file__).resolve().parent.parent
+    argv = [command, *_JOBS[command]]
+    code = (f"import sys\nsys.path.insert(0, {str(src)!r})\nfrom tklock.cli import main\n"
+            f"assert main({argv!r}) == 0\nprint(sorted({{'dataclasses', 'inspect'}} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "[]"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -83,14 +85,25 @@ def _first_appearance(transitions) -> tuple[str, ...]:
 
 @st.composite
 def deterministic_fsms(draw):
-    """Random deterministic machines with 0-3 input and output bits. A state's
-    input patterns care about the same positions and differ there, so no two
+    """Random deterministic machines with 0-3 input and output bits, and the
+    one flaw each holds that KISS2 text cannot carry, or None. A state's input
+    patterns care about the same positions and differ there, so no two
     overlap. Half the draws are in the form KISS2 text can state: every state
     is in a transition, and `states` lists them in order of first appearance.
-    The other half list a permutation of those states plus unused ones."""
+    The other half list a permutation of those states plus unused ones. About
+    half the draws hold a flaw: a state name that is empty, holds whitespace
+    or '#', or starts with '.' where there is no input field, or a pattern
+    character other than 0, 1 and -."""
     input_width = draw(st.integers(0, 3))
     output_width = draw(st.integers(0, 3))
-    names = draw(st.lists(st.sampled_from(["s0", "s1", "idle", "7", "q_2"]), min_size=1, unique=True))
+    flaw_kind = draw(st.sampled_from(["none", "none", "state", "pattern"]))
+    # '.e' is a name only where a transition line starts with its input field
+    pool = ["s0", "s1", "idle", "7", "q_2", *([".e"] if input_width else [])]
+    names = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+    flaw = None
+    if flaw_kind == "state":
+        flaw = draw(st.sampled_from(["a b", "a\tb", " s", "a#b", "", *([] if input_width else [".e"])]))
+        names[draw(st.integers(0, len(names) - 1))] = flaw
     transitions = []
     for src in names:
         cared = draw(st.lists(st.integers(0, input_width - 1), unique=True)) if input_width else []
@@ -102,24 +115,56 @@ def deterministic_fsms(draw):
             transitions.append(Transition("".join(pattern), src, draw(st.sampled_from(names)), outputs))
     assume(transitions)
     transitions = draw(st.permutations(transitions))
+    if flaw_kind == "pattern" and input_width + output_width:
+        i = draw(st.integers(0, len(transitions) - 1))
+        field = draw(st.sampled_from(["inputs"] * bool(input_width) + ["outputs"] * bool(output_width)))
+        pattern = getattr(transitions[i], field)
+        pos = draw(st.integers(0, len(pattern) - 1))
+        flaw = pattern[:pos] + "x" + pattern[pos + 1 :]
+        transitions[i] = transitions[i]._replace(**{field: flaw})
     listed = _first_appearance(transitions)
     states = listed
     if draw(st.booleans()):
         unused = draw(st.lists(st.sampled_from(["spare", "u_1"]), unique=True))
         states = tuple(draw(st.permutations([*listed, *unused])))
-    return Fsm(input_width, output_width, states, draw(st.sampled_from(listed)), tuple(transitions))
+    if flaw_kind == "state" and flaw not in states:
+        flaw = None  # the flawed name has no transition
+    return Fsm(input_width, output_width, states, draw(st.sampled_from(listed)), tuple(transitions)), flaw
 
 
 @settings(max_examples=100, deadline=None)
-@given(fsm=deterministic_fsms())
-def test_write_then_parse_is_identity(fsm):
-    """Every machine KISS2 can state round-trips; every other one is refused."""
+@given(case=deterministic_fsms())
+def test_write_then_parse_is_identity(case):
+    """Every machine KISS2 can state round-trips; every other one is refused,
+    by check_fsm for a flaw in a name or pattern, by write_kiss2 for a state list."""
+    fsm, flaw = case
+    if flaw is not None:
+        with pytest.raises(FsmError, match=re.escape(f"'{flaw}'")):
+            check_fsm(fsm)
+        return
     check_fsm(fsm)
     if fsm.states == _first_appearance(fsm.transitions):
         assert parse_kiss2(write_kiss2(fsm)) == fsm
     else:
         with pytest.raises(FsmError, match="order of first appearance"):
             write_kiss2(fsm)
+
+
+@pytest.mark.parametrize(
+    "fsm,flaw",
+    [
+        (Fsm(1, 1, ("a b",), "a b", (Transition("-", "a b", "a b", "0"),)), "a b"),
+        (Fsm(0, 1, (".a",), ".a", (Transition("", ".a", ".a", "0"),)), ".a"),
+        (Fsm(1, 1, ("a",), "a", (Transition("x", "a", "a", "0"),)), "x"),
+    ],
+    ids=["whitespace-state", "dot-state-no-inputs", "pattern-x"],
+)
+def test_check_refuses_what_kiss2_cannot_state(fsm, flaw):
+    """write_kiss2 wrote each of these as text parse_kiss2 refuses."""
+    with pytest.raises(FsmError, match=re.escape(f"'{flaw}'")):
+        check_fsm(fsm)
+    with pytest.raises(Kiss2FormatError):
+        parse_kiss2(write_kiss2(fsm))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
+import json
 import random
+import re
 
 import pytest
 
@@ -217,6 +219,27 @@ def test_manifest_json_round_trip(s27_locked):
     assert again.to_json() == manifest.to_json()
     assert again.schedule == manifest.schedule
     assert again.locked_ffs[0].wrongful_source_nets == manifest.locked_ffs[0].wrongful_source_nets
+
+
+
+@pytest.mark.parametrize(
+    "edit,field",
+    [
+        (lambda doc: doc["schedule"].update(width=True), "schedule.width"),
+        (lambda doc: doc["schedule"].update(keys=[1, True, 0, 1]), "schedule.keys"),
+        (lambda doc: doc.update(layers=False), "layers"),
+        (lambda doc: doc["schedule"].update(width=2.0), "schedule.width"),
+    ],
+    ids=["width-true", "key-true", "layers-false", "width-float"],
+)
+def test_manifest_json_booleans_are_not_ints(s27_locked, edit, field):
+    """JSON true is a Python bool, which is an int: `"width": true` used to pass
+    the type check and fail later as "schedule width True does not match"."""
+    _, manifest = s27_locked
+    doc = json.loads(manifest.to_json())
+    edit(doc)
+    with pytest.raises(ValueError, match=rf"manifest field '{re.escape(field)}' is missing or not a"):
+        LockManifest.from_json(json.dumps(doc))
 
 
 def test_lock_multiple_ffs(s27):
