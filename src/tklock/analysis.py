@@ -14,17 +14,16 @@ with reachable states instead of with ``(2**n)**depth``. The successors of a
 joint state are read off the next-state planes by splitting the minterm
 lanes into 0/1/unknown classes, one class per successor.
 
-On small circuits the attack runs the same sweep depth-first over key
-prefixes. Whether cycle ``c`` diverges depends only on the key values of
-cycles ``0..c``, so a divergence under a prefix prunes every candidate that
-extends it, and one memo of expanded joint states serves every candidate.
-The survivors are those of one exhaustive check per candidate, in the same
-order.
+The attack searches key prefixes depth-first: cycle ``c`` diverges or not by
+the key values of cycles ``0..c`` alone, so a divergence prunes every
+candidate extending the prefix. A prefix carries the joint states it reaches
+(small circuits, one memo for the whole search) or a snapshot of the locked
+side's planes over the one seeded stimulus every random check draws. The
+survivors are those of one exhaustive or random check per candidate.
 
 One work budget bounds every search, and each search refuses before it does
-the work the budget bounds: the exhaustive check and attack count distinct
-joint states expanded, and the exhaustive attack also the survivors it
-emits; the random-mode attack counts candidates, each one full random check.
+the work the budget bounds: distinct joint states expanded (exhaustive
+check and attack) or locked-circuit steps (random attack), and survivors.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from .structural import LockManifest, added_mux_count, expected_added_gate_count
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes, checked before any plane is allocated
-_DEFAULT_BUDGET = 200_000  # work budget: joint states, survivors or candidates
+_DEFAULT_BUDGET = 200_000  # work budget: joint states or locked steps, and survivors
 _ATTACK_SEQUENCES = 256  # random-mode attack: stimuli per candidate
 _ATTACK_CYCLES = 64  # random-mode attack: cycles per stimulus
 
@@ -69,7 +68,8 @@ class EquivVerdict(NamedTuple):
 
 
 class AttackResult(NamedTuple):
-    """Outcome of a key-space enumeration against an oracle."""
+    """Outcome of a key-space search against an oracle. `depth` echoes the
+    requested depth: a random-mode search checks 64 cycles whatever it is."""
 
     search_space_size: int
     survivors: list
@@ -399,43 +399,73 @@ def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
 
 
 def _prefix_search(
-    oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int, budget: int
+    oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int, budget: int,
+    seed: int, mode: str,
 ) -> list:
-    """Survivors of the exhaustive attack, found depth-first over key prefixes.
+    """Survivors of the attack, found depth-first over key prefixes.
 
-    The frontier after a prefix is every joint state the pair can reach in
-    ``len(prefix)`` cycles under it. Cycle ``c < num_keys`` tries each key
-    value in ascending order; a value under which some frontier state
-    diverges prunes every candidate that extends the prefix with it. A
-    prefix that reaches `depth` survives with every completion; a full
-    candidate keeps sweeping to `depth` with the key ``prefix[c % num_keys]``.
-    One memo serves the whole search, so each joint state and key pair is
-    evaluated once. The memo and the survivor list each hold at most
-    `budget` entries; a prefix's completions are counted before they are
-    built.
+    Cycle ``c < num_keys`` tries each key value in ascending order; a value
+    under which the outputs diverge prunes every candidate that extends the
+    prefix with it. A prefix that reaches `depth` survives with every
+    completion; a full candidate keeps stepping to `depth` with the key
+    ``prefix[c % num_keys]``. A prefix's frontier is, in exhaustive mode,
+    every joint state the pair can reach under it, expanded through one memo
+    of at most `budget` entries; in random mode, a snapshot of the keyed
+    sides' flip-flop planes over one seeded 256-lane stimulus, and at most
+    `budget` locked-circuit steps are taken. The survivor list holds at most
+    `budget` entries; a prefix's completions are counted before they are built.
     """
     # every candidate has the same key width, so one probe checks the pair
     # and the width for all of them and tells whether the oracle takes keys
     pa, _ = _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
     keyed_oracle = bool(pa.keys)
-    sweep = _JointSweep(oracle, locked, budget)
+    if mode == "exhaustive":
+        sweep = _JointSweep(oracle, locked, budget)
+
+        def step(frontier, cycle: int, kv: int):
+            divergence, reached = sweep.advance(frontier, kv if keyed_oracle else None, kv)
+            return None if divergence is not None else reached
+
+        start = [(oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero"))]
+    else:
+        rng = random.Random(seed)  # the stimulus of check_equivalence_random
+        n = len(oracle.compiled.nonkey_idx)
+        stimulus = [[rng.getrandbits(_ATTACK_SEQUENCES) for _ in range(n)] for _ in range(depth)]
+        ref, sim = PlaneSim(oracle, _ATTACK_SEQUENCES), PlaneSim(locked, _ATTACK_SEQUENCES)
+        ref.reset()
+        sim.reset()
+        sims = (ref, sim) if keyed_oracle else (sim,)
+        ref_outs = []
+        for planes in () if keyed_oracle else stimulus:  # a key-free oracle steps once per cycle
+            ref.step(planes, None)
+            ref_outs.append(ref.output_planes())
+        steps = 0
+
+        def step(frontier, cycle: int, kv: int):
+            nonlocal steps
+            if steps >= budget:
+                raise BudgetExceededError(f"locked-step budget {budget} exceeded")
+            steps += 1
+            for s, (h, x) in zip(sims, frontier):
+                s.state_h[:], s.state_x[:] = h, x
+                s.step(stimulus[cycle], kv)
+            outs = ref.output_planes() if keyed_oracle else ref_outs[cycle]
+            if _first_divergence(outs, sim.output_planes()) is not None:
+                return None
+            return [(s.state_h[:], s.state_x[:]) for s in sims]
+
+        start = [(s.state_h[:], s.state_x[:]) for s in sims]
     values = range(2**key_bits)
     survivors: list = []
-
-    def step(frontier, kv: int):
-        divergence, reached = sweep.advance(frontier, kv if keyed_oracle else None, kv)
-        return None if divergence is not None else reached
-
     # one entry per open prefix: the prefix, its frontier, its untried key values
-    init = oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero")
-    stack = [((), [init], iter(values))]
+    stack = [((), start, iter(values))]
     while stack:
         prefix, frontier, untried = stack[-1]
         kv = next(untried, None)
         if kv is None:
             stack.pop()
             continue
-        frontier = step(frontier, kv)
+        frontier = step(frontier, len(prefix), kv)
         if frontier is None:
             continue
         prefix += (kv,)
@@ -443,7 +473,7 @@ def _prefix_search(
             stack.append((prefix, frontier, iter(values)))
             continue
         for cycle in range(len(prefix), depth):
-            frontier = step(frontier, prefix[cycle % num_keys])
+            frontier = step(frontier, cycle, prefix[cycle % num_keys])
             if frontier is None:
                 break
         if frontier is None:
@@ -471,22 +501,22 @@ def brute_force_attack(
     A candidate survives when the locked circuit, driven with the candidate
     applied cyclically, is bounded-equivalent to the oracle: exhaustively to
     `depth` for small circuits (<= 6 non-key inputs and <= 8 oracle DFFs),
-    otherwise over 256 seeded random stimuli of 64 cycles. The generating
-    schedule always survives. ``num_keys=1`` is the static attack: each
-    candidate holds one key value every cycle, so against a time-varying
-    schedule the survivor set is typically empty.
+    otherwise over 256 seeded random stimuli of 64 cycles, whatever `depth`
+    is (the result still echoes `depth`). The generating schedule always
+    survives. ``num_keys=1`` is the static attack: each candidate holds one
+    key value every cycle, so against a time-varying schedule the survivor
+    set is typically empty.
 
-    The exhaustive mode searches key prefixes depth-first instead of
-    checking candidates one by one: a divergence at cycle ``c < num_keys``
-    depends only on the first ``c + 1`` key values, so it prunes every
-    candidate sharing them. The survivors, in enumeration order, are those
-    of checking each candidate with :func:`check_equivalence_exhaustive`.
-    The whole search shares one memo of joint states and raises
-    :class:`BudgetExceededError` before it would expand more than `budget`
-    distinct ones or hold more than `budget` survivors. The random mode
-    checks each candidate on its own and refuses more than `budget`
-    candidates up front. Raises ValueError when `num_keys`, `key_bits` or
-    `depth` is < 1.
+    Both modes search key prefixes depth-first instead of checking
+    candidates one by one: a divergence at cycle ``c`` depends only on the
+    first ``c + 1`` key values, so it prunes every candidate sharing them.
+    The survivors, in enumeration order, are those of checking each
+    candidate with :func:`check_equivalence_exhaustive` or
+    :func:`check_equivalence_random`. Raises :class:`BudgetExceededError`
+    before the search would hold more than `budget` survivors, or expand
+    more than `budget` distinct joint states (exhaustive) or take more than
+    `budget` locked-circuit steps (random). Raises ValueError when
+    `num_keys`, `key_bits` or `depth` is < 1.
     """
     if num_keys < 1 or key_bits < 1:
         raise ValueError(f"attack needs num_keys >= 1 and key_bits >= 1, got {num_keys} and {key_bits}")
@@ -494,25 +524,8 @@ def brute_force_attack(
         raise ValueError(f"attack needs depth >= 1, got {depth}")
     mode = _pick_eq_mode(locked, oracle)
     started = time.perf_counter()
-    if mode == "exhaustive":
-        survivors = _prefix_search(oracle, locked, num_keys, key_bits, depth, budget)
-    else:
-        if _exceeds(key_bits * num_keys, budget):
-            raise BudgetExceededError(
-                f"key-sequence space 2^{key_bits * num_keys} exceeds budget {budget}"
-            )
-        survivors = [
-            candidate
-            for candidate in product(range(2**key_bits), repeat=num_keys)
-            if check_equivalence_random(
-                oracle,
-                locked,
-                _ATTACK_SEQUENCES,
-                _ATTACK_CYCLES,
-                seed,
-                key_policy=KeyPolicy.correct(KeySchedule(keys=candidate, width=key_bits)),
-            ).equivalent
-        ]
+    cycles = depth if mode == "exhaustive" else _ATTACK_CYCLES
+    survivors = _prefix_search(oracle, locked, num_keys, key_bits, cycles, budget, seed, mode)
     return AttackResult(
         search_space_size=(2**key_bits) ** num_keys,
         survivors=survivors,

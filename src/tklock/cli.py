@@ -274,7 +274,8 @@ def _cmd_attack(args) -> int:
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
-    print(f"enumerated {result.search_space_size} candidates in {result.elapsed:.2f}s", file=sys.stderr)
+    survived = f"{len(survivors)} of {result.search_space_size} candidates survive"
+    print(f"{survived} ({result.elapsed:.2f}s)", file=sys.stderr)
     return 0
 
 
@@ -392,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=8)
     p.add_argument(
         "--budget", type=int,
-        help="most joint states or survivors (exhaustive), or candidates (random)",
+        help="most survivors, and joint states (exhaustive) or locked-circuit steps (random)",
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write the attack report JSON here")

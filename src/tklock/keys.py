@@ -70,10 +70,13 @@ def _is_a(value, kind: type) -> bool:
 def _manifest_schedule(doc: dict) -> KeySchedule:
     """The ``schedule`` object of a lock manifest; ValueError naming a bad field."""
     schedule = _field(doc, "schedule", dict)
-    return KeySchedule(
-        keys=tuple(_field(schedule, "keys", list, int, "schedule.")),
-        width=_field(schedule, "width", int, where="schedule."),
-    )
+    keys = tuple(_field(schedule, "keys", list, int, "schedule."))
+    width = _field(schedule, "width", int, where="schedule.")
+    try:
+        return KeySchedule(keys=keys, width=width)
+    except ValueError as exc:
+        field = "width" if width < 1 else "keys"
+        raise ValueError(f"manifest field 'schedule.{field}' is invalid: {exc}") from None
 
 
 def to_binary(value: int, width: int) -> str:

@@ -20,6 +20,7 @@ from tklock.analysis import (
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
 from tklock.sim import KeyPolicy, PlaneSim, Stimulus, minterm_planes
 from tklock.structural import LockConfig, lock_structural
+from tests.attack_reference import per_candidate_survivors
 from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import simulate_kleene
 from tests.lane_reference import lane_successors
@@ -191,11 +192,28 @@ def test_brute_force_space_and_survivors(s27, s27_locked):
 
 
 def test_brute_force_budget():
-    # the random mode runs one full check per candidate: 16 here
+    # the random mode counts locked-circuit steps: 85 here, against 16 * 64
+    # for one full check per candidate; it refuses before the 86th
     orig = corpus.load_bench("b08_like")
     locked, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=1, seed=5))
-    with pytest.raises(BudgetExceededError, match=r"space 2\^4 exceeds budget 15"):
-        brute_force_attack(locked, orig, num_keys=4, key_bits=1, budget=15)
+    result = brute_force_attack(locked, orig, num_keys=4, key_bits=1, budget=85)
+    assert result.mode == "random"
+    assert result.survivors == [(1, 1, 0, 1)]
+    with pytest.raises(BudgetExceededError, match=r"^locked-step budget 84 exceeded$"):
+        brute_force_attack(locked, orig, num_keys=4, key_bits=1, budget=84)
+
+
+def test_random_attack_survivors_counted_before_they_are_built(monkeypatch):
+    # 80 key values over 64 checked cycles: the first prefix to reach cycle
+    # 64 (after 345 locked steps) survives with 2**16 completions, past the
+    # budget, so the search refuses before building any completion
+    orig = corpus.load_bench("b08_like")
+    locked, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=1, seed=5))
+    built = []
+    monkeypatch.setattr(analysis, "product", lambda *a, **kw: built.append(a) or iter(()))
+    with pytest.raises(BudgetExceededError, match=r"0 \+ 2\^16 surviving candidates exceed budget 1000"):
+        brute_force_attack(locked, orig, num_keys=80, key_bits=1, budget=1000)
+    assert built == []
 
 
 def test_static_attack_constant_schedule_survives(s27):
@@ -412,6 +430,70 @@ def test_x_init_definite_vs_unknown_counts_as_divergence():
     verdict = check_equivalence_exhaustive(a, b, depth=2, init="zero")
     assert not verdict.equivalent
     assert verdict.counterexample.cycle == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    wide=st.booleans(),
+    n_gates=st.integers(4, 16),
+    lock_keys=st.sampled_from([2, 4]),
+    num_keys=st.sampled_from([1, 2, 3]),
+    key_bits=st.sampled_from([1, 2]),
+)
+def test_random_prefix_search_matches_per_candidate_checks(
+    seed, wide, n_gates, lock_keys, num_keys, key_bits
+):
+    """In random mode the prefix search keeps exactly the candidates, in
+    enumeration order, that one random check per candidate keeps."""
+    # 7 non-key inputs, or 9 oracle flip-flops, force random mode
+    n_inputs, n_dffs = (7, 2) if wide else (2, 9)
+    oracle = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2)
+    locked, _ = lock_structural(
+        oracle, LockConfig(num_keys=lock_keys, key_bits=key_bits, num_locked_ffs=2, seed=seed)
+    )
+    result = brute_force_attack(locked, oracle, num_keys=num_keys, key_bits=key_bits, seed=seed)
+    assert result.mode == "random"
+    assert result.survivors == per_candidate_survivors(locked, oracle, num_keys, key_bits, seed)
+
+
+def test_random_prefix_search_matches_reference_on_bench_b06_lock():
+    # the keysearch benchmark's b06 lock (seed 0): lock seed 1222, attack seed 25965
+    orig = corpus.load_bench("b06_like")
+    locked, manifest = lock_structural(orig, LockConfig(4, 2, num_locked_ffs=2, seed=1222))
+    result = brute_force_attack(locked, orig, num_keys=4, key_bits=2, seed=25965)
+    assert result.mode == "random"
+    assert result.survivors == per_candidate_survivors(locked, orig, 4, 2, seed=25965)
+    assert result.survivors == [manifest.schedule.keys]
+
+
+def test_random_prefix_search_matches_reference_on_b12():
+    # b12 k2/ki5: (24, 26) is the schedule; (24, 28) is not refuted by 256x64
+    # stimuli. The reference checks every candidate starting with 23, 24 or 25.
+    orig = corpus.load_bench("b12_like")
+    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=5, seed=0))
+    result = brute_force_attack(locked, orig, num_keys=2, key_bits=5)
+    assert result.mode == "random"
+    assert manifest.schedule.keys == (24, 26)
+    expected = per_candidate_survivors(locked, orig, 2, 5, first_values=(23, 24, 25))
+    assert expected == [(24, 26), (24, 28)]
+    assert result.survivors == expected
+
+
+def test_random_prefix_search_keyed_oracle_matches_reference():
+    # the oracle is the same b06 lock under another schedule, so it takes
+    # each candidate too; the two differ only where one of them gets its
+    # correct key at cycle 1
+    def lock(keys):
+        config = LockConfig(2, 2, num_locked_ffs=2, seed=4, explicit_schedule=KeySchedule(keys, 2))
+        return lock_structural(corpus.load_bench("b06_like"), config)[0]
+
+    oracle, locked = lock((1, 2)), lock((1, 3))
+    result = brute_force_attack(locked, oracle, num_keys=2, key_bits=2, seed=3)
+    assert result.mode == "random"
+    expected = per_candidate_survivors(locked, oracle, 2, 2, seed=3)
+    assert 0 < len(expected) < 16
+    assert result.survivors == expected
 
 
 def test_attack_random_mode_on_wide_circuit():

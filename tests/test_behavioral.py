@@ -183,13 +183,17 @@ def _rekey(name, old, new):
         (lambda doc: doc.__delitem__("state_map"), "field 'state_map' is missing or not a dict of str"),
         (lambda doc: doc["wrongful_map"].update({"S0@0|0": 1}), "'wrongful_map' is missing or not a dict"),
         (lambda doc: doc["schedule"].update(width=True), "manifest field 'schedule.width' is missing"),
+        (lambda doc: doc["schedule"].update(keys=[1, 5], width=2),
+         "manifest field 'schedule.keys' is invalid: key value 5 out of range for width 2"),
+        (lambda doc: doc["schedule"].update(keys=[]),
+         "manifest field 'schedule.keys' is invalid: schedule must hold at least one key"),
         (_rekey("state_map", "S0@0", "S0"), "manifest field 'state_map' has a malformed key 'S0'"),
         (_rekey("state_map", "S0@0", "S0@x"), "manifest field 'state_map' has a malformed key 'S0@x'"),
         (_rekey("wrongful_map", "S0@0|0", "S0@0"), "field 'wrongful_map' has a malformed key 'S0@0'"),
         (_rekey("wrongful_map", "S0@0|0", "S0|0"), "field 'wrongful_map' has a malformed key 'S0|0'"),
     ],
-    ids=["empty", "json-list", "no-state-map", "wrongful-not-str", "width-true", "state-no-time",
-         "state-bad-time", "wrongful-no-pattern", "wrongful-no-time"],
+    ids=["empty", "json-list", "no-state-map", "wrongful-not-str", "width-true", "key-out-of-range",
+         "no-keys", "state-no-time", "state-bad-time", "wrongful-no-pattern", "wrongful-no-time"],
 )
 def test_manifest_from_json_names_the_bad_field(detector, edit, detail):
     """A malformed document used to raise KeyError, TypeError or a bare

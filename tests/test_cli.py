@@ -217,6 +217,23 @@ def _attack_k2_ki1_lock(tmp_path, stem, *args) -> int:
     return main(["attack", "--orig", str(orig), "--locked", str(locked_path), *args])
 
 
+def test_attack_b14_k8_ki3_runs_under_the_default_budget(tmp_path, capsys):
+    # 2^24 candidates; the prefix search takes a few hundred locked steps
+    orig = tmp_path / "b14_like.bench"
+    orig.write_text(corpus.read_text("b14_like.bench"), encoding="utf-8")
+    locked, manifest = tmp_path / "b14.locked.bench", tmp_path / "b14.manifest.json"
+    lock = ["lock-str", "--in", str(orig), "--k", "8", "--ki", "3", "--ffs", "16", "--seed", "5"]
+    assert main([*lock, "--out", str(locked), "--manifest", str(manifest)]) == 0
+    capsys.readouterr()
+    argv = ["attack", "--orig", str(orig), "--locked", str(locked), "--manifest", str(manifest)]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    schedule = json.loads(manifest.read_text())["schedule"]
+    assert doc["equivalence"] == "random"
+    assert doc["search_space_size"] == 2**24
+    assert doc["survivors"] == [",".join(format(v, "03b") for v in schedule["keys"])]
+
+
 @pytest.mark.parametrize("stem", ["s27", "b08_like"])
 def test_attack_depth_below_one_rejected(tmp_path, capsys, stem):
     # s27 is attacked exhaustively, b08_like (9 non-key inputs) at random

@@ -242,6 +242,24 @@ def test_manifest_json_booleans_are_not_ints(s27_locked, edit, field):
         LockManifest.from_json(json.dumps(doc))
 
 
+@pytest.mark.parametrize(
+    "schedule,detail",
+    [
+        ({"keys": [1, 5], "width": 2}, "'schedule.keys' is invalid: key value 5 out of range for width 2"),
+        ({"keys": [], "width": 2}, "'schedule.keys' is invalid: schedule must hold at least one key"),
+        ({"keys": [0], "width": 0}, "'schedule.width' is invalid: key width must be >= 1"),
+    ],
+    ids=["out-of-range", "empty", "width-zero"],
+)
+def test_manifest_schedule_errors_name_the_field(s27_locked, schedule, detail):
+    """The schedule's own checks name the manifest field, like the type checks."""
+    _, manifest = s27_locked
+    doc = json.loads(manifest.to_json())
+    doc["schedule"] = schedule
+    with pytest.raises(ValueError, match=rf"^manifest field {re.escape(detail)}$"):
+        LockManifest.from_json(json.dumps(doc))
+
+
 def test_lock_multiple_ffs(s27):
     locked, manifest = lock_structural(
         s27, LockConfig(num_keys=4, key_bits=2, num_locked_ffs=3, seed=2)
