@@ -14,11 +14,14 @@ with reachable states instead of with ``(2**n)**depth``. The successors of a
 joint state are read off the next-state planes by splitting the minterm
 lanes into 0/1/unknown classes, one class per successor.
 
+The random check, the corruption rate and the random-mode attack step one
+seeded pair of simulators over one stimulus draw, one stimulus per lane.
+
 The attack searches key prefixes depth-first: cycle ``c`` diverges or not by
 the key values of cycles ``0..c`` alone, so a divergence prunes every
 candidate extending the prefix. A prefix carries the joint states it reaches
 (small circuits, one memo for the whole search) or a snapshot of the locked
-side's planes over the one seeded stimulus every random check draws. The
+side's planes over the random pair's draw; as the draw is shared, the
 survivors are those of one exhaustive or random check per candidate.
 
 One work budget bounds every search, and each search refuses before it does
@@ -136,39 +139,58 @@ def _first_divergence(outs_a, outs_b) -> tuple[int, int, int | None, int | None]
     return None
 
 
-def _random_lockstep(
-    a: Netlist,
-    b: Netlist,
-    policy: KeyPolicy,
-    sequences: int,
-    cycles: int,
-    seed: int,
-    init: str,
-):
-    """Step `a` and `b` side by side for `cycles` cycles over `sequences`
-    seeded random stimuli, one stimulus per lane. `policy` drives each side
-    that has key inputs.
+def _refuted(a: Netlist, divergence, inputs: list, cycle: int, mode: str, depth: int) -> EquivVerdict:
+    """The verdict of a check whose outputs first diverged at `cycle` under
+    `inputs`, with `divergence` as :func:`_first_divergence` reports it."""
+    _, oi, va, vb = divergence
+    return EquivVerdict(False, Counterexample(inputs, cycle, a.outputs[oi], va, vb), mode, depth)
 
-    Yields ``(cycle, non-key input planes, output planes of a, of b)`` after
-    every cycle. Raises ValueError for a mismatched pair or policy, and for
-    an empty run, which would decide nothing.
+
+class _RandomPair:
+    """Both circuits of a pair, reset to `init`, over `sequences` seeded random
+    stimuli of `cycles` cycles, one per lane. Each cycle's stimulus is drawn
+    when first stepped, one ``getrandbits(sequences)`` plane per non-key input.
+    A key-free side `a` is stepped once per cycle and its outputs kept; the
+    snapshots hold the keyed sides. Raises ValueError for an empty run.
     """
-    pa, pb = _pair_policies(a, b, policy)
-    if sequences < 1 or cycles < 1:
-        raise ValueError(
-            f"random run needs sequences >= 1 and cycles >= 1, got {sequences} and {cycles}"
-        )
-    rng = random.Random(seed)
-    n = len(a.compiled.nonkey_idx)
-    sa = PlaneSim(a, sequences)
-    sb = PlaneSim(b, sequences)
-    sa.reset(init)
-    sb.reset(init)
-    for cycle in range(cycles):
-        planes = [rng.getrandbits(sequences) for _ in range(n)]
-        sa.step(planes, pa.key_value_at(cycle))
-        sb.step(planes, pb.key_value_at(cycle))
-        yield cycle, planes, sa.output_planes(), sb.output_planes()
+
+    def __init__(self, a: Netlist, b: Netlist, sequences: int, cycles: int, seed: int, init: str = "zero"):
+        if sequences < 1 or cycles < 1:
+            raise ValueError(
+                f"random run needs sequences >= 1 and cycles >= 1, got {sequences} and {cycles}"
+            )
+        rng = random.Random(seed)
+        n = len(a.compiled.nonkey_idx)
+        self.draw = ([rng.getrandbits(sequences) for _ in range(n)] for _ in range(cycles))
+        self.stimulus: list[list[int]] = []
+        self.sa, self.sb = PlaneSim(a, sequences), PlaneSim(b, sequences)
+        self.sa.reset(init)
+        self.sb.reset(init)
+        keyed_a = bool(a.compiled.key_idx)
+        self.outs_a = None if keyed_a else []  # a key-free side's outputs, per cycle
+        self.keyed = (self.sa, self.sb) if keyed_a else (self.sb,)
+
+    def step(self, cycle: int, kv_a: int | None, kv_b: int | None):
+        """Step `cycle` under key values `kv_a` (ignored for a key-free `a`)
+        and `kv_b`; return the output planes of `a` and of `b`."""
+        if cycle == len(self.stimulus):  # a cycle is first stepped after the one before it
+            self.stimulus.append(next(self.draw))
+        planes = self.stimulus[cycle]
+        if self.outs_a is None:
+            self.sa.step(planes, kv_a)
+        elif cycle == len(self.outs_a):
+            self.sa.step(planes, None)
+            self.outs_a.append(self.sa.output_planes())
+        self.sb.step(planes, kv_b)
+        outs_a = self.sa.output_planes() if self.outs_a is None else self.outs_a[cycle]
+        return outs_a, self.sb.output_planes()
+
+    def snapshot(self) -> list:
+        return [(s.state_h[:], s.state_x[:]) for s in self.keyed]
+
+    def restore(self, snapshot: list) -> None:
+        for s, (h, x) in zip(self.keyed, snapshot):
+            s.state_h[:], s.state_x[:] = h, x
 
 
 class _JointSweep:
@@ -281,23 +303,12 @@ def check_equivalence_exhaustive(
     for cycle in range(depth):
         divergence, reached = sweep.advance(frontier, pa.key_value_at(cycle), pb.key_value_at(cycle))
         if divergence is not None:
-            lane, oi, va, vb = divergence
-            lanes = [lane]
+            lanes = [divergence[0]]
             for layer in reversed(layers):
                 reached, lane = layer[reached]
                 lanes.append(lane)
-            return EquivVerdict(
-                equivalent=False,
-                counterexample=Counterexample(
-                    inputs=[tuple((lane >> i) & 1 for i in range(n)) for lane in reversed(lanes)],
-                    cycle=cycle,
-                    output=a.outputs[oi],
-                    left_value=va,
-                    right_value=vb,
-                ),
-                mode="exhaustive",
-                depth=depth,
-            )
+            inputs = [tuple((lane >> i) & 1 for i in range(n)) for lane in reversed(lanes)]
+            return _refuted(a, divergence, inputs, cycle, "exhaustive", depth)
         layers.append(reached)
         frontier = reached
     return EquivVerdict(equivalent=True, counterexample=None, mode="exhaustive", depth=depth)
@@ -313,28 +324,14 @@ def check_equivalence_random(
     init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
-    n = len(a.compiled.nonkey_idx)
-    history: list[list[int]] = []
-    for cycle, planes, outs_a, outs_b in _random_lockstep(
-        a, b, key_policy or KeyPolicy(), sequences, cycles, seed, init
-    ):
-        history.append(planes)
-        divergence = _first_divergence(outs_a, outs_b)
+    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
+    pair = _RandomPair(a, b, sequences, cycles, seed, init)
+    for cycle in range(cycles):
+        divergence = _first_divergence(*pair.step(cycle, pa.key_value_at(cycle), pb.key_value_at(cycle)))
         if divergence is not None:
-            lane, oi, va, vb = divergence
-            inputs = [tuple((row[i] >> lane) & 1 for i in range(n)) for row in history]
-            return EquivVerdict(
-                equivalent=False,
-                counterexample=Counterexample(
-                    inputs=inputs,
-                    cycle=cycle,
-                    output=a.outputs[oi],
-                    left_value=va,
-                    right_value=vb,
-                ),
-                mode="random",
-                depth=cycles,
-            )
+            lane = divergence[0]
+            inputs = [tuple((p >> lane) & 1 for p in row) for row in pair.stimulus[: cycle + 1]]
+            return _refuted(a, divergence, inputs, cycle, "random", cycles)
     return EquivVerdict(equivalent=True, counterexample=None, mode="random", depth=cycles)
 
 
@@ -378,10 +375,11 @@ def corruption_rate(
 ) -> float:
     """Fraction of (sequence, cycle, output-bit) observations where the locked
     circuit under a tampered key schedule differs from the original."""
+    pa, pb = _pair_policies(orig, locked, KeyPolicy.tampered(schedule, overrides))
+    pair = _RandomPair(orig, locked, sequences, cycles, seed, init)
     differing = 0
-    for _, _, outs_o, outs_l in _random_lockstep(
-        orig, locked, KeyPolicy.tampered(schedule, overrides), sequences, cycles, seed, init
-    ):
+    for cycle in range(cycles):
+        outs_o, outs_l = pair.step(cycle, pa.key_value_at(cycle), pb.key_value_at(cycle))
         for po, pl in zip(outs_o, outs_l):
             differing += ((po[0] ^ pl[0]) | (po[1] ^ pl[1])).bit_count()
     return differing / (sequences * cycles * len(orig.outputs))
@@ -390,12 +388,6 @@ def corruption_rate(
 def _exceeds(bits: int, budget: int) -> bool:
     """Whether ``2**bits`` exceeds `budget`, decided without building it."""
     return budget < 0 or bits >= budget.bit_length()
-
-
-def _pick_eq_mode(locked: Netlist, oracle: Netlist) -> str:
-    if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8:
-        return "exhaustive"
-    return "random"
 
 
 def _prefix_search(
@@ -428,17 +420,7 @@ def _prefix_search(
 
         start = [(oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero"))]
     else:
-        rng = random.Random(seed)  # the stimulus of check_equivalence_random
-        n = len(oracle.compiled.nonkey_idx)
-        stimulus = [[rng.getrandbits(_ATTACK_SEQUENCES) for _ in range(n)] for _ in range(depth)]
-        ref, sim = PlaneSim(oracle, _ATTACK_SEQUENCES), PlaneSim(locked, _ATTACK_SEQUENCES)
-        ref.reset()
-        sim.reset()
-        sims = (ref, sim) if keyed_oracle else (sim,)
-        ref_outs = []
-        for planes in () if keyed_oracle else stimulus:  # a key-free oracle steps once per cycle
-            ref.step(planes, None)
-            ref_outs.append(ref.output_planes())
+        pair = _RandomPair(oracle, locked, _ATTACK_SEQUENCES, depth, seed)
         steps = 0
 
         def step(frontier, cycle: int, kv: int):
@@ -446,15 +428,12 @@ def _prefix_search(
             if steps >= budget:
                 raise BudgetExceededError(f"locked-step budget {budget} exceeded")
             steps += 1
-            for s, (h, x) in zip(sims, frontier):
-                s.state_h[:], s.state_x[:] = h, x
-                s.step(stimulus[cycle], kv)
-            outs = ref.output_planes() if keyed_oracle else ref_outs[cycle]
-            if _first_divergence(outs, sim.output_planes()) is not None:
+            pair.restore(frontier)
+            if _first_divergence(*pair.step(cycle, kv, kv)) is not None:
                 return None
-            return [(s.state_h[:], s.state_x[:]) for s in sims]
+            return pair.snapshot()
 
-        start = [(s.state_h[:], s.state_x[:]) for s in sims]
+        start = pair.snapshot()
     values = range(2**key_bits)
     survivors: list = []
     # one entry per open prefix: the prefix, its frontier, its untried key values
@@ -522,7 +501,7 @@ def brute_force_attack(
         raise ValueError(f"attack needs num_keys >= 1 and key_bits >= 1, got {num_keys} and {key_bits}")
     if depth < 1:
         raise ValueError(f"attack needs depth >= 1, got {depth}")
-    mode = _pick_eq_mode(locked, oracle)
+    mode = "exhaustive" if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8 else "random"
     started = time.perf_counter()
     cycles = depth if mode == "exhaustive" else _ATTACK_CYCLES
     survivors = _prefix_search(oracle, locked, num_keys, key_bits, cycles, budget, seed, mode)
@@ -577,12 +556,7 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
     ki = manifest.key_bits
     original = _counts(orig)
     after = _counts(locked)
-    delta = CircuitCounts(
-        gates=after.gates - original.gates,
-        dffs=after.dffs - original.dffs,
-        inputs=after.inputs - original.inputs,
-        outputs=after.outputs - original.outputs,
-    )
+    delta = CircuitCounts(*(x - y for x, y in zip(after, original)))
     expected_gates = expected_added_gate_count(k, ki, len(manifest.locked_ffs), fallback_ffs)
     expected_width = k.bit_length() - 1
     if delta.gates != expected_gates:

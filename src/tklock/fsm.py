@@ -42,10 +42,6 @@ def patterns_overlap(a: str, b: str) -> bool:
     return all(x == "-" or y == "-" or x == y for x, y in zip(a, b))
 
 
-def pattern_matches(pattern: str, vector: str) -> bool:
-    return all(p == "-" or p == v for p, v in zip(pattern, vector))
-
-
 def determinism_conflicts(fsm: Fsm) -> list[tuple[Transition, Transition]]:
     """All pairs of transitions from the same state with overlapping inputs."""
     by_src: dict[str, list[Transition]] = {}
@@ -231,7 +227,7 @@ def simulate_fsm(fsm: Fsm, inputs: list[str]) -> tuple[list[str], list[str]]:
     for step, vector in enumerate(inputs):
         if len(vector) != fsm.input_width or set(vector) - set("01"):
             raise FsmError(f"step {step}: bad input vector '{vector}'")
-        matches = [t for t in by_src.get(current, []) if pattern_matches(t.inputs, vector)]
+        matches = [t for t in by_src.get(current, []) if patterns_overlap(t.inputs, vector)]
         if not matches:
             raise FsmError(f"step {step}: no transition from '{current}' on '{vector}'")
         if len(matches) > 1:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 from .circuit import Dff, Gate, Netlist, validate
 from .keys import (
+    COUNTER_NET_PREFIX,
     KEY_INPUT_PREFIX,
     LOCK_NET_PREFIX,
     KeySchedule,
@@ -247,14 +248,9 @@ def wrongful_sources(
     """
     if not netlist.dffs:
         raise ValueError("netlist has no flip-flops")
-    pool: list[str] = []
-    for dff in netlist.dffs:
-        if dff.output == target.output:
-            continue
-        if dff.input == target.input:
-            continue
-        if dff.input not in pool:
-            pool.append(dff.input)
+    pool = list(dict.fromkeys(
+        dff.input for dff in netlist.dffs if dff.output != target.output and dff.input != target.input
+    ))
     if not pool:
         name = complement_net or f"{LOCK_NET_PREFIX}not_{target.output}"
         return [name] * count
@@ -297,7 +293,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
     key_not = [f"cl_keyn{b}" for b in range(ki)]
     gates += [Gate(key_not[b], "NOT", (key_nets[b],)) for b in range(ki)]
 
-    counter_nets = [f"cl_cnt{b}" for b in range(width)]
+    counter_nets = [f"{COUNTER_NET_PREFIX}{b}" for b in range(width)]
     onehot = [f"cl_t{j}" for j in range(k)]
     new_dffs: list[Dff] = []
     if width == 1:

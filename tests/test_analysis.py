@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from tklock.analysis import (
     replay_counterexample,
 )
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
-from tklock.sim import KeyPolicy, PlaneSim, Stimulus, minterm_planes
+from tklock.sim import KeyPolicy, PlaneSim, Stimulus, minterm_planes, simulate
 from tklock.structural import LockConfig, lock_structural
 from tests.attack_reference import per_candidate_survivors
 from tests.conftest import S27_SCHEDULE, S27_SEED
@@ -158,6 +159,27 @@ def test_corruption_rate_wrong_keys_positive(s27, s27_locked):
     overrides = {c: (manifest.schedule.key_at(c) + 1) % 4 for c in range(32)}
     rate = corruption_rate(s27, locked, manifest.schedule, overrides, 200, 32, seed=4)
     assert 0.0 < rate <= 1.0
+
+
+@pytest.mark.parametrize("overrides", [{1: 1, 5: 0}, {c: (S27_SCHEDULE.key_at(c) + 1) % 4 for c in range(12)}])
+def test_corruption_rate_matches_per_lane_reference(s27, s27_locked, overrides):
+    # redraw the stimulus (cycle-major, one plane per non-key input, lane l is
+    # sequence l), simulate each lane on its own and count differing output bits
+    locked, manifest = s27_locked
+    sequences, cycles, seed = 24, 12, 9
+    rng = random.Random(seed)
+    n = len(split_inputs(s27)[0])
+    planes = [[rng.getrandbits(sequences) for _ in range(n)] for _ in range(cycles)]
+    policy = KeyPolicy.tampered(manifest.schedule, overrides)
+    differing = 0
+    for lane in range(sequences):
+        rows = tuple(tuple((p >> lane) & 1 for p in row) for row in planes)
+        ta = simulate(s27, Stimulus(rows))
+        tb = simulate(locked, Stimulus(rows, policy))
+        differing += sum(ta.value(c, o) != tb.value(c, o) for c in range(cycles) for o in s27.outputs)
+    assert differing > 0
+    rate = corruption_rate(s27, locked, manifest.schedule, overrides, sequences, cycles, seed)
+    assert rate == differing / (sequences * cycles * len(s27.outputs))
 
 
 def test_corruption_rate_checks_keyed_original(s27, s27_locked):
