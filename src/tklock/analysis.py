@@ -374,7 +374,10 @@ def corruption_rate(
     init: str = "zero",
 ) -> float:
     """Fraction of (sequence, cycle, output-bit) observations where the locked
-    circuit under a tampered key schedule differs from the original."""
+    circuit under a tampered key schedule differs from the original. Raises
+    ValueError, before any simulation is set up, when there is no output."""
+    if not orig.outputs:
+        raise ValueError(f"netlist '{orig.name}' has no output to observe")
     pa, pb = _pair_policies(orig, locked, KeyPolicy.tampered(schedule, overrides))
     pair = _RandomPair(orig, locked, sequences, cycles, seed, init)
     differing = 0

@@ -122,31 +122,50 @@ class Netlist:
         combinational cycle, the smallest name among the nets that could not
         be ordered (each on or downstream of a cycle). With duplicate drivers
         the last driver of a net stands for it.
+
+        Only the index and the order are kept. The pass numbers a gate by
+        its index value, so the ints it holds are the index's own, and holds
+        per net a pending count, a first reader and a byte that says whether
+        the gate there drives its net; further readers go in one dict, as
+        most gates of a locked netlist drive a single gate.
         """
         gates = self.gates
-        names = [*self.inputs, *(d.output for d in self.dffs), *(g.output for g in gates)]
-        index = dict(zip(names, range(len(names))))
-        base = len(names) - len(gates)
-        pending = [0] * len(gates)
-        readers: list[list[int]] = [[] for _ in gates]
-        live = []
-        for p, gate in enumerate(gates):
-            node = index[gate.output] - base
-            live.append(node == p)
+        base = len(self.inputs) + len(self.dffs)
+        size = base + len(gates)
+        drivers = chain(self.inputs, (d.output for d in self.dffs), (g.output for g in gates))
+        index = dict(zip(drivers, range(size)))
+        pending = [0] * size
+        first: list[int | None] = [None] * size
+        more: dict[int, list[int]] = {}
+        live = bytearray(size)
+        for p, gate in enumerate(gates, base):
+            node = index[gate.output]
+            live[p] = node == p
             for net in gate.fanins:
-                driver = index.get(net, -1) - base
-                if driver >= 0:
-                    readers[driver].append(node)
+                driver = index.get(net, -1)
+                if driver >= base:
+                    if first[driver] is None:
+                        first[driver] = node
+                    elif driver in more:
+                        more[driver].append(node)
+                    else:
+                        more[driver] = [node]
                     if node == p:
                         pending[p] += 1
         order = [p for p, n in enumerate(pending) if n == 0 and live[p]]
         for p in order:  # the list is its own FIFO queue
-            for reader in readers[p]:
+            reader = first[p]
+            if reader is None:
+                continue
+            pending[reader] -= 1
+            if pending[reader] == 0:
+                order.append(reader)
+            for reader in more.get(p, ()):
                 pending[reader] -= 1
                 if pending[reader] == 0:
                     order.append(reader)
-        stuck = (gates[p].output for p, n in enumerate(pending) if n > 0 and live[p])
-        return index, tuple(map(gates.__getitem__, order)), min(stuck, default=None)
+        stuck = (gates[p - base].output for p, n in enumerate(pending) if n > 0 and live[p])
+        return index, tuple(gates[p - base] for p in order), min(stuck, default=None)
 
     def net_names(self) -> set[str]:
         names = set(self.inputs) | set(self.outputs)
@@ -178,18 +197,23 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     keywords are case-insensitive and `BUFF` is an alias of `BUF`; net names
     are case-sensitive. Forward references are legal. Raises
     :class:`BenchFormatError` with a line number on malformed input.
+
+    Besides the netlist, the pass keeps one map from each net name read to a
+    shared string and the set of driven names; both are released before the
+    graph pass. No name is mapped to its line: the two errors found after
+    the pass (an undefined fanin, a cycle) read their line from the text.
     """
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
     dffs: list[Dff] = []
-    driver_line: dict[str, int] = {}
+    driven: dict[str, None] = {}  # the driven names (a dict is half the size of a set)
     output_line: dict[str, int] = {}
     # every net name read, mapped to one shared string object
     seen: dict[str, str] = {}
     intern = seen.setdefault
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -202,9 +226,9 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             if io_match:
                 net = intern(io_match["net"], io_match["net"])
                 if io_match["kw"].upper() == "INPUT":
-                    if net in driver_line:
+                    if net in driven:
                         raise BenchFormatError(f"duplicate driver for net '{net}'", lineno)
-                    driver_line[net] = lineno
+                    driven[net] = None
                     inputs.append(net)
                 else:
                     if net in output_line:
@@ -218,10 +242,10 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             if assign["args"].strip():
                 raise BenchFormatError(f"malformed fanin list: '{line}'", lineno)
             lhs, kind_text, fanins = assign["lhs"], assign["kind"], []
-        if lhs in driver_line:
+        if lhs in driven:
             raise BenchFormatError(f"duplicate driver for net '{lhs}'", lineno)
-        driver_line[lhs] = lineno
         lhs = intern(lhs, lhs)
+        driven[lhs] = None
         fanins = tuple(map(intern, fanins, fanins))
         kind = _KINDS.get(kind_text.upper())
         if kind is None:
@@ -236,17 +260,14 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         else:
             gates.append(Gate(lhs, kind, fanins))
 
-    if len(seen) > len(driver_line):
+    if len(seen) > len(driven):
         # a fanin or an output is undriven: report the first fanin reference
-        for lineno, fanins in sorted(
-            [(driver_line[g.output], g.fanins) for g in gates]
-            + [(driver_line[d.output], (d.input,)) for d in dffs]
-        ):
+        for lineno, _, fanins in _gate_lines(text):
             for net in fanins:
-                if net not in driver_line:
+                if net not in driven:
                     raise BenchFormatError(f"undefined fanin net '{net}'", lineno)
     for net, lineno in output_line.items():
-        if net not in driver_line:
+        if net not in driven:
             raise BenchFormatError(f"undefined output net '{net}'", lineno)
 
     netlist = Netlist(
@@ -256,13 +277,38 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
+    del seen, intern, driven, output_line, inputs, outputs, gates, dffs  # before the graph pass
     cyclic = netlist._graph[2]
     if cyclic is not None:
-        raise BenchFormatError(
-            f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
-        )
+        lineno = next(lineno for lineno, lhs, _ in _gate_lines(text) if lhs == cyclic)
+        raise BenchFormatError(f"combinational cycle through net '{cyclic}'", lineno)
     netlist._checked = True
     return netlist
+
+
+def _lines(text: str):
+    """The lines ``text.splitlines()`` returns, split one chunk at a time so
+    that no list of every line is built. A chunk ends just after a line feed,
+    and a line feed ends any line break that holds one."""
+    return chain.from_iterable(map(str.splitlines, _chunks(text)))
+
+
+def _chunks(text: str, size: int = 1 << 16):
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + size) + 1 or len(text)
+        yield text[start:end]
+        start = end
+
+
+def _gate_lines(text: str):
+    """(line number, output, fanin names) of each gate and DFF line of `text`,
+    for error lines after a parse that got through every line: each gate or
+    DFF it accepted matched the gate pattern, and no other line does."""
+    for lineno, raw in enumerate(_lines(text), start=1):
+        match = _GATE_RE.fullmatch(raw.split("#", 1)[0].strip())
+        if match is not None:
+            yield lineno, match[1], _NAME_RE.findall(match[3])
 
 
 def write_bench(netlist: Netlist) -> str:
@@ -276,7 +322,8 @@ def write_bench(netlist: Netlist) -> str:
     if netlist.dffs:
         lines.append("")
     lines += [f"{g.output} = {g.kind}({', '.join(g.fanins)})" for g in netlist.gates]
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final line break, without a second copy of the text
+    return "\n".join(lines)
 
 
 def validate(netlist: Netlist) -> list[Violation]:
@@ -285,18 +332,24 @@ def validate(netlist: Netlist) -> list[Violation]:
     Error-level: duplicate drivers, undriven nets, bad gate arity, duplicate
     output declarations, combinational cycles. Warning-level: driven internal
     nets that are never read and are not declared outputs.
+
+    Reads the net index and cycle net of ``Netlist._graph`` and builds one set
+    of the nets read or declared outputs. A count of drivers per net is built
+    only when the index, which holds each driven net once, is shorter than
+    the list of drivers, that is when some net has two.
     """
     violations: list[Violation] = []
-    index, _, cyclic = netlist._graph  # index holds each driven net once
-    count = Counter(netlist.inputs)
-    count.update(g.output for g in netlist.gates)
-    count.update(d.output for d in netlist.dffs)
-    for net in sorted(net for net, n in count.items() if n > 1):
-        violations.append(Violation("error", "duplicate-driver", net, f"duplicate driver: {net}"))
+    index, _, cyclic = netlist._graph
+    if len(index) < len(netlist.inputs) + len(netlist.dffs) + len(netlist.gates):
+        count = Counter(netlist.inputs)
+        count.update(g.output for g in netlist.gates)
+        count.update(d.output for d in netlist.dffs)
+        for net in sorted(net for net, n in count.items() if n > 1):
+            violations.append(Violation("error", "duplicate-driver", net, f"duplicate driver: {net}"))
 
-    referenced = set(chain.from_iterable(g.fanins for g in netlist.gates))
-    referenced.update(d.input for d in netlist.dffs)
-    read_or_output = referenced | set(netlist.outputs)
+    read_or_output = set(chain.from_iterable(g.fanins for g in netlist.gates))
+    read_or_output.update(d.input for d in netlist.dffs)
+    read_or_output.update(netlist.outputs)
     for net in sorted(read_or_output.difference(index)):
         violations.append(Violation("error", "undriven", net, f"undriven net: {net}"))
 

@@ -335,9 +335,10 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
             select_not[(level, pos)] = seln
 
     def mux(out: str, top: str, bottom: str, sel: str, seln: str) -> str:
-        gates.append(Gate(f"{out}a", "AND", (top, seln)))
-        gates.append(Gate(f"{out}b", "AND", (bottom, sel)))
-        gates.append(Gate(out, "OR", (f"{out}a", f"{out}b")))
+        a, b = f"{out}a", f"{out}b"  # one string per net, shared by the OR's fanins
+        gates.append(Gate(a, "AND", (top, seln)))
+        gates.append(Gate(b, "AND", (bottom, sel)))
+        gates.append(Gate(out, "OR", (a, b)))
         return out
 
     locked_records: list[LockedFf] = []

@@ -1,18 +1,21 @@
-"""Reference `.bench` parser and topological order, kept to check the library's.
+"""Reference `.bench` parser, topological order and validator, kept to check the library's.
 
 This is the line-at-a-time parser that `tklock.circuit.parse_bench` replaced:
 two regular expressions per line, one `re.search` per fanin name, and Kahn's
 algorithm over net-name dictionaries. It is slow and plain on purpose; the
 tests compare the library's single indexed pass against it, message for
-message and line for line.
+message and line for line. `reference_validate` is the validator as it was
+before its duplicate-driver count became conditional, reading the driven
+nets and the cycle by name rather than from the library's integer graph.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from collections import Counter, deque
+from itertools import chain
 
-from tklock.circuit import GATE_KINDS, UNARY_KINDS, BenchFormatError, Dff, Gate, Netlist
+from tklock.circuit import GATE_KINDS, UNARY_KINDS, BenchFormatError, Dff, Gate, Netlist, Violation
 
 _ASSIGN_RE = re.compile(r"^(?P<lhs>[^\s(),=#]+)\s*=\s*(?P<kind>[A-Za-z]+)\s*\((?P<args>.*)\)$")
 _IO_RE = re.compile(r"^(?P<kw>INPUT|OUTPUT)\s*\((?P<net>[^\s(),=#]+)\)$", re.IGNORECASE)
@@ -125,3 +128,58 @@ def reference_parse_bench(text: str, name: str = "bench") -> Netlist:
             f"combinational cycle through net '{cyclic}'", driver_line.get(cyclic)
         )
     return netlist
+
+
+def reference_validate(netlist: Netlist) -> list[Violation]:
+    """The violations `tklock.circuit.validate` is specified to report, in its order."""
+    violations: list[Violation] = []
+    driven = {*netlist.inputs, *(g.output for g in netlist.gates), *(d.output for d in netlist.dffs)}
+    _, cyclic = kahn_by_name(netlist)
+    count = Counter(netlist.inputs)
+    count.update(g.output for g in netlist.gates)
+    count.update(d.output for d in netlist.dffs)
+    for net in sorted(net for net, n in count.items() if n > 1):
+        violations.append(Violation("error", "duplicate-driver", net, f"duplicate driver: {net}"))
+
+    referenced = set(chain.from_iterable(g.fanins for g in netlist.gates))
+    referenced.update(d.input for d in netlist.dffs)
+    read_or_output = referenced | set(netlist.outputs)
+    for net in sorted(read_or_output.difference(driven)):
+        violations.append(Violation("error", "undriven", net, f"undriven net: {net}"))
+
+    seen_outputs: set[str] = set()
+    for net in netlist.outputs:
+        if net in seen_outputs:
+            violations.append(
+                Violation("error", "duplicate-output", net, f"duplicate output declaration: {net}")
+            )
+        seen_outputs.add(net)
+
+    for gate in netlist.gates:
+        arity_ok = len(gate.fanins) == 1 if gate.kind in UNARY_KINDS else len(gate.fanins) >= 2
+        if gate.kind not in GATE_KINDS:
+            violations.append(
+                Violation("error", "unknown-kind", gate.output, f"unknown gate kind: {gate.kind}")
+            )
+        elif not arity_ok:
+            violations.append(
+                Violation("error", "arity", gate.output, f"bad fanin count for {gate.kind}: {gate.output}")
+            )
+
+    if cyclic is not None:
+        violations.append(
+            Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
+        )
+
+    for gate in netlist.gates:
+        if gate.output not in read_or_output:
+            violations.append(
+                Violation("warning", "dangling", gate.output, f"dangling net: {gate.output}")
+            )
+    for dff in netlist.dffs:
+        if dff.output not in read_or_output:
+            violations.append(
+                Violation("warning", "dangling", dff.output, f"dangling net: {dff.output}")
+            )
+
+    return violations

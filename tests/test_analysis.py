@@ -190,6 +190,17 @@ def test_corruption_rate_checks_keyed_original(s27, s27_locked):
         corruption_rate(keyed_orig, locked, manifest.schedule, {}, 8, 4, seed=0)
 
 
+def test_corruption_rate_without_outputs_rejected(monkeypatch):
+    # flip-flops that feed each other make a lockable netlist with no output
+    orig = parse_bench(
+        "INPUT(a)\nINPUT(b)\nq = DFF(d)\nd = AND(a, r)\ne = OR(b, q)\nr = DFF(e)\n", name="noout"
+    )
+    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=2, seed=0))
+    monkeypatch.setattr(analysis, "PlaneSim", None)  # refused before any plane is built
+    with pytest.raises(ValueError, match="no output to observe"):
+        corruption_rate(orig, locked, manifest.schedule, {0: 1}, 8, 4, seed=0)
+
+
 def test_vacuous_runs_rejected(s27, s27_locked):
     # a wrong static key must not pass by checking nothing
     locked, manifest = s27_locked

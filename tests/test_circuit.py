@@ -21,7 +21,7 @@ from tklock.circuit import (
 from tklock.fsm import Kiss2FormatError, parse_kiss2
 from tklock.structural import LockConfig, lock_structural
 from tklock.synth import random_netlist
-from tests.bench_reference import kahn_by_name, reference_parse_bench
+from tests.bench_reference import kahn_by_name, reference_parse_bench, reference_validate
 
 
 def test_parse_minimal_buf_circuit():
@@ -190,6 +190,69 @@ def test_random_netlists_validate_and_round_trip(seed, n_inputs, n_dffs, n_gates
     _single_pass_reads_only_computed(n)
 
 
+_DEFECTS = ("input-gate", "gate-gate", "dff-gate", "undriven", "cycle", "dangling", "duplicate-output")
+
+
+@st.composite
+def _defective_netlists(draw):
+    """A `random_netlist` with defects injected in code: nets with two drivers
+    (an input and a gate, two gates, a flip-flop and a gate), undriven fanins
+    and outputs, rewired fanins that may close a cycle, and dangling nets."""
+    n = random_netlist(
+        draw(st.integers(0, 10_000)), draw(st.integers(1, 4)), draw(st.integers(0, 4)),
+        draw(st.integers(1, 20)), n_outputs=2, name="defective",
+    )
+    inputs, outputs, gates, dffs = list(n.inputs), list(n.outputs), list(n.gates), list(n.dffs)
+
+    def pick(seq):
+        return seq[draw(st.integers(0, len(seq) - 1))]
+
+    for i, defect in enumerate(draw(st.lists(st.sampled_from(_DEFECTS), min_size=1, max_size=4))):
+        nets = inputs + [d.output for d in dffs] + [g.output for g in gates]
+        at = draw(st.integers(0, len(gates)))
+        if defect == "input-gate":
+            if draw(st.booleans()):
+                inputs.append(pick(gates).output)
+            else:
+                gates.insert(at, Gate(pick(inputs), "NOT", (pick(nets),)))
+        elif defect == "gate-gate":
+            gates.insert(at, Gate(pick(gates).output, "AND", (pick(nets), pick(nets))))
+        elif defect == "dff-gate":
+            if dffs and draw(st.booleans()):
+                gates.insert(at, Gate(pick(dffs).output, "BUF", (pick(nets),)))
+            else:
+                dffs.append(Dff(pick(gates).output, pick(nets)))
+        elif defect == "undriven":
+            where = draw(st.sampled_from(("fanin", "output", "dff")))
+            if where == "fanin":
+                g = draw(st.integers(0, len(gates) - 1))
+                gates[g] = gates[g]._replace(fanins=(f"U{i}", *gates[g].fanins[1:]))
+            elif where == "output" or not dffs:
+                outputs.append(f"U{i}")
+            else:
+                d = draw(st.integers(0, len(dffs) - 1))
+                dffs[d] = dffs[d]._replace(input=f"U{i}")
+        elif defect == "cycle":
+            # a fanin from the gate itself or a later one; closes a cycle when that gate reads this one
+            g = draw(st.integers(0, len(gates) - 1))
+            later = gates[draw(st.integers(g, len(gates) - 1))].output
+            gates[g] = gates[g]._replace(fanins=(later, *gates[g].fanins[1:]))
+        elif defect == "dangling":
+            if len(outputs) > 1 and draw(st.booleans()):
+                outputs.remove(pick(outputs))
+            else:
+                gates.insert(at, Gate(f"D{i}", "NOT", (pick(nets),)))
+        else:
+            outputs.append(pick(outputs))
+    return Netlist("defective", tuple(inputs), tuple(outputs), tuple(gates), tuple(dffs))
+
+
+@settings(max_examples=300, deadline=None)
+@given(netlist=_defective_netlists())
+def test_validate_matches_reference_on_defective_netlists(netlist):
+    assert validate(netlist) == reference_validate(netlist)
+
+
 def test_write_bench_emits_dff_lines(s27):
     text = write_bench(s27)
     assert text.count("= DFF(") == 3
@@ -269,6 +332,40 @@ def test_parse_layout_variants_match_reference(text):
 
 # characters that split lines, end names or fanin lists, or start comments
 _MUTATION_CHARS = "()=,# \t\r\n\x0b\x85\u2028aANI0_"
+
+
+_BREAKS = ("\r\n", "\n", "\r", "\x0b", "\u2028")
+
+
+def _long_text(tail: str) -> str:
+    """A text of three parse chunks (64 KiB each), its line breaks of every
+    kind `str.splitlines` knows, with `tail` after 5,000 gate lines."""
+    lines = ["INPUT(a)", "OUTPUT(y)", "g0 = NOT(a)"]
+    lines += [f"g{i} = AND(g{i - 1}, a)  # comment" for i in range(1, 5000)]
+    lines += tail.splitlines()
+    return "".join(line + _BREAKS[n % len(_BREAKS)] for n, line in enumerate(lines))
+
+
+@pytest.mark.parametrize(
+    "tail",
+    ["y = BUF(g4999)", "y = BUF(zz)", "y = AND(g4999, w)\nw = NOT(y)", "y = BUF(g4999)\nz = y"],
+    ids=["clean", "undefined-fanin", "cycle", "unrecognized"],
+)
+def test_long_text_parses_like_reference(tail):
+    text = _long_text(tail)
+    assert len(text) > 2 << 16
+    _assert_parses_like_reference(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    text=st.lists(st.sampled_from(("a", "#", " ", *_BREAKS, "\x0c", "\x1c", "\x85")), max_size=30).map("".join),
+    size=st.integers(1, 6),
+)
+def test_chunked_lines_are_splitlines(text, size):
+    chunks = list(circuit._chunks(text, size))
+    assert "".join(chunks) == text
+    assert [line for chunk in chunks for line in chunk.splitlines()] == text.splitlines()
 
 
 @st.composite

@@ -1,3 +1,6 @@
+import csv
+import gc
+import io
 import json
 import re
 import shlex
@@ -7,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from tklock import corpus
+from tklock import circuit, corpus
 from tklock.circuit import write_bench
 from tklock.cli import main
 from tklock.fsm import FsmError
@@ -277,6 +280,21 @@ def test_report_outputs_counts(tmp_path, s27_path, capsys):
     assert rows[1].startswith("s27,10,69,59")
 
 
+def test_report_csv_quotes_the_circuit_name(tmp_path, s27_path, capsys):
+    # the circuit name is the file stem, which may hold a comma
+    orig = tmp_path / "my,s27.bench"
+    s27_path.rename(orig)
+    out, manifest = _lock(tmp_path, orig)
+    csv_path = tmp_path / "overhead.csv"
+    argv = ["report", "--orig", str(orig), "--locked", str(out), "--manifest", str(manifest)]
+    assert main([*argv, "--csv", str(csv_path)]) == 0
+    text = csv_path.read_text(encoding="utf-8")
+    assert text.splitlines()[1].startswith('"my,s27",10,69,59,')
+    header, row = csv.reader(io.StringIO(text))
+    assert len(row) == len(header) == 8
+    assert row[0] == "my,s27"
+
+
 def test_sim_trace_csv(tmp_path, s27_path, capsys):
     out, manifest = _lock(tmp_path, s27_path)
     trace = tmp_path / "trace.csv"
@@ -470,7 +488,7 @@ _LOCK_BEH = ["lock-beh", "--in", "{kiss2}", "--k", "2", "--ki", "1", "--out", "{
              "--manifest", "{tmp}/m.json"]
 
 
-@pytest.mark.parametrize(
+_ERROR_KINDS = pytest.mark.parametrize(
     "argv,bench,kiss2,patch,kind,detail",
     [
         (_LOCK_STR, "INPUT(a)\nOUTPUT(y)\ny = AND(a, zz)\n", None, None,
@@ -490,8 +508,9 @@ _LOCK_BEH = ["lock-beh", "--in", "{kiss2}", "--k", "2", "--ki", "1", "--out", "{
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
          "missing-in-file"],
 )
-def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, kind, detail):
-    """Each typed failure exits 1 with its kind and message as one JSON line on stderr."""
+
+
+def _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch) -> int:
     paths = {"tmp": str(tmp_path)}
     for suffix, text in (("bench", bench), ("kiss2", kiss2)):
         path = tmp_path / f"in.{suffix}"
@@ -500,7 +519,13 @@ def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, k
         paths[suffix] = str(path)
     if patch is not None:
         monkeypatch.setattr(*patch)
-    code = main([arg.format(**paths) for arg in argv])
+    return main([arg.format(**paths) for arg in argv])
+
+
+@_ERROR_KINDS
+def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, kind, detail):
+    """Each typed failure exits 1 with its kind and message as one JSON line on stderr."""
+    code = _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch)
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -509,6 +534,65 @@ def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, k
     doc = json.loads(err[0])
     assert doc["error"] == kind
     assert detail in doc["detail"]
+
+
+@pytest.fixture()
+def collector():
+    """Puts the cyclic collector back as the test found it."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_job_pauses_the_collector_and_restores_it(tmp_path, s27_path, monkeypatch, collector, enabled):
+    parse_bench = circuit.parse_bench
+    during = []
+
+    def parse_and_look(*args, **kwargs):
+        during.append(gc.isenabled())
+        return parse_bench(*args, **kwargs)
+
+    monkeypatch.setattr(circuit, "parse_bench", parse_and_look)
+    (gc.enable if enabled else gc.disable)()
+    _lock(tmp_path, s27_path)
+    assert during == [False]
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@_ERROR_KINDS
+def test_failed_job_restores_the_collector(tmp_path, capsys, monkeypatch, collector, enabled, argv,
+                                          bench, kiss2, patch, kind, detail):
+    (gc.enable if enabled else gc.disable)()
+    assert _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch) == 1
+    assert gc.isenabled() is enabled
+
+
+def test_paused_job_leaves_no_cyclic_garbage_that_grows_with_the_netlist(tmp_path, collector):
+    """What a job leaves for the collector does not depend on the netlist:
+    an s27 job and a locked b04_like job (25,176 gates) leave the same."""
+    (tmp_path / "b04_like.bench").write_text(corpus.read_text("b04_like.bench"), encoding="utf-8")
+    (tmp_path / "s27.bench").write_text(_S27, encoding="utf-8")
+    shapes = {"s27": ("4", "2"), "b04_like": ("4", "11")}
+
+    def job(command: str, stem: str) -> list[str]:
+        orig, locked, manifest = (str(tmp_path / f"{stem}{s}") for s in (".bench", ".l.bench", ".json"))
+        if command == "lock-str":
+            k, ki = shapes[stem]
+            return [command, "--in", orig, "--k", k, "--ki", ki, "--out", locked, "--manifest", manifest]
+        return [command, "--orig", orig, "--locked", locked, "--manifest", manifest,
+                "--out", str(tmp_path / "report.json")]
+
+    gc.enable()
+    for command in ("lock-str", "report"):
+        assert main(job(command, "s27")) == 0  # runs the layers the command uses
+        left = []
+        for stem in ("s27", "b04_like"):
+            gc.collect()
+            assert main(job(command, stem)) == 0
+            left.append(gc.collect())
+        assert left[0] == left[1], command
 
 
 def test_usage_error_exits_two(capsys):
