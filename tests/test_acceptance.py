@@ -1,8 +1,8 @@
 """End-to-end acceptance criteria, one test each.
 
-Each test registers a `criterion` property; the conftest summary hook prints
-one PASS/FAIL line per criterion at the end of the run. Every tolerance is
-exact unless stated; wall-clock limits are asserted directly.
+Each test labels itself through the `criterion` fixture; the conftest summary
+hook prints one PASS/FAIL line per criterion at the end of the run. Every
+tolerance is exact unless stated; wall-clock limits are asserted directly.
 """
 
 import itertools
@@ -54,8 +54,8 @@ OVERHEAD_CORPUS = [
 ]
 
 
-def test_c1_correct_key_equivalence_s27(record_property, s27, s27_locked):
-    record_property("criterion", "C1 correct-key equivalence, s27 exhaustive depth 6")
+def test_c1_correct_key_equivalence_s27(criterion, s27, s27_locked):
+    criterion("C1 correct-key equivalence, s27 exhaustive depth 6")
     locked, manifest = s27_locked
     started = time.perf_counter()
     verdict = check_equivalence_exhaustive(
@@ -70,8 +70,8 @@ def test_c1_correct_key_equivalence_s27(record_property, s27, s27_locked):
     print(f"\nC1: depth-6 exhaustive equivalence PASS in {elapsed:.2f}s")
 
 
-def test_c2_correct_key_equivalence_at_scale(record_property):
-    record_property("criterion", "C2 correct-key equivalence at scale, 6 circuits, 1000x64")
+def test_c2_correct_key_equivalence_at_scale(criterion):
+    criterion("C2 correct-key equivalence at scale, 6 circuits, 1000x64")
     started = time.perf_counter()
     for name, (num_keys, key_bits) in SCALE_CONFIGS.items():
         orig = corpus.load_bench(name)
@@ -92,8 +92,8 @@ def test_c2_correct_key_equivalence_at_scale(record_property):
     print(f"\nC2: randomized equivalence over {len(SCALE_CONFIGS)} circuits PASS in {elapsed:.2f}s")
 
 
-def test_c3_wrong_key_semantics(record_property, s27_locked):
-    record_property("criterion", "C3 wrong-key semantics, all 24 cases")
+def test_c3_wrong_key_semantics(criterion, s27_locked):
+    criterion("C3 wrong-key semantics, all 24 cases")
     locked, manifest = s27_locked
     record = manifest.locked_ffs[0]
     rng = random.Random(77)
@@ -117,8 +117,8 @@ def test_c3_wrong_key_semantics(record_property, s27_locked):
     print(f"\nC3: locked FF loads its wrongful source in all {checked} cases")
 
 
-def test_c4_mux_tree_shape(record_property, s27):
-    record_property("criterion", "C4 mux-tree shape for k in {2,4,8,16}")
+def test_c4_mux_tree_shape(criterion, s27):
+    criterion("C4 mux-tree shape for k in {2,4,8,16}")
     for num_keys in (2, 4, 8, 16):
         locked, manifest = lock_structural(
             s27, LockConfig(num_keys=num_keys, key_bits=2, seed=3)
@@ -130,8 +130,8 @@ def test_c4_mux_tree_shape(record_property, s27):
     print("\nC4: layers = log2(k)+1 and mux count = k*(2^ki-1)+(k-1) for k in {2,4,8,16}")
 
 
-def test_c5_single_key_reduction(record_property, s27, s27_locked):
-    record_property("criterion", "C5 single-key reduction and brute-force soundness")
+def test_c5_single_key_reduction(criterion, s27, s27_locked):
+    criterion("C5 single-key reduction and brute-force soundness")
     started = time.perf_counter()
     constant = KeySchedule(keys=(3, 3, 3, 3), width=2)
     locked_const, _ = lock_structural(
@@ -155,8 +155,8 @@ def test_c5_single_key_reduction(record_property, s27, s27_locked):
     )
 
 
-def test_c6_behavioral_lock_detector(record_property, detector):
-    record_property("criterion", "C6 behavioral lock of the 1001 detector")
+def test_c6_behavioral_lock_detector(criterion, detector):
+    criterion("C6 behavioral lock of the 1001 detector")
     locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
     assert len(locked.states) == 16
     assert locked.input_width == 5
@@ -190,8 +190,8 @@ def test_c6_behavioral_lock_detector(record_property, detector):
     print("\nC6: 16 states, input width 5, exhaustive depth-8 equivalence, per-step divergence")
 
 
-def test_c7_overhead_scaling(record_property):
-    record_property("criterion", "C7 overhead constant and relative overhead decreasing")
+def test_c7_overhead_scaling(criterion):
+    criterion("C7 overhead constant and relative overhead decreasing")
     sizes = []
     deltas = []
     ratios = []
@@ -213,8 +213,8 @@ def test_c7_overhead_scaling(record_property):
     )
 
 
-def test_c8_format_fidelity(record_property, s27, s27_locked, detector):
-    record_property("criterion", "C8 format fidelity and locker-output validity")
+def test_c8_format_fidelity(criterion, s27, s27_locked, detector):
+    criterion("C8 format fidelity and locker-output validity")
     for name in corpus.available_benches():
         first = corpus.load_bench(name)
         text = write_bench(first)
