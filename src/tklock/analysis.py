@@ -123,9 +123,7 @@ def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
     h, x = plane
-    if (x >> lane) & 1:
-        return None
-    return (h >> lane) & 1
+    return None if (x >> lane) & 1 else (h >> lane) & 1
 
 
 def _first_divergence(outs_a, outs_b) -> tuple[int, int, int | None, int | None] | None:
@@ -315,13 +313,8 @@ def check_equivalence_exhaustive(
 
 
 def check_equivalence_random(
-    a: Netlist,
-    b: Netlist,
-    sequences: int,
-    cycles: int,
-    seed: int,
-    key_policy: KeyPolicy | None = None,
-    init: str = "zero",
+    a: Netlist, b: Netlist, sequences: int, cycles: int, seed: int,
+    key_policy: KeyPolicy | None = None, init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
@@ -336,11 +329,7 @@ def check_equivalence_random(
 
 
 def replay_counterexample(
-    a: Netlist,
-    b: Netlist,
-    cex: Counterexample,
-    key_policy: KeyPolicy | None = None,
-    init: str = "zero",
+    a: Netlist, b: Netlist, cex: Counterexample, key_policy: KeyPolicy | None = None, init: str = "zero"
 ) -> bool:
     """Re-simulate a counterexample; True when the reported divergence recurs.
 
@@ -364,14 +353,8 @@ def replay_counterexample(
 
 
 def corruption_rate(
-    orig: Netlist,
-    locked: Netlist,
-    schedule: KeySchedule,
-    overrides: dict[int, int],
-    sequences: int,
-    cycles: int,
-    seed: int,
-    init: str = "zero",
+    orig: Netlist, locked: Netlist, schedule: KeySchedule, overrides: dict[int, int],
+    sequences: int, cycles: int, seed: int, init: str = "zero",
 ) -> float:
     """Fraction of (sequence, cycle, output-bit) observations where the locked
     circuit under a tampered key schedule differs from the original. Raises
@@ -527,10 +510,12 @@ def _counts(netlist: Netlist) -> CircuitCounts:
 
 
 def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> OverheadReport:
-    """Exact added-cost report; raises ValueError when the manifest does not
-    describe the locked netlist or the deltas break the closed form."""
-    locked_nets = locked.net_names()
-    orig_nets = orig.net_names()
+    """Exact added-cost report; raises ValueError when a netlist fails
+    validation, the manifest does not describe the locked netlist or the
+    deltas break the closed form."""
+    locked._require_valid()  # a netlist free of errors drives every net it names,
+    orig._require_valid()  # so its net index holds them all
+    locked_nets, orig_nets = locked._graph[0], orig._graph[0]
     for net in (
         manifest.key_input_nets
         + manifest.counter_state_nets

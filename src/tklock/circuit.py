@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, TextIO
 
 if TYPE_CHECKING:
     from .sim import CompiledNetlist
@@ -167,14 +167,6 @@ class Netlist:
         stuck = (gates[p - base].output for p, n in enumerate(pending) if n > 0 and live[p])
         return index, tuple(gates[p - base] for p in order), min(stuck, default=None)
 
-    def net_names(self) -> set[str]:
-        names = set(self.inputs) | set(self.outputs)
-        names.update(g.output for g in self.gates)
-        names.update(n for g in self.gates for n in g.fanins)
-        names.update(d.output for d in self.dffs)
-        names.update(d.input for d in self.dffs)
-        return names
-
 
 _NAME = r"[^\s(),=#]+"
 # `y = KIND(a, b, ...)` with a well-formed, non-empty fanin list
@@ -311,19 +303,26 @@ def _gate_lines(text: str):
             yield lineno, match[1], _NAME_RE.findall(match[3])
 
 
-def write_bench(netlist: Netlist) -> str:
-    """Emit `.bench` text (LF line endings) that re-parses to the same netlist."""
-    lines = [f"# {netlist.name}"]
-    lines += [f"INPUT({net})" for net in netlist.inputs]
-    lines.append("")
-    lines += [f"OUTPUT({net})" for net in netlist.outputs]
-    lines.append("")
-    lines += [f"{d.output} = DFF({d.input})" for d in netlist.dffs]
-    if netlist.dffs:
-        lines.append("")
-    lines += [f"{g.output} = {g.kind}({', '.join(g.fanins)})" for g in netlist.gates]
-    lines.append("")  # the final line break, without a second copy of the text
-    return "\n".join(lines)
+def write_bench(netlist: Netlist, out: TextIO | None = None) -> str | None:
+    """Emit `.bench` text (LF line endings) that re-parses to the same netlist.
+
+    With `out`, a text file, the lines are written to it one at a time and
+    None is returned, so no copy of the whole text is built.
+    """
+    lines = chain(
+        (f"# {netlist.name}\n",),
+        (f"INPUT({net})\n" for net in netlist.inputs),
+        ("\n",),
+        (f"OUTPUT({net})\n" for net in netlist.outputs),
+        ("\n",),
+        (f"{d.output} = DFF({d.input})\n" for d in netlist.dffs),
+        ("\n",) if netlist.dffs else (),
+        (f"{g.output} = {g.kind}({', '.join(g.fanins)})\n" for g in netlist.gates),
+    )
+    if out is None:
+        return "".join(lines)
+    out.writelines(lines)
+    return None
 
 
 def validate(netlist: Netlist) -> list[Violation]:
@@ -333,24 +332,32 @@ def validate(netlist: Netlist) -> list[Violation]:
     output declarations, combinational cycles. Warning-level: driven internal
     nets that are never read and are not declared outputs.
 
-    Reads the net index and cycle net of ``Netlist._graph`` and builds one set
-    of the nets read or declared outputs. A count of drivers per net is built
-    only when the index, which holds each driven net once, is shorter than
-    the list of drivers, that is when some net has two.
+    Reads the net index and cycle net of ``Netlist._graph`` and marks the
+    nets read or declared outputs in a byte per indexed net; only undriven
+    names go in a set. A count of drivers per net is built only when the
+    index, which holds each driven net once, is shorter than the list of
+    drivers, that is when some net has two.
     """
     violations: list[Violation] = []
     index, _, cyclic = netlist._graph
-    if len(index) < len(netlist.inputs) + len(netlist.dffs) + len(netlist.gates):
+    n_drivers = len(netlist.inputs) + len(netlist.dffs) + len(netlist.gates)
+    if len(index) < n_drivers:
         count = Counter(netlist.inputs)
         count.update(g.output for g in netlist.gates)
         count.update(d.output for d in netlist.dffs)
         for net in sorted(net for net, n in count.items() if n > 1):
             violations.append(Violation("error", "duplicate-driver", net, f"duplicate driver: {net}"))
 
-    read_or_output = set(chain.from_iterable(g.fanins for g in netlist.gates))
-    read_or_output.update(d.input for d in netlist.dffs)
-    read_or_output.update(netlist.outputs)
-    for net in sorted(read_or_output.difference(index)):
+    read_or_output = bytearray(n_drivers)  # by index value, which can pass len(index) - 1
+    undriven = set()
+    fanins = chain.from_iterable(g.fanins for g in netlist.gates)
+    for net in chain(fanins, (d.input for d in netlist.dffs), netlist.outputs):
+        i = index.get(net)
+        if i is None:
+            undriven.add(net)
+        else:
+            read_or_output[i] = 1
+    for net in sorted(undriven):
         violations.append(Violation("error", "undriven", net, f"undriven net: {net}"))
 
     seen_outputs: set[str] = set()
@@ -377,16 +384,9 @@ def validate(netlist: Netlist) -> list[Violation]:
             Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
         )
 
-    for gate in netlist.gates:
-        if gate.output not in read_or_output:
-            violations.append(
-                Violation("warning", "dangling", gate.output, f"dangling net: {gate.output}")
-            )
-    for dff in netlist.dffs:
-        if dff.output not in read_or_output:
-            violations.append(
-                Violation("warning", "dangling", dff.output, f"dangling net: {dff.output}")
-            )
+    for net in chain((g.output for g in netlist.gates), (d.output for d in netlist.dffs)):
+        if not read_or_output[index[net]]:
+            violations.append(Violation("warning", "dangling", net, f"dangling net: {net}"))
 
     return violations
 

@@ -100,7 +100,8 @@ def _cmd_lock_str(args) -> int:
         explicit_schedule=schedule,
     )
     locked, manifest = lock_structural(netlist, config)
-    Path(args.out).write_text(write_bench(locked), encoding="utf-8")
+    with open(args.out, "w", encoding="utf-8") as fh:
+        write_bench(locked, fh)
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
     print(f"locked {len(manifest.locked_ffs)} flip-flop(s); wrote {args.out} and {args.manifest}")
     return 0

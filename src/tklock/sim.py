@@ -24,20 +24,22 @@ reads the trace back from the planes. The test suite pins the kernel to an
 independent gate-at-a-time Kleene oracle.
 
 A step need not evaluate every op. Control nets are the key inputs, the
-counter flip-flops and the nets whose ops read only control nets. When the
-key value is an int and every counter plane is uniform and known, each
-control net holds one known value in every lane, fixed by the key value and
-the counter bits. The step then evaluates the free ops (those no control net
-reaches) and, of the ops a control net reaches, only those that its roots
-(outputs, next-state nets and the nets the caller watches) still depend on.
-The search for them stops at each AND op with a control fanin at 0 and each
-OR op with one at 1, keeping only that fanin: the op's formula gives its
-value whatever its other fanin holds, in both passes. XOR ops never stop it.
-The first step with a given key value and counter bits evaluates the control
-nets, derives the op list from them and caches it on the compiled netlist,
-where every :class:`PlaneSim` of the netlist shares it. Nets left out keep
-stale planes, so after a step only inputs, flip-flop outputs, outputs,
-next-state nets and watched nets are current.
+counter flip-flops and the nets whose ops read only control nets; a net is
+fed when a control net reaches it. When the key value is an int and every
+counter plane is uniform and known, each control net holds one known value
+in every lane. The step then evaluates the free ops (those no control net
+reaches) and, of the fed ops, only those that its roots (outputs, next-state
+nets and the nets the caller watches) still depend on. The search for them
+stops at each AND op with a control fanin at 0 and each OR op with one at 1,
+keeping only that fanin: the op's formula gives its value whatever its other
+fanin holds, in both passes. XOR ops never stop it. The first step with a
+given key value and counter bits evaluates the control nets, derives the op
+list and caches it on the compiled netlist, where every :class:`PlaneSim` of
+the netlist shares it. Nets left out keep stale planes, so after a step only
+inputs, flip-flop outputs, outputs, next-state nets and watched nets are
+current. Compiling keeps only the free ops, the control ops and the gate
+driving each fed net; deriving a list builds the ops of the gates it keeps,
+and the list of every op is built only for a step that cannot use a list.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .circuit import Netlist, topo_order
+from .circuit import Netlist
 from .keys import COUNTER_NET_PREFIX, KeySchedule, split_inputs
 
 # Op families. Every op is (family, out, a, b, invert) with net indices a and
@@ -61,6 +63,19 @@ _KIND_OPS = {
 }
 # Op lists cached per compiled netlist; past the cap the oldest is dropped.
 _MAX_OP_LISTS = 64
+
+
+def _gate_ops(gate, index: dict[str, int], n: int) -> list[tuple]:
+    """The ops of `gate`; a wide gate's unnamed nets are numbered from `n`."""
+    family, invert = _KIND_OPS[gate.kind]
+    fanins = gate.fanins
+    a = index[fanins[0]]
+    ops = []
+    for f in fanins[1:-1]:
+        ops.append((family, n, a, index[f], False))
+        a, n = n, n + 1
+    ops.append((family, index[gate.output], a, index[fanins[-1]], invert))
+    return ops
 
 
 class KeyPolicy(NamedTuple):
@@ -92,9 +107,7 @@ class KeyPolicy(NamedTuple):
     def key_value_at(self, cycle: int) -> int | None:
         if not self.keys:
             return None
-        if cycle in self.overrides:
-            return self.overrides[cycle]
-        return self.keys[cycle % len(self.keys)]
+        return self.overrides.get(cycle, self.keys[cycle % len(self.keys)])
 
 
 class Stimulus(NamedTuple):
@@ -151,11 +164,8 @@ class Trace(NamedTuple):
         header = ["cycle", *self.input_names, *self.output_names, *self.watch_names]
         rows = [",".join(header)]
         for c in range(self.cycles):
-            cells = [str(c)]
-            cells += [value_str(v) for v in self.inputs[c]]
-            cells += [value_str(v) for v in self.outputs[c]]
-            cells += [value_str(v) for v in self.watched[c]]
-            rows.append(",".join(cells))
+            values = self.inputs[c] + self.outputs[c] + self.watched[c]
+            rows.append(",".join([str(c), *map(value_str, values)]))
         return "\n".join(rows) + "\n"
 
 
@@ -164,68 +174,77 @@ class CompiledNetlist:
 
     Build it through ``Netlist.compiled``, which compiles each netlist once.
     A netlist from ``parse_bench`` is not validated again; any other is
-    validated once, and one with an error raises ValueError.
+    validated once, and one with an error raises ValueError. `ops`, every
+    op, is built on first use (see the module docstring).
     """
 
     def __init__(self, netlist: Netlist):
         netlist._require_valid()
         self.index = index = netlist._graph[0]
+        self._order = order = netlist._graph[1]
         nonkey, key = split_inputs(netlist)
         self.nonkey_idx = [index[n] for n in nonkey]
         self.key_idx = [index[n] for n in key]
         self.nonkey_names = nonkey
         self.input_idx = [index[n] for n in netlist.inputs]
         self.output_idx = [index[n] for n in netlist.outputs]
-        self.ops = ops = []
-        n_nets = len(index)
-        for g in topo_order(netlist):
-            family, invert = _KIND_OPS[g.kind]
-            fanins = g.fanins
-            a = index[fanins[0]]
-            for f in fanins[1:-1]:
-                ops.append((family, n_nets, a, index[f], False))
-                a, n_nets = n_nets, n_nets + 1
-            ops.append((family, index[g.output], a, index[fanins[-1]], invert))
-        self.n_nets = n_nets
         self.dff_q_idx = [index[d.output] for d in netlist.dffs]
         self.dff_d_idx = [index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
         self.counter_pos = [p for p, forced in enumerate(self.dff_forced_zero) if forced]
+        self.n_nets = n_nets = len(index) + sum(len(g.fanins) - 2 for g in order if len(g.fanins) > 2)
+        # _driver: the position in `order` of the gate driving each fed op net,
+        # else -1, in int32 slots; _chains: each wide gate's first unnamed net
+        self._control = control = bytearray(n_nets)
+        fed = bytearray(n_nets)
+        for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
+            control[i] = fed[i] = 1
+        self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
+        self._free, self._control_ops, self._chains = [], [], {}  # _free: ops reading no fed net
+        self._fed_ops: dict[int, tuple] = {}  # net -> op, for the gates an op list keeps
+
+        def keep(p: int, op: tuple) -> None:  # mark what `op` feeds; keep it if free or control
+            _, out, a, b, _ = op
+            if fed[a] or fed[b]:
+                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                if not control[out]:
+                    return
+            (self._control_ops if control[out] else self._free).append(op)
+
+        n = len(index)
+        for p, g in enumerate(order):
+            fanins = g.fanins
+            if len(fanins) > 2:  # few gates are wide: each op of the chain goes through keep
+                self._chains[p] = n
+                for op in _gate_ops(g, index, n):
+                    keep(p, op)
+                n += len(fanins) - 2
+                continue
+            # keep inlined for one op: its tuple is built only if it is kept
+            out, a, b = index[g.output], index[fanins[0]], index[fanins[-1]]
+            if fed[a] or fed[b]:
+                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                if not control[out]:
+                    continue
+            family, invert = _KIND_OPS[g.kind]
+            (self._control_ops if control[out] else self._free).append((family, out, a, b, invert))
         # (watched nets, key value, counter bits) -> op list; see PlaneSim._ops
         self.op_lists: dict[tuple, list] = {}
 
     @cached_property
-    def _control(self) -> tuple[bytearray, list[int], list[tuple], list[tuple]]:
-        """Which nets are control nets, in one pass over ``ops``.
-
-        Control nets are the key inputs, the counter flip-flops and the nets
-        whose ops read only control nets. A net is fed when a control net
-        reaches it. Returns the control flags; the op position of the driver
-        of each fed op net (-1 for every other net); the free ops, which read
-        no fed net and so depend only on inputs, flip-flop outputs and other
-        free ops; and the ops that drive control nets.
-        """
-        control = bytearray(self.n_nets)
-        fed = bytearray(self.n_nets)
-        for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
-            control[i] = fed[i] = 1
-        driver = [-1] * self.n_nets
-        free = []
-        for p, op in enumerate(self.ops):
-            _, out, a, b, _ = op
-            if fed[a] or fed[b]:
-                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-            else:
-                free.append(op)
-        return control, driver, free, [op for op in self.ops if control[op[1]]]
+    def ops(self) -> list[tuple]:  # the free list when no net is fed
+        if not self.key_idx and not self.counter_pos:
+            return self._free
+        chains = self._chains
+        return [op for p, g in enumerate(self._order) for op in _gate_ops(g, self.index, chains.get(p, 0))]
 
     def _select_ops(self, h: list[int], mask: int, roots: list[int]) -> list[tuple]:
         """The ops for one step: every free op, then, in topological order,
         the fed ops that `roots` depend on when an op with a control fanin
         at its controlling value (0 for AND, `mask` for OR) depends on that
         fanin alone. `h` must hold this step's control nets."""
-        control, driver, free, _ = self._control
-        ops = self.ops
+        control, driver, chains, built = self._control, self._driver, self._chains, self._fed_ops
+        order, index = self._order, self.index
         controlling = (0, mask, None)
         seen = bytearray(self.n_nets)
         kept = []
@@ -236,8 +255,13 @@ class CompiledNetlist:
             if p < 0 or seen[net]:
                 continue
             seen[net] = 1
-            kept.append(p)
-            family, _, a, b, _ = ops[p]
+            op = built.get(net)
+            if op is None:  # built once, so op lists share the tuples
+                built.update((op[1], op) for op in _gate_ops(order[p], index, chains.get(p, 0)))
+                op = built[net]
+            # sorts by gate, then up a wide gate's chain: unnamed nets, by number, first
+            kept.append((p, net < len(index), op))
+            family, _, a, b, _ = op
             fanins = (a, b)
             value = controlling[family]
             if value is not None:
@@ -247,14 +271,12 @@ class CompiledNetlist:
                         break
             stack.extend(fanins)
         kept.sort()
-        return free + [ops[p] for p in kept]
+        return self._free + [op for _, _, op in kept]
 
     def initial_state(self, init: str) -> tuple[int | None, ...]:
         if init not in ("zero", "x"):
             raise ValueError(f"unknown init mode '{init}'")
-        if init == "zero":
-            return tuple(0 for _ in self.dff_q_idx)
-        return tuple(0 if forced else None for forced in self.dff_forced_zero)
+        return tuple(0 if init == "zero" or forced else None for forced in self.dff_forced_zero)
 
 
 def check_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> None:
@@ -276,10 +298,7 @@ def check_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> None:
 
 
 def simulate(
-    netlist: Netlist,
-    stimulus: Stimulus,
-    init: str = "zero",
-    watch: tuple[str, ...] = (),
+    netlist: Netlist, stimulus: Stimulus, init: str = "zero", watch: tuple[str, ...] = ()
 ) -> Trace:
     """Simulate one stimulus and record inputs, outputs and watched nets.
 
@@ -344,10 +363,8 @@ class PlaneSim:
         self.mask = (1 << lanes) - 1
         self.watch_idx = tuple(self.c.index[n] for n in watch)
         self.roots = self.c.output_idx + self.c.dff_d_idx + list(self.watch_idx)
-        self.h = [0] * self.c.n_nets
-        self.x = [0] * self.c.n_nets
-        self.state_h = [0] * len(self.c.dff_q_idx)
-        self.state_x = [0] * len(self.c.dff_q_idx)
+        self.h, self.x = [0] * self.c.n_nets, [0] * self.c.n_nets
+        self.state_h, self.state_x = [0] * len(self.c.dff_q_idx), [0] * len(self.c.dff_q_idx)
         self._x_stale = False  # x holds unknown bits from a 3-valued step
 
     def reset(self, init: str = "zero") -> None:
@@ -360,11 +377,8 @@ class PlaneSim:
             self.state_x[i] = self.mask if v is None else 0
 
     def step(
-        self,
-        nonkey_h: list[int],
-        key_value: int | None,
-        nonkey_x: list[int] | None = None,
-        latch: bool = True,
+        self, nonkey_h: list[int], key_value: int | None,
+        nonkey_x: list[int] | None = None, latch: bool = True,
     ) -> None:
         """Evaluate one cycle. With latch=True the flip-flop planes advance.
 
@@ -412,7 +426,7 @@ class PlaneSim:
         key = (self.watch_idx, key_value, counter)
         ops = c.op_lists.get(key)
         if ops is None:
-            run(c._control[3])
+            run(c._control_ops)
             if len(c.op_lists) >= _MAX_OP_LISTS:
                 del c.op_lists[next(iter(c.op_lists))]
             ops = c.op_lists[key] = c._select_ops(self.h, mask, self.roots)

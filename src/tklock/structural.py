@@ -273,7 +273,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
     netlist._require_valid()
     if not netlist.dffs:
         raise ValueError("netlist has no flip-flops to lock")
-    for name in netlist.net_names():
+    for name in netlist._graph[0]:  # a netlist free of errors drives every net it names
         if name.startswith(LOCK_NET_PREFIX) or name.startswith(KEY_INPUT_PREFIX):
             raise ValueError(f"net '{name}' uses a reserved lock prefix; already locked?")
 

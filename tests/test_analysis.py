@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklock import analysis, corpus, synth
-from tklock.circuit import parse_bench
+from tklock.circuit import Gate, Netlist, parse_bench
 from tklock.analysis import (
     BudgetExceededError,
     brute_force_attack,
@@ -431,6 +431,17 @@ def test_relative_overhead_of_gateless_original_is_rejected():
     report = overhead_report(orig, locked, manifest)
     with pytest.raises(ValueError, match="no gates"):
         report.relative_gate_overhead
+
+
+def test_overhead_report_rejects_an_invalid_netlist(s27, s27_locked):
+    """Net membership is read from the net index, which holds every net of a
+    netlist free of errors; a netlist with an undriven net is refused."""
+    locked, manifest = s27_locked
+    extra = Gate("extra", "AND", (s27.inputs[0], "nowhere"))
+    broken = Netlist(s27.name, s27.inputs, s27.outputs, s27.gates + (extra,), s27.dffs)
+    with pytest.raises(ValueError, match="fails validation"):
+        overhead_report(broken, locked, manifest)
+    assert overhead_report(s27, locked, manifest).delta.gates == 59
 
 
 def test_overhead_rejects_mismatched_manifest(s27, s27_locked):

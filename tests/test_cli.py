@@ -53,6 +53,19 @@ def test_lock_str_writes_artifacts(tmp_path, s27_path):
     assert doc["layers"] == 3
 
 
+def test_lock_str_writes_the_write_bench_text(tmp_path, s27_path):
+    """The locked file, written line by line, holds the bytes of
+    `write_bench` on the locked netlist."""
+    from tklock.keys import parse_key_list
+
+    out, _ = _lock(tmp_path, s27_path)
+    config = LockConfig(
+        num_keys=4, key_bits=2, num_locked_ffs=1, seed=7, explicit_schedule=parse_key_list("01,11,10,00")
+    )
+    locked, _ = lock_structural(circuit.parse_bench(s27_path.read_text(), name="s27"), config)
+    assert out.read_bytes() == write_bench(locked).encode("utf-8")
+
+
 def test_lock_str_byte_deterministic(tmp_path, s27_path):
     out, manifest = _lock(tmp_path, s27_path)
     first = (out.read_bytes(), manifest.read_bytes())

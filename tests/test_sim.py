@@ -1,11 +1,13 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklock import corpus
+from tklock.analysis import check_equivalence_random
 from tklock.circuit import Dff, Gate, Netlist, parse_bench
 from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule
 from tklock.sim import (
@@ -19,6 +21,7 @@ from tklock.sim import (
 )
 from tklock.structural import LockConfig, lock_structural
 from tklock.synth import random_netlist
+from tests.compile_reference import is_subsequence, reference_ops
 from tests.conftest import S27_SCHEDULE
 from tests.kleene_oracle import kleene_eval, simulate_kleene
 
@@ -432,10 +435,21 @@ def _keyed(netlist: Netlist, key_bits: int, counters: int) -> Netlist:
 
 
 def _full_step_sim(netlist: Netlist, lanes: int, watch: tuple[str, ...]) -> PlaneSim:
-    """A PlaneSim that evaluates every op on every step."""
+    """A PlaneSim that evaluates every op of the eager compile on every step."""
     sim = PlaneSim(netlist, lanes, watch)
-    sim._ops = lambda key_value, run: sim.c.ops
+    ops = reference_ops(netlist)
+    sim._ops = lambda key_value, run: ops
     return sim
+
+
+def _lists_keep_the_eager_order(netlist: Netlist) -> bool:
+    """Each cached op list is the free ops, then fed ops, each part in the
+    order of the eager compile."""
+    reference, free = reference_ops(netlist), netlist.compiled._free
+    return is_subsequence(free, reference) and all(
+        ops[: len(free)] == free and is_subsequence(ops[len(free) :], reference)
+        for ops in netlist.compiled.op_lists.values()
+    )
 
 
 def _root_planes(sim: PlaneSim):
@@ -491,6 +505,7 @@ def test_cached_op_lists_match_full_steps(
         for sim in (pruned, full):
             sim.step(highs, key, unknown)
         assert _root_planes(pruned) == _root_planes(full), cycle
+    assert _lists_keep_the_eager_order(netlist)
 
 
 def test_cached_op_lists_match_full_steps_on_locked_b04():
@@ -515,6 +530,95 @@ def test_cached_op_lists_match_full_steps_on_locked_b04():
             sim.step(highs, key, unknown)
         assert _root_planes(pruned) == _root_planes(full), cycle
     assert all(len(ops) < len(netlist.gates) // 20 for ops in netlist.compiled.op_lists.values())
+    assert _lists_keep_the_eager_order(netlist)
+
+
+def _widened(netlist: Netlist, seed: int) -> Netlist:
+    """`netlist` with up to three input fanins added to each gate of two or
+    more, so that gates compile to chains of up to five ops."""
+    rng = random.Random(seed)
+    gates = tuple(
+        g._replace(fanins=g.fanins + tuple(rng.choice(netlist.inputs) for _ in range(rng.randrange(4))))
+        if len(g.fanins) > 1 else g
+        for g in netlist.gates
+    )
+    return Netlist(netlist.name, netlist.inputs, netlist.outputs, gates, netlist.dffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    n_inputs=st.integers(2, 4),
+    n_dffs=st.integers(1, 3),
+    n_gates=st.integers(1, 30),
+    key_bits=st.integers(0, 2),
+    counters=st.integers(0, 2),
+    widen=st.booleans(),
+)
+def test_lazy_ops_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_bits, counters, widen):
+    """`ops`, built on first use, is the list the eager compile built, wide
+    gates' unnamed nets included, on random netlists with and without key
+    inputs and counter flip-flops; with neither it is the free list."""
+    netlist = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    if widen:
+        netlist = _widened(netlist, seed)
+    netlist = _keyed(netlist, min(key_bits, n_inputs - 1), min(counters, n_dffs))
+    compiled = netlist.compiled
+    assert "ops" not in compiled.__dict__
+    assert compiled.ops == reference_ops(netlist)
+    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in compiled.ops)
+    assert (compiled.ops is compiled._free) == (not compiled.key_idx and not compiled.counter_pos)
+
+
+def _locked_b04():
+    orig = corpus.load_bench("b04_like")
+    return orig, *lock_structural(orig, LockConfig(num_keys=4, key_bits=11, seed=1))
+
+
+def test_keyed_runs_build_no_full_op_list_on_locked_b04():
+    """`simulate` from an unknown state under a tampered schedule, and a
+    random check under the schedule, step locked b04 (k4/ki11) through op
+    lists alone: the list of every op is never built. A step whose counter
+    lanes differ builds it, and it is the eager compile's list."""
+    orig, locked, manifest = _locked_b04()
+    rng = random.Random(2)
+    n = len(locked.compiled.nonkey_idx)
+    rows = ["".join(rng.choice("01x") for _ in range(n)) for _ in range(12)]
+    wrong = {3: manifest.schedule.key_at(3) ^ 1}
+    watch = tuple(manifest.onehot_time_nets)
+    simulate(locked, Stimulus.from_strings(rows, KeyPolicy.tampered(manifest.schedule, wrong)), "x", watch)
+    verdict = check_equivalence_random(
+        orig, locked, sequences=64, cycles=16, seed=0, key_policy=KeyPolicy.correct(manifest.schedule)
+    )
+    assert verdict.equivalent
+    assert "ops" not in locked.compiled.__dict__
+    sim = PlaneSim(locked, 2)
+    sim.state_h[locked.compiled.counter_pos[0]] = 0b01
+    sim.step([0] * n, manifest.schedule.key_at(0))
+    assert locked.compiled.__dict__["ops"] == reference_ops(locked)
+
+
+def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
+    """Compiling locked b04 (25,176 gates, 25,274 ops) and one keyed 1-lane
+    step allocate less than 1.5 MB at peak; the 25,274 op tuples alone took
+    2.1 MB when the compile kept them all."""
+    _, locked, manifest = _locked_b04()
+    locked._graph  # built by the lock's own check; not part of the compile
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        sim = PlaneSim(locked, 1)
+        sim.reset("x")
+        sim.step([0] * len(sim.c.nonkey_idx), manifest.schedule.key_at(0))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 1_500_000, peak
+    assert len(sim.c.op_lists) == 1 and "ops" not in sim.c.__dict__
 
 
 @settings(max_examples=40, deadline=None)
