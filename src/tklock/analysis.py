@@ -123,7 +123,9 @@ def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
     h, x = plane
-    return None if (x >> lane) & 1 else (h >> lane) & 1
+    if (x >> lane) & 1:
+        return None
+    return (h >> lane) & 1
 
 
 def _first_divergence(outs_a, outs_b) -> tuple[int, int, int | None, int | None] | None:
@@ -313,8 +315,13 @@ def check_equivalence_exhaustive(
 
 
 def check_equivalence_random(
-    a: Netlist, b: Netlist, sequences: int, cycles: int, seed: int,
-    key_policy: KeyPolicy | None = None, init: str = "zero",
+    a: Netlist,
+    b: Netlist,
+    sequences: int,
+    cycles: int,
+    seed: int,
+    key_policy: KeyPolicy | None = None,
+    init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
@@ -329,7 +336,11 @@ def check_equivalence_random(
 
 
 def replay_counterexample(
-    a: Netlist, b: Netlist, cex: Counterexample, key_policy: KeyPolicy | None = None, init: str = "zero"
+    a: Netlist,
+    b: Netlist,
+    cex: Counterexample,
+    key_policy: KeyPolicy | None = None,
+    init: str = "zero",
 ) -> bool:
     """Re-simulate a counterexample; True when the reported divergence recurs.
 
@@ -353,8 +364,14 @@ def replay_counterexample(
 
 
 def corruption_rate(
-    orig: Netlist, locked: Netlist, schedule: KeySchedule, overrides: dict[int, int],
-    sequences: int, cycles: int, seed: int, init: str = "zero",
+    orig: Netlist,
+    locked: Netlist,
+    schedule: KeySchedule,
+    overrides: dict[int, int],
+    sequences: int,
+    cycles: int,
+    seed: int,
+    init: str = "zero",
 ) -> float:
     """Fraction of (sequence, cycle, output-bit) observations where the locked
     circuit under a tampered key schedule differs from the original. Raises

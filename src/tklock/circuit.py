@@ -25,7 +25,7 @@ import re
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple, TextIO
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .sim import CompiledNetlist
@@ -303,26 +303,22 @@ def _gate_lines(text: str):
             yield lineno, match[1], _NAME_RE.findall(match[3])
 
 
-def write_bench(netlist: Netlist, out: TextIO | None = None) -> str | None:
-    """Emit `.bench` text (LF line endings) that re-parses to the same netlist.
+def _bench_lines(netlist: Netlist):
+    """The lines of the `.bench` text, each with its LF line ending."""
+    yield f"# {netlist.name}\n"
+    yield from (f"INPUT({net})\n" for net in netlist.inputs)
+    yield "\n"
+    yield from (f"OUTPUT({net})\n" for net in netlist.outputs)
+    yield "\n"
+    yield from (f"{d.output} = DFF({d.input})\n" for d in netlist.dffs)
+    if netlist.dffs:
+        yield "\n"
+    yield from (f"{g.output} = {g.kind}({', '.join(g.fanins)})\n" for g in netlist.gates)
 
-    With `out`, a text file, the lines are written to it one at a time and
-    None is returned, so no copy of the whole text is built.
-    """
-    lines = chain(
-        (f"# {netlist.name}\n",),
-        (f"INPUT({net})\n" for net in netlist.inputs),
-        ("\n",),
-        (f"OUTPUT({net})\n" for net in netlist.outputs),
-        ("\n",),
-        (f"{d.output} = DFF({d.input})\n" for d in netlist.dffs),
-        ("\n",) if netlist.dffs else (),
-        (f"{g.output} = {g.kind}({', '.join(g.fanins)})\n" for g in netlist.gates),
-    )
-    if out is None:
-        return "".join(lines)
-    out.writelines(lines)
-    return None
+
+def write_bench(netlist: Netlist) -> str:
+    """Emit `.bench` text (LF line endings) that re-parses to the same netlist."""
+    return "".join(_bench_lines(netlist))
 
 
 def validate(netlist: Netlist) -> list[Violation]:
@@ -384,9 +380,16 @@ def validate(netlist: Netlist) -> list[Violation]:
             Violation("error", "cycle", cyclic, f"combinational cycle through net: {cyclic}")
         )
 
-    for net in chain((g.output for g in netlist.gates), (d.output for d in netlist.dffs)):
-        if not read_or_output[index[net]]:
-            violations.append(Violation("warning", "dangling", net, f"dangling net: {net}"))
+    for gate in netlist.gates:
+        if not read_or_output[index[gate.output]]:
+            violations.append(
+                Violation("warning", "dangling", gate.output, f"dangling net: {gate.output}")
+            )
+    for dff in netlist.dffs:
+        if not read_or_output[index[dff.output]]:
+            violations.append(
+                Violation("warning", "dangling", dff.output, f"dangling net: {dff.output}")
+            )
 
     return violations
 

@@ -86,7 +86,7 @@ def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> Key
 
 
 def _cmd_lock_str(args) -> int:
-    from .circuit import write_bench
+    from .circuit import _bench_lines
     from .structural import LockConfig, lock_structural
 
     netlist = _load_bench(args.infile)
@@ -101,7 +101,7 @@ def _cmd_lock_str(args) -> int:
     )
     locked, manifest = lock_structural(netlist, config)
     with open(args.out, "w", encoding="utf-8") as fh:
-        write_bench(locked, fh)
+        fh.writelines(_bench_lines(locked))  # line by line: no copy of the whole text
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
     print(f"locked {len(manifest.locked_ffs)} flip-flop(s); wrote {args.out} and {args.manifest}")
     return 0

@@ -44,7 +44,7 @@ and the list of every op is built only for a step that cannot use a list.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
@@ -65,10 +65,12 @@ _KIND_OPS = {
 _MAX_OP_LISTS = 64
 
 
-def _gate_ops(gate, index: dict[str, int], n: int) -> list[tuple]:
+def _gate_ops(gate, index: dict[str, int], n: int) -> Sequence[tuple]:
     """The ops of `gate`; a wide gate's unnamed nets are numbered from `n`."""
     family, invert = _KIND_OPS[gate.kind]
     fanins = gate.fanins
+    if len(fanins) < 3:  # one op, as most gates are
+        return ((family, index[gate.output], index[fanins[0]], index[fanins[-1]], invert),)
     a = index[fanins[0]]
     ops = []
     for f in fanins[1:-1]:
@@ -107,7 +109,9 @@ class KeyPolicy(NamedTuple):
     def key_value_at(self, cycle: int) -> int | None:
         if not self.keys:
             return None
-        return self.overrides.get(cycle, self.keys[cycle % len(self.keys)])
+        if cycle in self.overrides:
+            return self.overrides[cycle]
+        return self.keys[cycle % len(self.keys)]
 
 
 class Stimulus(NamedTuple):
@@ -164,8 +168,11 @@ class Trace(NamedTuple):
         header = ["cycle", *self.input_names, *self.output_names, *self.watch_names]
         rows = [",".join(header)]
         for c in range(self.cycles):
-            values = self.inputs[c] + self.outputs[c] + self.watched[c]
-            rows.append(",".join([str(c), *map(value_str, values)]))
+            cells = [str(c)]
+            cells += [value_str(v) for v in self.inputs[c]]
+            cells += [value_str(v) for v in self.outputs[c]]
+            cells += [value_str(v) for v in self.watched[c]]
+            rows.append(",".join(cells))
         return "\n".join(rows) + "\n"
 
 
@@ -201,42 +208,35 @@ class CompiledNetlist:
             control[i] = fed[i] = 1
         self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
         self._free, self._control_ops, self._chains = [], [], {}  # _free: ops reading no fed net
-        self._fed_ops: dict[int, tuple] = {}  # net -> op, for the gates an op list keeps
-
-        def keep(p: int, op: tuple) -> None:  # mark what `op` feeds; keep it if free or control
-            _, out, a, b, _ = op
-            if fed[a] or fed[b]:
-                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-                if not control[out]:
-                    return
-            (self._control_ops if control[out] else self._free).append(op)
-
         n = len(index)
         for p, g in enumerate(order):
-            fanins = g.fanins
-            if len(fanins) > 2:  # few gates are wide: each op of the chain goes through keep
+            ops = _gate_ops(g, index, n)
+            if len(ops) > 1:  # a wide gate: its unnamed nets are numbered from n
                 self._chains[p] = n
-                for op in _gate_ops(g, index, n):
-                    keep(p, op)
-                n += len(fanins) - 2
-                continue
-            # keep inlined for one op: its tuple is built only if it is kept
-            out, a, b = index[g.output], index[fanins[0]], index[fanins[-1]]
-            if fed[a] or fed[b]:
-                fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-                if not control[out]:
-                    continue
-            family, invert = _KIND_OPS[g.kind]
-            (self._control_ops if control[out] else self._free).append((family, out, a, b, invert))
+                n += len(ops) - 1
+            for op in ops:  # mark what each op feeds; keep it if free or control
+                _, out, a, b, _ = op
+                if fed[a] or fed[b]:
+                    fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                    if not control[out]:
+                        continue
+                (self._control_ops if control[out] else self._free).append(op)
+        # net -> fed op, for the control ops and the gates an op list keeps
+        self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
         # (watched nets, key value, counter bits) -> op list; see PlaneSim._ops
         self.op_lists: dict[tuple, list] = {}
 
     @cached_property
-    def ops(self) -> list[tuple]:  # the free list when no net is fed
+    def ops(self) -> list[tuple]:
+        """Every op, in topological order; the free list when no net is fed.
+        Ops already kept or built are shared, not built again."""
         if not self.key_idx and not self.counter_pos:
             return self._free
-        chains = self._chains
-        return [op for p, g in enumerate(self._order) for op in _gate_ops(g, self.index, chains.get(p, 0))]
+        free, ops = iter(self._free), []
+        for p, g in enumerate(self._order):
+            for op in _gate_ops(g, self.index, self._chains.get(p, 0)):
+                ops.append(next(free) if self._driver[op[1]] < 0 else self._fed_ops.get(op[1], op))
+        return ops
 
     def _select_ops(self, h: list[int], mask: int, roots: list[int]) -> list[tuple]:
         """The ops for one step: every free op, then, in topological order,
@@ -257,7 +257,8 @@ class CompiledNetlist:
             seen[net] = 1
             op = built.get(net)
             if op is None:  # built once, so op lists share the tuples
-                built.update((op[1], op) for op in _gate_ops(order[p], index, chains.get(p, 0)))
+                for op in _gate_ops(order[p], index, chains.get(p, 0)):
+                    built.setdefault(op[1], op)
                 op = built[net]
             # sorts by gate, then up a wide gate's chain: unnamed nets, by number, first
             kept.append((p, net < len(index), op))
@@ -276,7 +277,9 @@ class CompiledNetlist:
     def initial_state(self, init: str) -> tuple[int | None, ...]:
         if init not in ("zero", "x"):
             raise ValueError(f"unknown init mode '{init}'")
-        return tuple(0 if init == "zero" or forced else None for forced in self.dff_forced_zero)
+        if init == "zero":
+            return tuple(0 for _ in self.dff_q_idx)
+        return tuple(0 if forced else None for forced in self.dff_forced_zero)
 
 
 def check_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> None:
@@ -298,7 +301,10 @@ def check_policy(compiled: CompiledNetlist, policy: KeyPolicy) -> None:
 
 
 def simulate(
-    netlist: Netlist, stimulus: Stimulus, init: str = "zero", watch: tuple[str, ...] = ()
+    netlist: Netlist,
+    stimulus: Stimulus,
+    init: str = "zero",
+    watch: tuple[str, ...] = (),
 ) -> Trace:
     """Simulate one stimulus and record inputs, outputs and watched nets.
 
@@ -363,8 +369,10 @@ class PlaneSim:
         self.mask = (1 << lanes) - 1
         self.watch_idx = tuple(self.c.index[n] for n in watch)
         self.roots = self.c.output_idx + self.c.dff_d_idx + list(self.watch_idx)
-        self.h, self.x = [0] * self.c.n_nets, [0] * self.c.n_nets
-        self.state_h, self.state_x = [0] * len(self.c.dff_q_idx), [0] * len(self.c.dff_q_idx)
+        self.h = [0] * self.c.n_nets
+        self.x = [0] * self.c.n_nets
+        self.state_h = [0] * len(self.c.dff_q_idx)
+        self.state_x = [0] * len(self.c.dff_q_idx)
         self._x_stale = False  # x holds unknown bits from a 3-valued step
 
     def reset(self, init: str = "zero") -> None:
@@ -377,8 +385,11 @@ class PlaneSim:
             self.state_x[i] = self.mask if v is None else 0
 
     def step(
-        self, nonkey_h: list[int], key_value: int | None,
-        nonkey_x: list[int] | None = None, latch: bool = True,
+        self,
+        nonkey_h: list[int],
+        key_value: int | None,
+        nonkey_x: list[int] | None = None,
+        latch: bool = True,
     ) -> None:
         """Evaluate one cycle. With latch=True the flip-flop planes advance.
 

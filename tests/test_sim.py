@@ -579,7 +579,8 @@ def test_keyed_runs_build_no_full_op_list_on_locked_b04():
     """`simulate` from an unknown state under a tampered schedule, and a
     random check under the schedule, step locked b04 (k4/ki11) through op
     lists alone: the list of every op is never built. A step whose counter
-    lanes differ builds it, and it is the eager compile's list."""
+    lanes differ builds it, and it is the eager compile's list, holding the
+    tuples already built rather than copies."""
     orig, locked, manifest = _locked_b04()
     rng = random.Random(2)
     n = len(locked.compiled.nonkey_idx)
@@ -595,7 +596,11 @@ def test_keyed_runs_build_no_full_op_list_on_locked_b04():
     sim = PlaneSim(locked, 2)
     sim.state_h[locked.compiled.counter_pos[0]] = 0b01
     sim.step([0] * n, manifest.schedule.key_at(0))
-    assert locked.compiled.__dict__["ops"] == reference_ops(locked)
+    compiled = locked.compiled
+    assert compiled.__dict__["ops"] == reference_ops(locked)
+    # the list shares the tuples the compile kept and the op lists built
+    shared = {id(op) for op in compiled.ops}
+    assert all(id(op) in shared for op in compiled._free + list(compiled._fed_ops.values()))
 
 
 def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
