@@ -5,10 +5,12 @@ gates over a fixed primitive set, and D flip-flops. Nets are identified by
 name; every net has exactly one driver (an input, a gate output, or a DFF
 output) and the combinational subgraph is acyclic once DFFs are cut.
 
-:func:`parse_bench` is one indexed pass: one full-match pattern per gate or
-DFF line, fanin names from one ``findall``, net names interned as read. Only
-lines that pattern rejects take the slower checks, which give each error its
-message and line number.
+:func:`parse_bench` is one indexed pass: one capturing full-match pattern per
+gate or DFF line yields the output, the kind and the first two fanins, and only
+a gate with three or more fanins reads the rest with ``findall``. Net names are
+interned as read and each ``Gate`` is built by ``tuple.__new__``. Only lines
+that pattern rejects take the slower checks, which give each error its message
+and line number.
 ``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
 gate positions, the cycle net) is built once and read by the parse's cycle
 check, :func:`validate`, :func:`topo_order` and the compiled form.
@@ -169,8 +171,12 @@ class Netlist:
 
 
 _NAME = r"[^\s(),=#]+"
-# `y = KIND(a, b, ...)` with a well-formed, non-empty fanin list
-_GATE_RE = re.compile(rf"({_NAME})\s*=\s*([A-Za-z]+)\s*\(\s*({_NAME}(?:\s*,\s*{_NAME})*)\s*\)")
+# `y = KIND(a, b, ...)` with a well-formed, non-empty fanin list; captures the
+# output, the kind, the first fanin, the second (or None) and the text of any
+# further fanins ("" after exactly two)
+_GATE_RE = re.compile(
+    rf"({_NAME})\s*=\s*([A-Za-z]+)\s*\(\s*({_NAME})(?:\s*,\s*({_NAME})((?:\s*,\s*{_NAME})*))?\s*\)"
+)
 _NAME_RE = re.compile(_NAME)
 _IO_RE = re.compile(rf"(?P<kw>INPUT|OUTPUT)\s*\((?P<net>{_NAME})\)", re.IGNORECASE)
 # any `y = KIND(...)` line; only lines the gate pattern rejects, each an error,
@@ -204,15 +210,15 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     # every net name read, mapped to one shared string object
     seen: dict[str, str] = {}
     intern = seen.setdefault
+    new_gate = tuple.__new__  # builds a Gate in C, without NamedTuple's Python-level __new__
 
     for lineno, raw in enumerate(_lines(text), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
         match = _GATE_RE.fullmatch(line)
         if match is not None:
-            lhs, kind_text, args = match.groups()
-            fanins = _NAME_RE.findall(args)
+            lhs, kind_text, first, second, rest = match.groups()
         else:
             io_match = _IO_RE.fullmatch(line)
             if io_match:
@@ -233,24 +239,29 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 raise BenchFormatError(f"unrecognized line: '{line}'", lineno)
             if assign["args"].strip():
                 raise BenchFormatError(f"malformed fanin list: '{line}'", lineno)
-            lhs, kind_text, fanins = assign["lhs"], assign["kind"], []
+            lhs, kind_text, first, second, rest = assign["lhs"], assign["kind"], None, None, None
         if lhs in driven:
             raise BenchFormatError(f"duplicate driver for net '{lhs}'", lineno)
         lhs = intern(lhs, lhs)
         driven[lhs] = None
-        fanins = tuple(map(intern, fanins, fanins))
-        kind = _KINDS.get(kind_text.upper())
+        kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.upper())
         if kind is None:
             raise BenchFormatError(f"unknown gate kind '{kind_text}'", lineno)
         if kind in _ONE_FANIN:
-            if len(fanins) != 1:
+            if first is None or second is not None:
                 raise BenchFormatError(f"{kind} takes exactly one fanin", lineno)
-        elif len(fanins) < 2:
+            if kind == "DFF":
+                dffs.append(Dff(lhs, intern(first, first)))
+                continue
+            fanins = (intern(first, first),)
+        elif second is None:
             raise BenchFormatError(f"{kind} takes at least two fanins", lineno)
-        if kind == "DFF":
-            dffs.append(Dff(lhs, fanins[0]))
+        elif rest:
+            names = _NAME_RE.findall(rest)
+            fanins = (intern(first, first), intern(second, second), *map(intern, names, names))
         else:
-            gates.append(Gate(lhs, kind, fanins))
+            fanins = (intern(first, first), intern(second, second))
+        gates.append(new_gate(Gate, (lhs, kind, fanins)))
 
     if len(seen) > len(driven):
         # a fanin or an output is undriven: report the first fanin reference
@@ -300,7 +311,8 @@ def _gate_lines(text: str):
     for lineno, raw in enumerate(_lines(text), start=1):
         match = _GATE_RE.fullmatch(raw.split("#", 1)[0].strip())
         if match is not None:
-            yield lineno, match[1], _NAME_RE.findall(match[3])
+            lhs, _, first, second, rest = match.groups()
+            yield lineno, lhs, [first] if second is None else [first, second, *_NAME_RE.findall(rest)]
 
 
 def _bench_lines(netlist: Netlist):

@@ -1,4 +1,5 @@
 import re
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -365,6 +366,45 @@ def test_long_text_parses_like_reference(tail):
     text = _long_text(tail)
     assert len(text) > 2 << 16
     _assert_parses_like_reference(text)
+
+
+_WIDE_HEAD = "".join(f"INPUT({net})\n" for net in "abcdef") + "OUTPUT(y)\nOUTPUT(z)\n"
+
+
+# random netlists have at most 3 fanins per gate; these reach 4 and 6, with a
+# space, a tab or a no-break space on both sides of every comma
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (_WIDE_HEAD + "y = AND(a ,\tb\t,\xa0c\xa0, d)\nz = xor(a\t, b ,\xa0c\xa0,\td , e\t,\xa0f)\n", None),
+        (_WIDE_HEAD + "y = AND(a ,\tb\t,\xa0c\xa0, w , e\t,\xa0f)\nz = OR(a, b)\n", (9, "undefined fanin net 'w'")),
+        (
+            _WIDE_HEAD + "y = NAND(a ,\tb\t,\xa0c\xa0, d , e\t,\xa0w)\nw = NOT(y)\nz = BUF(w)\n",
+            (10, "combinational cycle through net 'w'"),
+        ),
+    ],
+    ids=["wide-4-and-6", "undefined-4th-fanin", "cycle-through-last-fanin"],
+)
+def test_wide_gates_parse_like_reference(text, error):
+    _assert_parses_like_reference(text)
+    got = _parse_outcome(parse_bench, text)
+    if error is None:
+        assert [len(g.fanins) for g in got.gates] == [4, 6]
+    else:
+        line, message = error
+        assert got == (line, f"line {line}: {message}")
+
+
+@pytest.mark.parametrize("text", [corpus.read_text("s27.bench"), _long_text("y = BUF(g4999)")], ids=["s27", "long"])
+def test_parse_shares_driver_names_and_builds_gates(text):
+    netlist = parse_bench(text)
+    # each net read is the very string its driver declared, so a name is stored once
+    drivers = chain(netlist.inputs, (d.output for d in netlist.dffs), (g.output for g in netlist.gates))
+    declared = {net: net for net in drivers}
+    reads = chain.from_iterable(g.fanins for g in netlist.gates)
+    for net in chain(reads, (d.input for d in netlist.dffs), netlist.outputs):
+        assert net is declared[net]
+    assert all(type(g) is Gate and g == Gate(*g) for g in netlist.gates)
 
 
 @settings(max_examples=200, deadline=None)
