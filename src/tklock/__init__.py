@@ -16,15 +16,14 @@ from importlib import import_module as _import_module
 
 # submodule -> the public names it defines; each resolves on first use
 _EXPORTS = {
-    "behavioral": ("BehLockConfig", "BehManifest", "lock_behavioral"),
+    "behavioral": ("BehManifest", "lock_behavioral"),
     "circuit": ("BenchFormatError", "Dff", "Gate", "Netlist", "Violation", "parse_bench",
                 "structurally_equal", "topo_order", "validate", "write_bench"),
     "fsm": ("Fsm", "FsmError", "Kiss2FormatError", "Transition", "parse_kiss2", "simulate_fsm",
             "write_kiss2"),
     "keys": ("KeySchedule", "generate_key_schedule", "schedule_from_text", "schedule_to_text"),
     "sim": ("KeyPolicy", "Stimulus", "Trace", "simulate"),
-    "structural": ("LockConfig", "LockManifest", "lock_structural", "select_lock_targets",
-                   "wrongful_sources"),
+    "structural": ("LockManifest", "lock_structural", "select_lock_targets", "wrongful_sources"),
     "analysis": ("AttackResult", "BudgetExceededError", "Counterexample", "EquivVerdict",
                  "OverheadReport", "brute_force_attack", "check_equivalence_exhaustive",
                  "check_equivalence_random", "corruption_rate", "overhead_report",

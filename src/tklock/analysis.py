@@ -569,7 +569,7 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
     if delta.dffs != expected_width:
         raise ValueError(f"added DFF count {delta.dffs} != counter width {expected_width}")
     if delta.inputs != ki or delta.outputs != 0:
-        raise ValueError("added I/O counts do not match the lock config")
+        raise ValueError("added I/O counts do not match the manifest")
     if manifest.layers != k.bit_length():
         raise ValueError("manifest layer count does not match num_keys")
     return OverheadReport(

@@ -1,15 +1,16 @@
 """State-machine-level time-keyed locking.
 
-The locked machine is the product of the original states with the counter
-times 0..num_keys-1. Key bits are prepended to the input pattern; a
+The lock takes a key schedule of ``k`` values of ``ki`` bits each. The
+locked machine is the product of the original states with the counter
+times 0..k-1. Key bits are prepended to the input pattern; a
 transition out of ``s@t`` fires only when the key field carries the
 scheduled value for time t, in which case the machine follows the original
-edge into ``s'@((t+1) mod num_keys)``. Every other key value diverts to a
+edge into ``s'@((t+1) mod k)``. Every other key value diverts to a
 seeded wrongful state at the next time. Mealy outputs are kept from the
 original edge; corruption shows up through the state divergence on the
 following cycles rather than through rewritten output labels.
 
-Wrong-key values are covered by at most ``key_bits`` cube patterns (the
+Wrong-key values are covered by at most ``ki`` cube patterns (the
 complement of the scheduled value split one flipped bit at a time), all of
 which divert to the same wrongful state for a given (state, time, input).
 """
@@ -22,32 +23,11 @@ import re
 from typing import NamedTuple
 
 from .fsm import Fsm, FsmError, Transition, check_fsm, _listed_states
-from .keys import KeySchedule, _field, _manifest_schedule, generate_key_schedule, to_binary
+from .keys import KeySchedule, _field, _manifest_schedule, _schedule_doc, to_binary
 
 # manifest map keys, "state@time" and "state@time|input pattern"; only
 # from_json reads them, so re compiles them on first use, not at import
 _MAP_KEYS = {"state_map": r"(.*)@([0-9]+)", "wrongful_map": r"(.*)@([0-9]+)\|([^|]*)"}
-
-
-class BehLockConfig:
-    """Behavioral lock parameters; any `num_keys >= 2` is allowed."""
-
-    def __init__(
-        self, num_keys: int, key_bits: int, seed: int = 0, explicit_schedule: KeySchedule | None = None
-    ):
-        if num_keys < 2:
-            raise ValueError("num_keys must be >= 2")
-        if key_bits < 1:
-            raise ValueError("key_bits must be >= 1")
-        if explicit_schedule is not None:
-            if explicit_schedule.period != num_keys:
-                raise ValueError("explicit schedule period does not match num_keys")
-            if explicit_schedule.width != key_bits:
-                raise ValueError("explicit schedule width does not match key_bits")
-        self.num_keys = num_keys
-        self.key_bits = key_bits
-        self.seed = seed
-        self.explicit_schedule = explicit_schedule
 
 
 class BehManifest(NamedTuple):
@@ -61,7 +41,7 @@ class BehManifest(NamedTuple):
 
     def to_json(self) -> str:
         doc = {
-            "schedule": {"keys": list(self.schedule.keys), "width": self.schedule.width},
+            "schedule": _schedule_doc(self.schedule),
             "state_map": {f"{s}@{t}": name for (s, t), name in self.state_map.items()},
             "wrongful_map": {
                 f"{s}@{t}|{pattern}": w for (s, t, pattern), w in self.wrongful_map.items()
@@ -102,30 +82,31 @@ def wrong_key_cubes(value: int, width: int) -> list[str]:
     return cubes
 
 
-def lock_behavioral(fsm: Fsm, config: BehLockConfig) -> tuple[Fsm, BehManifest]:
-    """Apply the lock; returns the locked machine and its manifest.
+def lock_behavioral(fsm: Fsm, schedule: KeySchedule, seed: int = 0) -> tuple[Fsm, BehManifest]:
+    """Lock `fsm` to `schedule`; returns the locked machine and its manifest.
 
-    The locked machine is deterministic, has ``len(states) * num_keys``
-    states, input width ``key_bits + input_width`` (key bits first), and
-    resets to the original reset state at time 0.
+    With ``k = schedule.period`` (any k >= 2) and ``ki = schedule.width``,
+    the locked machine is deterministic, has ``len(states) * k`` states,
+    input width ``ki + input_width`` (key bits first), and resets to the
+    original reset state at time 0. `seed` draws the wrongful states.
     """
+    k = schedule.period
+    ki = schedule.width
+    if k < 2:
+        raise ValueError("num_keys must be >= 2")
     check_fsm(fsm)
     referenced = {t.src for t in fsm.transitions} | {t.dst for t in fsm.transitions}
     if referenced != set(fsm.states):
         missing = sorted(set(fsm.states) - referenced)
         raise FsmError(f"states never used in a transition: {missing}")
 
-    k = config.num_keys
-    schedule = config.explicit_schedule or generate_key_schedule(
-        k, config.key_bits, config.seed
-    )
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     single_state = len(fsm.states) == 1
 
     transitions: list[Transition] = []
     wrongful_map: dict[tuple[str, int, str], str] = {}
     for t in range(k):
-        key_bits = to_binary(schedule.keys[t], config.key_bits)
+        key_bits = to_binary(schedule.keys[t], ki)
         next_t = (t + 1) % k
         for tr in fsm.transitions:
             transitions.append(
@@ -141,7 +122,7 @@ def lock_behavioral(fsm: Fsm, config: BehLockConfig) -> tuple[Fsm, BehManifest]:
             else:
                 wrongful = rng.choice([s for s in fsm.states if s != tr.dst])
             wrongful_map[(tr.src, t, tr.inputs)] = wrongful
-            for cube in wrong_key_cubes(schedule.keys[t], config.key_bits):
+            for cube in wrong_key_cubes(schedule.keys[t], ki):
                 transitions.append(
                     Transition(
                         inputs=cube + tr.inputs,
@@ -156,7 +137,7 @@ def lock_behavioral(fsm: Fsm, config: BehLockConfig) -> tuple[Fsm, BehManifest]:
         raise FsmError("product construction lost states")
 
     locked = Fsm(
-        input_width=config.key_bits + fsm.input_width,
+        input_width=ki + fsm.input_width,
         output_width=fsm.output_width,
         states=states,
         reset_state=f"{fsm.reset_state}@0",

@@ -87,19 +87,12 @@ def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> Key
 
 def _cmd_lock_str(args) -> int:
     from .circuit import _bench_lines
-    from .structural import LockConfig, lock_structural
+    from .structural import lock_structural
 
     netlist = _load_bench(args.infile)
     schedule = _schedule_from_args(args, args.k, args.ki)
-    config = LockConfig(
-        num_keys=args.k,
-        key_bits=args.ki,
-        num_locked_ffs=args.ffs,
-        seed=args.seed,
-        explicit_targets=tuple(args.targets.split(",")) if args.targets else None,
-        explicit_schedule=schedule,
-    )
-    locked, manifest = lock_structural(netlist, config)
+    targets = args.targets.split(",") if args.targets else None
+    locked, manifest = lock_structural(netlist, schedule, args.ffs, args.seed, targets)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(_bench_lines(locked))  # line by line: no copy of the whole text
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
@@ -108,15 +101,12 @@ def _cmd_lock_str(args) -> int:
 
 
 def _cmd_lock_beh(args) -> int:
-    from .behavioral import BehLockConfig, lock_behavioral
+    from .behavioral import lock_behavioral
     from .fsm import parse_kiss2, write_kiss2
 
     fsm = parse_kiss2(Path(args.infile).read_text(encoding="utf-8"))
     schedule = _schedule_from_args(args, args.k, args.ki)
-    config = BehLockConfig(
-        num_keys=args.k, key_bits=args.ki, seed=args.seed, explicit_schedule=schedule
-    )
-    locked, manifest = lock_behavioral(fsm, config)
+    locked, manifest = lock_behavioral(fsm, schedule, args.seed)
     Path(args.out).write_text(write_kiss2(locked), encoding="utf-8")
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
     print(f"locked machine: {len(locked.states)} states; wrote {args.out} and {args.manifest}")

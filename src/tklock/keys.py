@@ -20,7 +20,7 @@ KEY_INPUT_PREFIX = "keyinput"
 COUNTER_NET_PREFIX = "cl_cnt"
 LOCK_NET_PREFIX = "cl_"
 
-_KEY_INPUT_RE = re.compile(rf"^{KEY_INPUT_PREFIX}(\d+)$")
+_KEY_INPUT_RE = re.compile(rf"^{KEY_INPUT_PREFIX}\d+$")
 
 
 class KeySchedule:
@@ -67,6 +67,11 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
 
 
+def _schedule_doc(schedule: KeySchedule) -> dict:
+    """The ``schedule`` object that both lock manifests write."""
+    return {"keys": list(schedule.keys), "width": schedule.width}
+
+
 def _manifest_schedule(doc: dict) -> KeySchedule:
     """The ``schedule`` object of a lock manifest; ValueError naming a bad field."""
     schedule = _field(doc, "schedule", dict)
@@ -94,7 +99,7 @@ def generate_key_schedule(num_keys: int, key_bits: int, seed: int) -> KeySchedul
     """Draw a deterministic schedule of `num_keys` values of `key_bits` bits each.
 
     Repeats across values are permitted. Any `num_keys >= 2` is accepted here;
-    the structural locker separately restricts its configs to powers of two.
+    the structural locker separately restricts its schedules to powers of two.
     """
     if num_keys < 2:
         raise ValueError("need at least 2 key values")
@@ -132,14 +137,14 @@ def key_input_names(width: int) -> list[str]:
 
 
 def split_inputs(netlist: Netlist) -> tuple[list[str], list[str]]:
-    """Split primary inputs into (non-key, key) lists, key inputs by bit index."""
-    non_key: list[str] = []
-    key: list[tuple[int, str]] = []
-    for name in netlist.inputs:
-        m = _KEY_INPUT_RE.match(name)
-        if m:
-            key.append((int(m.group(1)), name))
-        else:
-            non_key.append(name)
-    key.sort()
-    return non_key, [name for _, name in key]
+    """Split primary inputs into (non-key, key) lists, key inputs by bit index.
+
+    Raises ValueError unless the ``keyinput<N>`` inputs are exactly
+    ``key_input_names(w)`` for their count ``w``; any other set would bind an
+    input to another key bit.
+    """
+    key = {name for name in netlist.inputs if _KEY_INPUT_RE.match(name)}
+    names = key_input_names(len(key))
+    if key != set(names):
+        raise ValueError(f"key inputs {sorted(key)} are not {names[0]}..{names[-1]}")
+    return [name for name in netlist.inputs if name not in key], names

@@ -1,12 +1,13 @@
 """Netlist-level time-keyed locking.
 
-The transform adds, to a sequential `.bench` netlist:
+The transform takes a key schedule of ``k`` values of ``ki`` bits each and
+adds, to a sequential `.bench` netlist:
 
-* a shared key bus of ``key_bits`` new primary inputs,
-* a free-running modulo-``num_keys`` cycle counter (new DFFs resetting to 0)
+* a shared key bus of ``ki`` new primary inputs,
+* a free-running modulo-``k`` cycle counter (new DFFs resetting to 0)
   with a one-hot decode net per counter time,
 * per locked flip-flop, a tree of 2-to-1 multiplexers: the first layer holds
-  one ``2**key_bits``-to-1 mux per counter time whose select is the key bus,
+  one ``2**ki``-to-1 mux per counter time whose select is the key bus,
   and the remaining layers combine those pairwise, selected by ORs of the
   one-hot time nets, so the counter steers the tree to the current time's
   first-layer mux. The final tree output drives the flip-flop's D input.
@@ -21,7 +22,7 @@ flip-flops from the wrongful sources.
 
 All multiplexers are decomposed into AND/OR/NOT. Added nets carry a ``cl_``
 prefix (key inputs excepted) with deterministic indices, so a given netlist,
-config, and seed always produce byte-identical output.
+schedule, target choice and seed always produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -38,42 +39,9 @@ from .keys import (
     KeySchedule,
     _field,
     _manifest_schedule,
-    generate_key_schedule,
+    _schedule_doc,
     key_input_names,
 )
-
-
-class LockConfig:
-    """Structural lock parameters. `num_keys` must be a power of two >= 2."""
-
-    def __init__(
-        self,
-        num_keys: int,
-        key_bits: int,
-        num_locked_ffs: int = 1,
-        seed: int = 0,
-        explicit_targets: tuple[str, ...] | None = None,
-        explicit_schedule: KeySchedule | None = None,
-    ):
-        if num_keys < 2 or num_keys & (num_keys - 1):
-            raise ValueError("num_keys must be a power of two >= 2")
-        if key_bits < 1:
-            raise ValueError("key_bits must be >= 1")
-        if num_locked_ffs < 1:
-            raise ValueError("num_locked_ffs must be >= 1")
-        if explicit_schedule is not None:
-            if explicit_schedule.period != num_keys:
-                raise ValueError("explicit schedule period does not match num_keys")
-            if explicit_schedule.width != key_bits:
-                raise ValueError("explicit schedule width does not match key_bits")
-        if explicit_targets is not None and len(explicit_targets) != num_locked_ffs:
-            raise ValueError("explicit_targets length does not match num_locked_ffs")
-        self.num_keys = num_keys
-        self.key_bits = key_bits
-        self.num_locked_ffs = num_locked_ffs
-        self.seed = seed
-        self.explicit_targets = explicit_targets
-        self.explicit_schedule = explicit_schedule
 
 
 class LockedFf(NamedTuple):
@@ -106,7 +74,7 @@ class LockManifest(NamedTuple):
 
     def to_json(self) -> str:
         doc = {
-            "schedule": {"keys": list(self.schedule.keys), "width": self.schedule.width},
+            "schedule": _schedule_doc(self.schedule),
             "layers": self.layers,
             "key_input_nets": self.key_input_nets,
             "counter_state_nets": self.counter_state_nets,
@@ -263,13 +231,28 @@ def _mix_seed(seed: int, ff_index: int, time: int) -> int:
     return seed * 1_000_003 + ff_index * 8191 + time
 
 
-def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, LockManifest]:
-    """Apply the lock; returns the locked netlist and its manifest.
+def lock_structural(
+    netlist: Netlist,
+    schedule: KeySchedule,
+    num_locked_ffs: int = 1,
+    seed: int = 0,
+    targets: list[str] | None = None,
+) -> tuple[Netlist, LockManifest]:
+    """Lock `netlist` to `schedule`; returns the locked netlist and its manifest.
 
-    The input netlist is not modified. Original primary outputs, gates, and
-    net names are preserved; only the locked flip-flops' D connections move
-    onto the new mux trees.
+    ``k = schedule.period`` (a power of two >= 2) and ``ki = schedule.width``.
+    `targets` names the flip-flops to lock; otherwise `seed` draws
+    `num_locked_ffs` of them, and it always seeds the wrongful sources. The
+    input netlist is not modified. Original primary outputs, gates, and net
+    names are preserved; only the locked flip-flops' D connections move onto
+    the new mux trees.
     """
+    k = schedule.period
+    ki = schedule.width
+    if k < 2 or k & (k - 1):
+        raise ValueError("num_keys must be a power of two >= 2")
+    if num_locked_ffs < 1:
+        raise ValueError("num_locked_ffs must be >= 1")
     netlist._require_valid()
     if not netlist.dffs:
         raise ValueError("netlist has no flip-flops to lock")
@@ -277,16 +260,8 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
         if name.startswith(LOCK_NET_PREFIX) or name.startswith(KEY_INPUT_PREFIX):
             raise ValueError(f"net '{name}' uses a reserved lock prefix; already locked?")
 
-    k = config.num_keys
-    ki = config.key_bits
     width = k.bit_length() - 1
-    schedule = config.explicit_schedule or generate_key_schedule(k, ki, config.seed)
-    targets = select_lock_targets(
-        netlist,
-        config.num_locked_ffs,
-        config.seed,
-        list(config.explicit_targets) if config.explicit_targets is not None else None,
-    )
+    locked_dffs = select_lock_targets(netlist, num_locked_ffs, seed, targets)
 
     gates: list[Gate] = list(netlist.gates)
     key_nets = key_input_names(ki)
@@ -343,7 +318,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
 
     locked_records: list[LockedFf] = []
     tree_out_by_ff: dict[str, str] = {}
-    for fi, target in enumerate(targets):
+    for fi, target in enumerate(locked_dffs):
         correct = target.input
         complement = f"cl_f{fi}_dcompl"
         complement_used = False
@@ -351,7 +326,7 @@ def lock_structural(netlist: Netlist, config: LockConfig) -> tuple[Netlist, Lock
         first_layer: list[str] = []
         for t in range(k):
             sources = wrongful_sources(
-                netlist, target, 2**ki - 1, _mix_seed(config.seed, fi, t), complement
+                netlist, target, 2**ki - 1, _mix_seed(seed, fi, t), complement
             )
             data: list[str] = []
             slot = 0

@@ -2,7 +2,7 @@ import pytest
 
 from tklock import corpus
 from tklock.keys import KeySchedule
-from tklock.structural import LockConfig, lock_structural
+from tklock.structural import lock_structural
 
 S27_SCHEDULE = KeySchedule(keys=(1, 3, 2, 0), width=2)
 S27_SEED = 7
@@ -20,16 +20,8 @@ def detector():
 
 @pytest.fixture(scope="session")
 def s27_locked(s27):
-    """s27 locked with the reference config: 4 keys of 2 bits, schedule 1,3,2,0."""
-    config = LockConfig(
-        num_keys=4,
-        key_bits=2,
-        num_locked_ffs=1,
-        seed=S27_SEED,
-        explicit_schedule=S27_SCHEDULE,
-    )
-    locked, manifest = lock_structural(s27, config)
-    return locked, manifest
+    """s27 locked to the reference schedule: 4 keys of 2 bits, 1,3,2,0."""
+    return lock_structural(s27, S27_SCHEDULE, seed=S27_SEED)
 
 
 @pytest.fixture

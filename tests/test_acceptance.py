@@ -18,12 +18,12 @@ from tklock.analysis import (
     check_equivalence_random,
     overhead_report,
 )
-from tklock.behavioral import BehLockConfig, lock_behavioral
+from tklock.behavioral import lock_behavioral
 from tklock.circuit import parse_bench, structurally_equal, validate, write_bench
 from tklock.fsm import parse_kiss2, simulate_fsm, write_kiss2
-from tklock.keys import KeySchedule, to_binary
+from tklock.keys import KeySchedule, generate_key_schedule, to_binary
 from tklock.sim import KeyPolicy, Stimulus, simulate
-from tklock.structural import LockConfig, added_mux_count, lock_structural
+from tklock.structural import added_mux_count, lock_structural
 from tests.conftest import S27_SCHEDULE, S27_SEED
 
 pytestmark = pytest.mark.acceptance
@@ -76,7 +76,7 @@ def test_c2_correct_key_equivalence_at_scale(criterion):
     for name, (num_keys, key_bits) in SCALE_CONFIGS.items():
         orig = corpus.load_bench(name)
         locked, manifest = lock_structural(
-            orig, LockConfig(num_keys=num_keys, key_bits=key_bits, seed=42)
+            orig, generate_key_schedule(num_keys, key_bits, 42), seed=42
         )
         verdict = check_equivalence_random(
             orig,
@@ -121,7 +121,7 @@ def test_c4_mux_tree_shape(criterion, s27):
     criterion("C4 mux-tree shape for k in {2,4,8,16}")
     for num_keys in (2, 4, 8, 16):
         locked, manifest = lock_structural(
-            s27, LockConfig(num_keys=num_keys, key_bits=2, seed=3)
+            s27, generate_key_schedule(num_keys, 2, 3), seed=3
         )
         assert manifest.layers == num_keys.bit_length()
         report = overhead_report(s27, locked, manifest)
@@ -135,7 +135,7 @@ def test_c5_single_key_reduction(criterion, s27, s27_locked):
     started = time.perf_counter()
     constant = KeySchedule(keys=(3, 3, 3, 3), width=2)
     locked_const, _ = lock_structural(
-        s27, LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=constant)
+        s27, constant, seed=S27_SEED
     )
     static_const = brute_force_attack(locked_const, s27, num_keys=1, key_bits=2, depth=8)
     assert (3,) in static_const.survivors
@@ -157,7 +157,7 @@ def test_c5_single_key_reduction(criterion, s27, s27_locked):
 
 def test_c6_behavioral_lock_detector(criterion, detector):
     criterion("C6 behavioral lock of the 1001 detector")
-    locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     assert len(locked.states) == 16
     assert locked.input_width == 5
     schedule = manifest.schedule
@@ -197,7 +197,7 @@ def test_c7_overhead_scaling(criterion):
     ratios = []
     for name in OVERHEAD_CORPUS:
         orig = corpus.load_bench(name)
-        locked, manifest = lock_structural(orig, LockConfig(num_keys=4, key_bits=3, seed=8))
+        locked, manifest = lock_structural(orig, generate_key_schedule(4, 3, 8), seed=8)
         report = overhead_report(orig, locked, manifest)
         sizes.append(report.original.gates)
         deltas.append(report.delta.gates)
@@ -231,13 +231,13 @@ def test_c8_format_fidelity(criterion, s27, s27_locked, detector):
     lock_checked = 0
     for name in corpus.available_benches():
         orig = corpus.load_bench(name)
-        locked_n, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=2, seed=3))
+        locked_n, _ = lock_structural(orig, generate_key_schedule(4, 2, 3), seed=3)
         assert validate(locked_n) == [], name
         assert structurally_equal(
             locked_n, parse_bench(write_bench(locked_n), name=name)
         )
         lock_checked += 1
-    locked_fsm, _ = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked_fsm, _ = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     assert parse_kiss2(write_kiss2(locked_fsm)) == locked_fsm
     print(
         f"\nC8: round-trip fixed points for {len(corpus.available_benches())} benches and "

@@ -20,7 +20,7 @@ from tklock.analysis import (
 )
 from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
 from tklock.sim import KeyPolicy, PlaneSim, Stimulus, minterm_planes, simulate
-from tklock.structural import LockConfig, lock_structural
+from tklock.structural import lock_structural
 from tests.attack_reference import per_candidate_survivors
 from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import simulate_kleene
@@ -84,7 +84,7 @@ def test_static_key_finds_counterexample_and_replays(s27):
     for seed in range(S27_SEED, S27_SEED + 3):
         locked, manifest = lock_structural(
             s27,
-            LockConfig(num_keys=4, key_bits=2, seed=seed, explicit_schedule=S27_SCHEDULE),
+            S27_SCHEDULE, seed=seed,
         )
         policy = KeyPolicy.static(1)
         verdict = check_equivalence_exhaustive(s27, locked, depth=6, key_policy=policy)
@@ -185,7 +185,7 @@ def test_corruption_rate_matches_per_lane_reference(s27, s27_locked, overrides):
 def test_corruption_rate_checks_keyed_original(s27, s27_locked):
     # the schedule fits the 2-bit locked side but not a 3-bit keyed original
     locked, manifest = s27_locked
-    keyed_orig, _ = lock_structural(s27, LockConfig(num_keys=4, key_bits=3, seed=0))
+    keyed_orig, _ = lock_structural(s27, generate_key_schedule(4, 3, 0), seed=0)
     with pytest.raises(ValueError, match="does not match 3 key inputs"):
         corruption_rate(keyed_orig, locked, manifest.schedule, {}, 8, 4, seed=0)
 
@@ -195,7 +195,7 @@ def test_corruption_rate_without_outputs_rejected(monkeypatch):
     orig = parse_bench(
         "INPUT(a)\nINPUT(b)\nq = DFF(d)\nd = AND(a, r)\ne = OR(b, q)\nr = DFF(e)\n", name="noout"
     )
-    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=2, seed=0))
+    locked, manifest = lock_structural(orig, generate_key_schedule(2, 2, 0), seed=0)
     monkeypatch.setattr(analysis, "PlaneSim", None)  # refused before any plane is built
     with pytest.raises(ValueError, match="no output to observe"):
         corruption_rate(orig, locked, manifest.schedule, {0: 1}, 8, 4, seed=0)
@@ -228,7 +228,7 @@ def test_brute_force_budget():
     # the random mode counts locked-circuit steps: 85 here, against 16 * 64
     # for one full check per candidate; it refuses before the 86th
     orig = corpus.load_bench("b08_like")
-    locked, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=1, seed=5))
+    locked, _ = lock_structural(orig, generate_key_schedule(4, 1, 5), seed=5)
     result = brute_force_attack(locked, orig, num_keys=4, key_bits=1, budget=85)
     assert result.mode == "random"
     assert result.survivors == [(1, 1, 0, 1)]
@@ -241,7 +241,7 @@ def test_random_attack_survivors_counted_before_they_are_built(monkeypatch):
     # 64 (after 345 locked steps) survives with 2**16 completions, past the
     # budget, so the search refuses before building any completion
     orig = corpus.load_bench("b08_like")
-    locked, _ = lock_structural(orig, LockConfig(num_keys=4, key_bits=1, seed=5))
+    locked, _ = lock_structural(orig, generate_key_schedule(4, 1, 5), seed=5)
     built = []
     monkeypatch.setattr(analysis, "product", lambda *a, **kw: built.append(a) or iter(()))
     with pytest.raises(BudgetExceededError, match=r"0 \+ 2\^16 surviving candidates exceed budget 1000"):
@@ -252,7 +252,7 @@ def test_random_attack_survivors_counted_before_they_are_built(monkeypatch):
 def test_static_attack_constant_schedule_survives(s27):
     schedule = KeySchedule(keys=(3, 3, 3, 3), width=2)
     locked, _ = lock_structural(
-        s27, LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=schedule)
+        s27, schedule, seed=S27_SEED
     )
     result = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
     assert result.survivors == [(3,)]
@@ -269,7 +269,7 @@ def test_static_attack_time_varying_schedule_finds_nothing(s27, s27_locked):
 def test_static_attack_one_bit_space(s27):
     locked, manifest = lock_structural(
         s27,
-        LockConfig(num_keys=2, key_bits=1, seed=1, explicit_schedule=KeySchedule((0, 1), 1)),
+        KeySchedule((0, 1), 1), seed=1,
     )
     result = brute_force_attack(locked, s27, num_keys=1, key_bits=1, depth=8)
     assert result.search_space_size == 2
@@ -281,7 +281,7 @@ def test_static_attack_matches_static_policy_check(s27, keys):
     # is equivalent under the static key policy
     locked, _ = lock_structural(
         s27,
-        LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=KeySchedule(keys, 2)),
+        KeySchedule(keys, 2), seed=S27_SEED,
     )
     result = brute_force_attack(locked, s27, num_keys=1, key_bits=2, depth=8)
     expected = [
@@ -304,7 +304,7 @@ def test_exhaustive_joint_state_cap(s27, s27_locked):
 def test_brute_force_soundness_generated_schedules(s27, seed):
     schedule = generate_key_schedule(2, 1, seed)
     locked, manifest = lock_structural(
-        s27, LockConfig(num_keys=2, key_bits=1, seed=seed, explicit_schedule=schedule)
+        s27, schedule, seed=seed
     )
     result = brute_force_attack(locked, s27, num_keys=2, key_bits=1, depth=6)
     assert tuple(schedule.keys) in result.survivors
@@ -327,7 +327,7 @@ def test_prefix_search_matches_per_candidate_checks(seed, lock_keys, num_keys, k
     # the pruned search keeps exactly the candidates, in enumeration order,
     # that one exhaustive check per candidate keeps
     oracle = synth.random_netlist(seed, n_inputs=2, n_dffs=3, n_gates=10, n_outputs=2)
-    locked, _ = lock_structural(oracle, LockConfig(num_keys=lock_keys, key_bits=key_bits, seed=seed))
+    locked, _ = lock_structural(oracle, generate_key_schedule(lock_keys, key_bits, seed), seed=seed)
     result = brute_force_attack(locked, oracle, num_keys=num_keys, key_bits=key_bits, depth=depth)
     assert result.mode == "exhaustive"
     expected = [
@@ -403,10 +403,10 @@ def test_overhead_report_s27(s27, s27_locked):
 
 def test_overhead_test_run_configs(s27):
     # 4 keys x 3 bits and the smallest config
-    locked, manifest = lock_structural(s27, LockConfig(num_keys=4, key_bits=3, seed=0))
+    locked, manifest = lock_structural(s27, generate_key_schedule(4, 3, 0), seed=0)
     report = overhead_report(s27, locked, manifest)
     assert report.per_ff_mux_count == 4 * 7 + 3 == 31
-    locked, manifest = lock_structural(s27, LockConfig(num_keys=2, key_bits=1, seed=0))
+    locked, manifest = lock_structural(s27, generate_key_schedule(2, 1, 0), seed=0)
     report = overhead_report(s27, locked, manifest)
     assert report.per_ff_mux_count == 2 * 1 + 1 == 3
 
@@ -417,7 +417,7 @@ def test_overhead_added_gates_constant_and_relative_decreasing():
     ratios = []
     for name in names:
         orig = corpus.load_bench(name)
-        locked, manifest = lock_structural(orig, LockConfig(num_keys=4, key_bits=3, seed=8))
+        locked, manifest = lock_structural(orig, generate_key_schedule(4, 3, 8), seed=8)
         report = overhead_report(orig, locked, manifest)
         deltas.append(report.delta.gates)
         ratios.append(report.relative_gate_overhead)
@@ -427,7 +427,7 @@ def test_overhead_added_gates_constant_and_relative_decreasing():
 
 def test_relative_overhead_of_gateless_original_is_rejected():
     orig = parse_bench("INPUT(a)\nOUTPUT(q)\nq = DFF(a)\n", name="bare")
-    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=1, seed=0))
+    locked, manifest = lock_structural(orig, generate_key_schedule(2, 1, 0), seed=0)
     report = overhead_report(orig, locked, manifest)
     with pytest.raises(ValueError, match="no gates"):
         report.relative_gate_overhead
@@ -494,7 +494,7 @@ def test_random_prefix_search_matches_per_candidate_checks(
     n_inputs, n_dffs = (7, 2) if wide else (2, 9)
     oracle = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2)
     locked, _ = lock_structural(
-        oracle, LockConfig(num_keys=lock_keys, key_bits=key_bits, num_locked_ffs=2, seed=seed)
+        oracle, generate_key_schedule(lock_keys, key_bits, seed), num_locked_ffs=2, seed=seed
     )
     result = brute_force_attack(locked, oracle, num_keys=num_keys, key_bits=key_bits, seed=seed)
     assert result.mode == "random"
@@ -504,7 +504,8 @@ def test_random_prefix_search_matches_per_candidate_checks(
 def test_random_prefix_search_matches_reference_on_bench_b06_lock():
     # the keysearch benchmark's b06 lock (seed 0): lock seed 1222, attack seed 25965
     orig = corpus.load_bench("b06_like")
-    locked, manifest = lock_structural(orig, LockConfig(4, 2, num_locked_ffs=2, seed=1222))
+    schedule = generate_key_schedule(4, 2, 1222)
+    locked, manifest = lock_structural(orig, schedule, num_locked_ffs=2, seed=1222)
     result = brute_force_attack(locked, orig, num_keys=4, key_bits=2, seed=25965)
     assert result.mode == "random"
     assert result.survivors == per_candidate_survivors(locked, orig, 4, 2, seed=25965)
@@ -515,7 +516,7 @@ def test_random_prefix_search_matches_reference_on_b12():
     # b12 k2/ki5: (24, 26) is the schedule; (24, 28) is not refuted by 256x64
     # stimuli. The reference checks every candidate starting with 23, 24 or 25.
     orig = corpus.load_bench("b12_like")
-    locked, manifest = lock_structural(orig, LockConfig(num_keys=2, key_bits=5, seed=0))
+    locked, manifest = lock_structural(orig, generate_key_schedule(2, 5, 0), seed=0)
     result = brute_force_attack(locked, orig, num_keys=2, key_bits=5)
     assert result.mode == "random"
     assert manifest.schedule.keys == (24, 26)
@@ -529,8 +530,9 @@ def test_random_prefix_search_keyed_oracle_matches_reference():
     # each candidate too; the two differ only where one of them gets its
     # correct key at cycle 1
     def lock(keys):
-        config = LockConfig(2, 2, num_locked_ffs=2, seed=4, explicit_schedule=KeySchedule(keys, 2))
-        return lock_structural(corpus.load_bench("b06_like"), config)[0]
+        return lock_structural(
+            corpus.load_bench("b06_like"), KeySchedule(keys, 2), num_locked_ffs=2, seed=4
+        )[0]
 
     oracle, locked = lock((1, 2)), lock((1, 3))
     result = brute_force_attack(locked, oracle, num_keys=2, key_bits=2, seed=3)
@@ -544,7 +546,7 @@ def test_attack_random_mode_on_wide_circuit():
     orig = corpus.load_bench("b08_like")  # 9 non-key inputs forces random mode
     schedule = KeySchedule(keys=(1, 0), width=1)
     locked, _ = lock_structural(
-        orig, LockConfig(num_keys=2, key_bits=1, seed=5, explicit_schedule=schedule)
+        orig, schedule, seed=5
     )
     result = brute_force_attack(locked, orig, num_keys=2, key_bits=1, seed=6)
     assert result.mode == "random"
@@ -568,9 +570,8 @@ def test_lock_then_verify_with_the_schedule_is_equivalent(
     """A random netlist locked with a random config is equivalent to the
     original under its generating schedule, in exhaustive and random mode."""
     orig = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
-    locked, manifest = lock_structural(
-        orig, LockConfig(num_keys, key_bits, num_locked_ffs=min(ffs, n_dffs), seed=seed)
-    )
+    schedule = generate_key_schedule(num_keys, key_bits, seed)
+    locked, manifest = lock_structural(orig, schedule, num_locked_ffs=min(ffs, n_dffs), seed=seed)
     policy = KeyPolicy.correct(manifest.schedule)
     assert check_equivalence_exhaustive(orig, locked, depth=4, key_policy=policy, init=init).equivalent
     assert check_equivalence_random(
@@ -597,8 +598,8 @@ def test_counterexamples_replay_under_tampered_schedules(
     step many lanes and the replay one, so two lane counts share the
     netlist's cached op lists."""
     orig = synth.random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
-    locked, manifest = lock_structural(orig, LockConfig(num_keys, key_bits, seed=seed))
-    schedule = manifest.schedule
+    schedule = generate_key_schedule(num_keys, key_bits, seed)
+    locked, manifest = lock_structural(orig, schedule, seed=seed)
     cycles = data.draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
     overrides = {
         c: (schedule.key_at(c) + data.draw(st.integers(1, 2**key_bits - 1))) % 2**key_bits

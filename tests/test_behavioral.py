@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklock import corpus
-from tklock.behavioral import BehLockConfig, BehManifest, lock_behavioral, wrong_key_cubes
+from tklock.behavioral import BehManifest, lock_behavioral, wrong_key_cubes
 from tklock.fsm import FsmError, parse_kiss2, simulate_fsm, write_kiss2
-from tklock.keys import KeySchedule, to_binary
+from tklock.keys import KeySchedule, generate_key_schedule, to_binary
 
 
 @settings(max_examples=60, deadline=None)
@@ -33,7 +33,7 @@ def test_wrong_key_cubes_partition_complement(width, data):
 
 
 def test_lock_detector_shape(detector):
-    locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     assert len(locked.states) == 16
     assert locked.input_width == 5
     assert locked.output_width == 1
@@ -45,30 +45,32 @@ def test_state_count_law():
     for name in ("toggle", "serial_adder", "handshake"):
         fsm = corpus.load_kiss2(name)
         for num_keys in (2, 3, 5):
-            locked, _ = lock_behavioral(fsm, BehLockConfig(num_keys=num_keys, key_bits=2, seed=4))
+            locked, _ = lock_behavioral(fsm, generate_key_schedule(num_keys, 2, 4), seed=4)
             assert len(locked.states) == len(fsm.states) * num_keys
 
 
 def test_non_power_of_two_keys_allowed():
     fsm = corpus.load_kiss2("toggle")
-    locked, manifest = lock_behavioral(fsm, BehLockConfig(num_keys=3, key_bits=2, seed=0))
+    locked, manifest = lock_behavioral(fsm, generate_key_schedule(3, 2, 0), seed=0)
     assert manifest.schedule.period == 3
     assert len(locked.states) == 6
 
 
 def test_single_state_machine_degenerate():
     fsm = corpus.load_kiss2("single")
-    locked, manifest = lock_behavioral(fsm, BehLockConfig(num_keys=2, key_bits=1, seed=0))
+    locked, manifest = lock_behavioral(fsm, generate_key_schedule(2, 1, 0), seed=0)
     assert len(locked.states) == 2
     # only one state exists, so the wrongful choice must equal the correct one
     assert set(manifest.wrongful_map.values()) == {"S"}
 
 
-def test_config_rejects_bad_params():
-    with pytest.raises(ValueError, match=">= 2"):
-        BehLockConfig(num_keys=1, key_bits=4)
-    with pytest.raises(ValueError, match=">= 1"):
-        BehLockConfig(num_keys=2, key_bits=0)
+def test_config_rejects_bad_params(detector):
+    with pytest.raises(ValueError, match="num_keys must be >= 2"):
+        lock_behavioral(detector, KeySchedule((3,), 4))
+    with pytest.raises(ValueError, match="need at least 2 key values"):
+        generate_key_schedule(1, 4, 0)
+    with pytest.raises(ValueError, match="key width must be >= 1"):
+        KeySchedule((0, 0), 0)
 
 
 def test_lock_rejects_nondeterministic_machine():
@@ -83,7 +85,7 @@ def test_lock_rejects_nondeterministic_machine():
                      Transition("-", "b", "a", "0")),
     )
     with pytest.raises(FsmError, match="nondeterministic"):
-        lock_behavioral(bad, BehLockConfig(num_keys=2, key_bits=1))
+        lock_behavioral(bad, generate_key_schedule(2, 1, 0))
 
 
 def _locked_inputs(schedule: KeySchedule, bits: str, wrong: dict[int, int] | None = None):
@@ -97,7 +99,7 @@ def _locked_inputs(schedule: KeySchedule, bits: str, wrong: dict[int, int] | Non
 
 
 def test_correct_key_equivalence_exhaustive_depth8(detector):
-    locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     for length in range(9):
         for bits in itertools.product("01", repeat=length):
             word = "".join(bits)
@@ -107,7 +109,7 @@ def test_correct_key_equivalence_exhaustive_depth8(detector):
 
 
 def test_single_wrong_key_diverges_at_that_step(detector):
-    locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     schedule = manifest.schedule
     word = "10011001"
     _, correct_states = simulate_fsm(detector, list(word))
@@ -125,7 +127,7 @@ def test_single_wrong_key_diverges_at_that_step(detector):
 
 
 def test_wrongful_states_never_equal_correct(detector):
-    _, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    _, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     next_state = {(t.src, t.inputs): t.dst for t in detector.transitions}
     for (state, _, pattern), wrongful in manifest.wrongful_map.items():
         assert wrongful != next_state[(state, pattern)]
@@ -133,7 +135,7 @@ def test_wrongful_states_never_equal_correct(detector):
 
 def test_wrong_keys_corrupt_outputs_eventually(detector):
     # state divergence must become observable on some continuation
-    locked, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     schedule = manifest.schedule
     diverged = False
     for word in ("".join(bits) for bits in itertools.product("01", repeat=6)):
@@ -148,21 +150,21 @@ def test_wrong_keys_corrupt_outputs_eventually(detector):
 
 
 def test_locked_machine_round_trips(detector):
-    locked, _ = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    locked, _ = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     text = write_kiss2(locked)
     assert parse_kiss2(text) == locked
 
 
 def test_lock_is_deterministic(detector):
-    config = BehLockConfig(num_keys=4, key_bits=4, seed=11)
-    first, first_manifest = lock_behavioral(detector, config)
-    second, second_manifest = lock_behavioral(detector, config)
+    schedule = generate_key_schedule(4, 4, 11)
+    first, first_manifest = lock_behavioral(detector, schedule, seed=11)
+    second, second_manifest = lock_behavioral(detector, schedule, seed=11)
     assert write_kiss2(first) == write_kiss2(second)
     assert first_manifest.to_json() == second_manifest.to_json()
 
 
 def test_manifest_json_round_trip(detector):
-    _, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    _, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     again = BehManifest.from_json(manifest.to_json())
     assert again.schedule == manifest.schedule
     assert again.state_map == manifest.state_map
@@ -198,7 +200,7 @@ def _rekey(name, old, new):
 def test_manifest_from_json_names_the_bad_field(detector, edit, detail):
     """A malformed document used to raise KeyError, TypeError or a bare
     unpacking ValueError."""
-    _, manifest = lock_behavioral(detector, BehLockConfig(num_keys=4, key_bits=4, seed=11))
+    _, manifest = lock_behavioral(detector, generate_key_schedule(4, 4, 11), seed=11)
     doc = json.loads(manifest.to_json())
     doc = edit(doc) or doc
     with pytest.raises(ValueError, match=re.escape(detail)):
@@ -207,15 +209,13 @@ def test_manifest_from_json_names_the_bad_field(detector, edit, detail):
 
 def test_explicit_schedule_respected(detector):
     schedule = KeySchedule(keys=(5, 9, 0, 15), width=4)
-    _, manifest = lock_behavioral(
-        detector, BehLockConfig(num_keys=4, key_bits=4, seed=0, explicit_schedule=schedule)
-    )
+    _, manifest = lock_behavioral(detector, schedule, seed=0)
     assert manifest.schedule == schedule
 
 
 def test_dont_care_inputs_survive_locking():
     fsm = corpus.load_kiss2("handshake")
-    locked, manifest = lock_behavioral(fsm, BehLockConfig(num_keys=2, key_bits=2, seed=1))
+    locked, manifest = lock_behavioral(fsm, generate_key_schedule(2, 2, 1), seed=1)
     word = ["00", "10", "11", "01"]
     orig_out, _ = simulate_fsm(fsm, word)
     rows = [to_binary(manifest.schedule.key_at(i), 2) + word[i] for i in range(len(word))]

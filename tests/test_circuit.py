@@ -20,7 +20,8 @@ from tklock.circuit import (
     write_bench,
 )
 from tklock.fsm import Kiss2FormatError, parse_kiss2
-from tklock.structural import LockConfig, lock_structural
+from tklock.keys import generate_key_schedule
+from tklock.structural import lock_structural
 from tklock.synth import random_netlist
 from tests.bench_reference import kahn_by_name, reference_parse_bench, reference_validate
 
@@ -510,7 +511,7 @@ def test_parsed_netlist_is_not_validated_again(monkeypatch):
     calls = _validate_calls(monkeypatch)
     netlist = parse_bench(corpus.read_text("s27.bench"), name="s27")
     assert netlist.compiled is netlist.compiled
-    locked, _ = lock_structural(netlist, LockConfig(num_keys=2, key_bits=1))
+    locked, _ = lock_structural(netlist, generate_key_schedule(2, 1, 0))
     # the lock checks its own output, and that check stands for the compile's
     assert len(calls) == 1 and calls[0] is locked
     locked.compiled
@@ -520,7 +521,7 @@ def test_parsed_netlist_is_not_validated_again(monkeypatch):
 def test_netlist_built_in_code_is_validated_once(monkeypatch):
     calls = _validate_calls(monkeypatch)
     netlist = random_netlist(3, 3, 2, 12, n_outputs=2, name="rand")
-    locked, _ = lock_structural(netlist, LockConfig(num_keys=2, key_bits=1))
+    locked, _ = lock_structural(netlist, generate_key_schedule(2, 1, 0))
     netlist.compiled
     assert [id(n) for n in calls] == [id(netlist), id(locked)]
 
@@ -531,12 +532,12 @@ def test_netlist_built_in_code_with_error_is_refused():
         with pytest.raises(ValueError, match="netlist 'u' fails validation"):
             undriven.compiled
         with pytest.raises(ValueError, match="netlist 'u' fails validation"):
-            lock_structural(undriven, LockConfig(num_keys=2, key_bits=1))
+            lock_structural(undriven, generate_key_schedule(2, 1, 0))
 
 
 def test_lock_output_check_includes_warnings(monkeypatch, s27):
     dangling = [Violation("warning", "dangling", "x", "dangling net: x")]
     calls = _validate_calls(monkeypatch, lambda netlist: dangling)
     with pytest.raises(RuntimeError, match="locked netlist fails validation: dangling net: x"):
-        lock_structural(s27, LockConfig(num_keys=2, key_bits=1))
+        lock_structural(s27, generate_key_schedule(2, 1, 0))
     assert len(calls) == 1

@@ -14,7 +14,8 @@ from tklock import circuit, corpus
 from tklock.circuit import write_bench
 from tklock.cli import main
 from tklock.fsm import FsmError
-from tklock.structural import LockConfig, lock_structural
+from tklock.keys import generate_key_schedule
+from tklock.structural import lock_structural
 
 
 @pytest.fixture()
@@ -59,10 +60,8 @@ def test_lock_str_writes_the_write_bench_text(tmp_path, s27_path):
     from tklock.keys import parse_key_list
 
     out, _ = _lock(tmp_path, s27_path)
-    config = LockConfig(
-        num_keys=4, key_bits=2, num_locked_ffs=1, seed=7, explicit_schedule=parse_key_list("01,11,10,00")
-    )
-    locked, _ = lock_structural(circuit.parse_bench(s27_path.read_text(), name="s27"), config)
+    s27 = circuit.parse_bench(s27_path.read_text(), name="s27")
+    locked, _ = lock_structural(s27, parse_key_list("01,11,10,00"), seed=7)
     assert out.read_bytes() == write_bench(locked).encode("utf-8")
 
 
@@ -227,7 +226,7 @@ def _attack_k2_ki1_lock(tmp_path, stem, *args) -> int:
     """Run `attack` against a k=2/ki=1 lock of `stem` with `args` appended."""
     orig = tmp_path / f"{stem}.bench"
     orig.write_text(corpus.read_text(f"{stem}.bench"), encoding="utf-8")
-    locked, _ = lock_structural(corpus.load_bench(stem), LockConfig(num_keys=2, key_bits=1, seed=5))
+    locked, _ = lock_structural(corpus.load_bench(stem), generate_key_schedule(2, 1, 5), seed=5)
     locked_path = tmp_path / f"{stem}.locked.bench"
     locked_path.write_text(write_bench(locked), encoding="utf-8")
     return main(["attack", "--orig", str(orig), "--locked", str(locked_path), *args])
@@ -453,6 +452,24 @@ def test_lock_beh_round_trip(tmp_path, capsys):
     assert locked.input_width == 5
 
 
+def test_lock_beh_writes_what_the_library_writes(tmp_path):
+    """The locked KISS2 file and manifest hold the bytes of `write_kiss2` and
+    `to_json` for the library lock with the same k, ki and seed."""
+    from tklock.behavioral import lock_behavioral
+    from tklock.fsm import parse_kiss2, write_kiss2
+
+    text = corpus.read_text("detector1001.kiss2")
+    src = tmp_path / "detector.kiss2"
+    src.write_text(text, encoding="utf-8")
+    out, manifest = tmp_path / "locked.kiss2", tmp_path / "locked.manifest"
+    argv = ["lock-beh", "--in", str(src), "--k", "3", "--ki", "2", "--seed", "5",
+            "--out", str(out), "--manifest", str(manifest)]
+    assert main(argv) == 0
+    locked, lock_manifest = lock_behavioral(parse_kiss2(text), generate_key_schedule(3, 2, 5), 5)
+    assert out.read_bytes() == write_kiss2(locked).encode("utf-8")
+    assert manifest.read_bytes() == lock_manifest.to_json().encode("utf-8")
+
+
 def test_parse_error_exits_one(tmp_path, capsys):
     bad = tmp_path / "bad.bench"
     bad.write_text("INPUT(a)\nOUTPUT(y)\ny = AND(a, zz)\n", encoding="utf-8")
@@ -517,9 +534,17 @@ _ERROR_KINDS = pytest.mark.parametrize(
         (_LOCK_BEH, None, _DETECTOR, ("tklock.behavioral.check_fsm", _raise_fsm_error),
          "invalid-input", "nondeterministic transitions from 's'"),
         (_LOCK_STR, None, None, None, "io-error", "No such file or directory"),
+        # a --keys schedule must have --k values of --ki bits
+        ([*_LOCK_STR, "--keys", "0,1,0,1"], _S27, None, None,
+         "invalid-input", "schedule has 4 keys, --k says 2"),
+        ([*_LOCK_STR, "--keys", "00,01"], _S27, None, None,
+         "invalid-input", "schedule width 2, --ki says 1"),
+        (["sim", "--in", "{bench}", "--static-key", "00"],
+         "INPUT(a)\nINPUT(keyinput0)\nINPUT(keyinput2)\nOUTPUT(a)\n", None, None,
+         "invalid-input", "key inputs ['keyinput0', 'keyinput2'] are not keyinput0..keyinput1"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
-         "missing-in-file"],
+         "missing-in-file", "schedule-period", "schedule-width", "key-input-gap"],
 )
 
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tklock.circuit import parse_bench
 from tklock.keys import (
     KeySchedule,
     from_binary,
@@ -84,3 +85,16 @@ def test_split_inputs(s27, s27_locked):
     assert non_key == list(s27.inputs)
     assert key == ["keyinput0", "keyinput1"]
     assert split_inputs(s27) == (list(s27.inputs), [])
+
+
+@pytest.mark.parametrize(
+    "key_inputs",
+    [("keyinput1",), ("keyinput0", "keyinput2"), ("keyinput1", "keyinput01")],
+    ids=["no-bit-0", "gap", "leading-zero"],
+)
+def test_split_inputs_rejects_key_inputs_off_their_bits(key_inputs):
+    """Key inputs are keyinput0..keyinput{w-1}: each other set would bind an
+    input to another key bit."""
+    netlist = parse_bench("".join(f"INPUT({n})\n" for n in ("a", *key_inputs)) + "OUTPUT(a)\n")
+    with pytest.raises(ValueError, match="are not keyinput0..keyinput"):
+        split_inputs(netlist)

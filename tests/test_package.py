@@ -15,15 +15,14 @@ SRC = Path(tklock.__file__).resolve().parent.parent
 
 # the package's exports, as its eager __init__ imported them from each submodule
 EXPORTS = {
-    "behavioral": ["BehLockConfig", "BehManifest", "lock_behavioral"],
+    "behavioral": ["BehManifest", "lock_behavioral"],
     "circuit": ["BenchFormatError", "Dff", "Gate", "Netlist", "Violation", "parse_bench",
                 "structurally_equal", "topo_order", "validate", "write_bench"],
     "fsm": ["Fsm", "FsmError", "Kiss2FormatError", "Transition", "parse_kiss2", "simulate_fsm",
             "write_kiss2"],
     "keys": ["KeySchedule", "generate_key_schedule", "schedule_from_text", "schedule_to_text"],
     "sim": ["KeyPolicy", "Stimulus", "Trace", "simulate"],
-    "structural": ["LockConfig", "LockManifest", "lock_structural", "select_lock_targets",
-                   "wrongful_sources"],
+    "structural": ["LockManifest", "lock_structural", "select_lock_targets", "wrongful_sources"],
     "analysis": ["AttackResult", "BudgetExceededError", "Counterexample", "EquivVerdict",
                  "OverheadReport", "brute_force_attack", "check_equivalence_exhaustive",
                  "check_equivalence_random", "corruption_rate", "overhead_report",
@@ -125,7 +124,7 @@ def test_dir_and_star_import_list_the_public_names(tmp_path):
     )
     listed, star = _fresh(script, tmp_path)
     assert set(listed) == set(star) == PUBLIC
-    assert len(listed) == len(PUBLIC) == 51
+    assert len(listed) == len(PUBLIC) == 49
 
 
 def test_unknown_attribute_raises():

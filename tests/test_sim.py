@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tklock import corpus
 from tklock.analysis import check_equivalence_random
 from tklock.circuit import Dff, Gate, Netlist, parse_bench
-from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule
+from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule, generate_key_schedule
 from tklock.sim import (
     KeyPolicy,
     PlaneSim,
@@ -19,7 +19,7 @@ from tklock.sim import (
     simulate,
     value_str,
 )
-from tklock.structural import LockConfig, lock_structural
+from tklock.structural import lock_structural
 from tklock.synth import random_netlist
 from tests.compile_reference import is_subsequence, reference_ops
 from tests.conftest import S27_SCHEDULE
@@ -324,7 +324,7 @@ def test_two_valued_pass_matches_kleene_pass(stem, num_keys, key_bits):
     of one sim forces its 3-valued pass, a 0 there keeps the other two-valued.
     The known lanes agree bit for bit and stay known."""
     netlist, manifest = lock_structural(
-        corpus.load_bench(stem), LockConfig(num_keys=num_keys, key_bits=key_bits, seed=1)
+        corpus.load_bench(stem), generate_key_schedule(num_keys, key_bits, 1), seed=1
     )
     known_lanes = 100
     known = (1 << known_lanes) - 1
@@ -364,7 +364,7 @@ def test_simulate_matches_kleene_oracle(seed, n_inputs, n_dffs, n_gates, key_bit
     schedule."""
     orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     locked, manifest = lock_structural(
-        orig, LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed)
+        orig, generate_key_schedule(num_keys, key_bits, seed), seed=seed
     )
     cycles = 6
     rows = [
@@ -486,7 +486,7 @@ def test_cached_op_lists_match_full_steps(
         schedule = KeySchedule(keys, key_bits)
     else:
         netlist, manifest = lock_structural(
-            orig, LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed)
+            orig, generate_key_schedule(num_keys, key_bits, seed), seed=seed
         )
         schedule = manifest.schedule
     gates = [g.output for g in netlist.gates]
@@ -513,7 +513,7 @@ def test_cached_op_lists_match_full_steps_on_locked_b04():
     hundred of its ~25k gates and match steps over every op, with the
     schedule, a wrong key at cycle 3 and unknown inputs at cycles 0 and 5."""
     netlist, manifest = lock_structural(
-        corpus.load_bench("b04_like"), LockConfig(num_keys=4, key_bits=11, seed=1)
+        corpus.load_bench("b04_like"), generate_key_schedule(4, 11, 1), seed=1
     )
     lanes = 1000
     watch = tuple(manifest.onehot_time_nets) + (manifest.locked_ffs[0].ff_output_net,)
@@ -572,7 +572,7 @@ def test_lazy_ops_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_b
 
 def _locked_b04():
     orig = corpus.load_bench("b04_like")
-    return orig, *lock_structural(orig, LockConfig(num_keys=4, key_bits=11, seed=1))
+    return orig, *lock_structural(orig, generate_key_schedule(4, 11, 1), seed=1)
 
 
 def test_keyed_runs_build_no_full_op_list_on_locked_b04():
@@ -645,7 +645,7 @@ def test_simulate_watching_mux_nets_matches_kleene_oracle(
     skips the branches that key deselects."""
     locked, manifest = lock_structural(
         random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand"),
-        LockConfig(num_keys=num_keys, key_bits=key_bits, seed=seed),
+        generate_key_schedule(num_keys, key_bits, seed), seed=seed,
     )
     mux_nets = [g.output for g in locked.gates if g.output.startswith("cl_f")]
     watch = tuple(data.draw(st.lists(st.sampled_from(mux_nets), min_size=1, max_size=8, unique=True)))

@@ -6,10 +6,9 @@ import pytest
 
 from tklock import corpus
 from tklock.circuit import Dff, parse_bench, validate, write_bench
-from tklock.keys import KeySchedule, split_inputs
+from tklock.keys import KeySchedule, generate_key_schedule, split_inputs
 from tklock.sim import KeyPolicy, Stimulus, simulate
 from tklock.structural import (
-    LockConfig,
     LockManifest,
     added_mux_count,
     expected_added_gate_count,
@@ -21,18 +20,23 @@ from tklock.structural import (
 from tests.conftest import S27_SCHEDULE, S27_SEED
 
 
-def test_config_rejects_non_power_of_two():
-    with pytest.raises(ValueError, match="power of two"):
-        LockConfig(num_keys=3, key_bits=2)
+def test_config_rejects_non_power_of_two(s27):
+    for period in (1, 3, 6):
+        with pytest.raises(ValueError, match="num_keys must be a power of two >= 2"):
+            lock_structural(s27, KeySchedule((0,) * period, 1))
 
 
-def test_config_rejects_bad_widths():
-    with pytest.raises(ValueError):
-        LockConfig(num_keys=4, key_bits=0)
-    with pytest.raises(ValueError):
-        LockConfig(num_keys=4, key_bits=2, num_locked_ffs=0)
-    with pytest.raises(ValueError, match="period"):
-        LockConfig(num_keys=4, key_bits=2, explicit_schedule=KeySchedule((1, 0), 2))
+def test_config_rejects_bad_widths(s27):
+    # a schedule holds width >= 1; the locker checks the flip-flop count
+    with pytest.raises(ValueError, match="key width must be >= 1"):
+        KeySchedule((0, 0), 0)
+    with pytest.raises(ValueError, match="key width must be >= 1"):
+        generate_key_schedule(4, 0, 0)
+    schedule = generate_key_schedule(4, 2, 0)
+    with pytest.raises(ValueError, match="num_locked_ffs must be >= 1"):
+        lock_structural(s27, schedule, num_locked_ffs=0)
+    with pytest.raises(ValueError, match="explicit target count does not match num_locked_ffs"):
+        lock_structural(s27, schedule, targets=["G5", "G6"])
 
 
 def test_select_targets_stable_per_seed(s27):
@@ -98,7 +102,7 @@ def test_lock_s27_shape(s27, s27_locked):
 
 
 def test_lock_smallest_config(s27):
-    locked, manifest = lock_structural(s27, LockConfig(num_keys=2, key_bits=1, seed=1))
+    locked, manifest = lock_structural(s27, generate_key_schedule(2, 1, 1), seed=1)
     assert manifest.layers == 2
     assert len(manifest.counter_state_nets) == 1
     assert added_mux_count(2, 1) == 3
@@ -108,7 +112,7 @@ def test_lock_smallest_config(s27):
 
 @pytest.mark.parametrize("num_keys", [2, 4, 8, 16])
 def test_tree_layers_match_formula(s27, num_keys):
-    locked, manifest = lock_structural(s27, LockConfig(num_keys=num_keys, key_bits=2, seed=3))
+    locked, manifest = lock_structural(s27, generate_key_schedule(num_keys, 2, 3), seed=3)
     assert manifest.layers == tree_layers(num_keys)
     assert manifest.layers == num_keys.bit_length()
     assert validate(locked) == []
@@ -117,13 +121,13 @@ def test_tree_layers_match_formula(s27, num_keys):
 def test_lock_rejects_already_locked(s27, s27_locked):
     locked, _ = s27_locked
     with pytest.raises(ValueError, match="reserved lock prefix"):
-        lock_structural(locked, LockConfig(num_keys=2, key_bits=1))
+        lock_structural(locked, generate_key_schedule(2, 1, 0))
 
 
 def test_lock_rejects_no_dffs():
     n = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     with pytest.raises(ValueError, match="no flip-flops"):
-        lock_structural(n, LockConfig(num_keys=2, key_bits=1))
+        lock_structural(n, generate_key_schedule(2, 1, 0))
 
 
 def test_original_nets_untouched(s27, s27_locked):
@@ -142,7 +146,7 @@ def test_original_nets_untouched(s27, s27_locked):
 
 @pytest.mark.parametrize("num_keys", [2, 4, 8, 16])
 def test_counter_one_hot_decode(s27, num_keys):
-    locked, manifest = lock_structural(s27, LockConfig(num_keys=num_keys, key_bits=1, seed=5))
+    locked, manifest = lock_structural(s27, generate_key_schedule(num_keys, 1, 5), seed=5)
     cycles = 4 * num_keys
     stim = Stimulus.from_strings(
         ["0000"] * cycles, KeyPolicy.correct(manifest.schedule)
@@ -206,9 +210,8 @@ def test_manifest_nets_exist_and_drive_as_described(s27_locked):
 
 
 def test_lock_is_deterministic(s27):
-    config = LockConfig(num_keys=4, key_bits=2, seed=S27_SEED, explicit_schedule=S27_SCHEDULE)
-    first_locked, first_manifest = lock_structural(s27, config)
-    second_locked, second_manifest = lock_structural(s27, config)
+    first_locked, first_manifest = lock_structural(s27, S27_SCHEDULE, seed=S27_SEED)
+    second_locked, second_manifest = lock_structural(s27, S27_SCHEDULE, seed=S27_SEED)
     assert write_bench(first_locked) == write_bench(second_locked)
     assert first_manifest.to_json() == second_manifest.to_json()
 
@@ -262,7 +265,7 @@ def test_manifest_schedule_errors_name_the_field(s27_locked, schedule, detail):
 
 def test_lock_multiple_ffs(s27):
     locked, manifest = lock_structural(
-        s27, LockConfig(num_keys=4, key_bits=2, num_locked_ffs=3, seed=2)
+        s27, generate_key_schedule(4, 2, 2), num_locked_ffs=3, seed=2
     )
     assert len(manifest.locked_ffs) == 3
     assert len(locked.gates) - len(s27.gates) == expected_added_gate_count(4, 2, 3, 0)
@@ -271,7 +274,7 @@ def test_lock_multiple_ffs(s27):
 
 def test_lock_single_dff_circuit_uses_complement():
     n = parse_bench("INPUT(a)\nOUTPUT(q)\nq = DFF(d)\nd = NOT(a)\n")
-    locked, manifest = lock_structural(n, LockConfig(num_keys=2, key_bits=1, seed=0))
+    locked, manifest = lock_structural(n, generate_key_schedule(2, 1, 0), seed=0)
     record = manifest.locked_ffs[0]
     assert set(record.wrongful_source_nets.values()) == {"cl_f0_dcompl"}
     assert len(locked.gates) - len(n.gates) == expected_added_gate_count(2, 1, 1, fallback_ffs=1)
@@ -279,10 +282,7 @@ def test_lock_single_dff_circuit_uses_complement():
 
 
 def test_explicit_targets_are_locked(s27):
-    config = LockConfig(
-        num_keys=2, key_bits=1, num_locked_ffs=1, seed=0, explicit_targets=("G6",)
-    )
-    _, manifest = lock_structural(s27, config)
+    _, manifest = lock_structural(s27, generate_key_schedule(2, 1, 0), targets=["G6"])
     assert manifest.locked_ffs[0].ff_output_net == "G6"
 
 
