@@ -18,7 +18,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "behavioral": ("BehManifest", "lock_behavioral"),
     "circuit": ("BenchFormatError", "Dff", "Gate", "Netlist", "Violation", "parse_bench",
-                "structurally_equal", "topo_order", "validate", "write_bench"),
+                "structurally_equal", "validate", "write_bench"),
     "fsm": ("Fsm", "FsmError", "Kiss2FormatError", "Transition", "parse_kiss2", "simulate_fsm",
             "write_kiss2"),
     "keys": ("KeySchedule", "generate_key_schedule", "schedule_from_text", "schedule_to_text"),

@@ -557,8 +557,8 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
         if any(net not in orig_nets for net in sources):
             fallback_ffs += 1
 
-    k = manifest.num_keys
-    ki = manifest.key_bits
+    k = manifest.schedule.period
+    ki = manifest.schedule.width
     original = _counts(orig)
     after = _counts(locked)
     delta = CircuitCounts(*(x - y for x, y in zip(after, original)))

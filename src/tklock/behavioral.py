@@ -23,7 +23,7 @@ import re
 from typing import NamedTuple
 
 from .fsm import Fsm, FsmError, Transition, check_fsm, _listed_states
-from .keys import KeySchedule, _field, _manifest_schedule, _schedule_doc, to_binary
+from .keys import KeySchedule, _field, _read_manifest, _schedule_doc, to_binary
 
 # manifest map keys, "state@time" and "state@time|input pattern"; only
 # from_json reads them, so re compiles them on first use, not at import
@@ -52,10 +52,7 @@ class BehManifest(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "BehManifest":
         """Raises ValueError, naming the field, on a malformed manifest."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("manifest is not a JSON object")
-        schedule = _manifest_schedule(doc)
+        doc, schedule = _read_manifest(text)
         maps = {}
         for name, form in _MAP_KEYS.items():
             maps[name] = table = {}

@@ -13,7 +13,7 @@ that pattern rejects take the slower checks, which give each error its message
 and line number.
 ``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
 gate positions, the cycle net) is built once and read by the parse's cycle
-check, :func:`validate`, :func:`topo_order` and the compiled form.
+check, :func:`validate` and the compiled form.
 
 Those line checks cover every error-level check of :func:`validate`, so a
 netlist from :func:`parse_bench` is marked as free of errors and the compiled
@@ -110,7 +110,7 @@ class Netlist:
         never: the parse has already made every error-level check.
         """
         if not self._checked:
-            if has_errors(validate(self)):
+            if any(v.severity == "error" for v in validate(self)):
                 raise ValueError(f"netlist '{self.name}' fails validation")
             self._checked = True
 
@@ -404,22 +404,6 @@ def validate(netlist: Netlist) -> list[Violation]:
             )
 
     return violations
-
-
-def has_errors(violations: list[Violation]) -> bool:
-    return any(v.severity == "error" for v in violations)
-
-
-def topo_order(netlist: Netlist) -> list[Gate]:
-    """Order gates so each appears after every gate driving one of its fanins.
-
-    Primary inputs and DFF outputs are sources. Raises ValueError on a
-    combinational cycle; run :func:`validate` first to get a diagnostic.
-    """
-    _, order, cyclic = netlist._graph
-    if cyclic is not None:
-        raise ValueError("combinational cycle")
-    return list(order)
 
 
 def structurally_equal(a: Netlist, b: Netlist) -> bool:

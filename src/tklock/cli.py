@@ -231,7 +231,7 @@ def _cmd_attack(args) -> int:
     locked = _load_bench(args.locked)
     if args.manifest:
         manifest = _load_manifest(args.manifest)
-        num_keys, key_bits = manifest.num_keys, manifest.key_bits
+        num_keys, key_bits = manifest.schedule.period, manifest.schedule.width
     else:
         num_keys, key_bits = args.k, args.ki
     if args.mode == "static":
@@ -327,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k", type=int, required=True, help="number of key values (power of two)")
     p.add_argument("--ki", type=int, required=True, help="bits per key value")
-    p.add_argument("--ffs", type=int, default=1, help="number of flip-flops to lock")
+    p.add_argument("--ffs", type=int, default=1, help="number of flip-flops to lock (ignored with --targets)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--targets", help="comma-separated DFF output nets to lock")
     p.add_argument("--out", required=True)

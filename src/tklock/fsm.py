@@ -42,20 +42,6 @@ def patterns_overlap(a: str, b: str) -> bool:
     return all(x == "-" or y == "-" or x == y for x, y in zip(a, b))
 
 
-def determinism_conflicts(fsm: Fsm) -> list[tuple[Transition, Transition]]:
-    """All pairs of transitions from the same state with overlapping inputs."""
-    by_src: dict[str, list[Transition]] = {}
-    for tr in fsm.transitions:
-        by_src.setdefault(tr.src, []).append(tr)
-    conflicts = []
-    for group in by_src.values():
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
-                if patterns_overlap(a.inputs, b.inputs):
-                    conflicts.append((a, b))
-    return conflicts
-
-
 def _listed_states(transitions) -> tuple[str, ...]:
     """The states of the transitions in order of first appearance: the state
     list KISS2 text implies, having none of its own."""
@@ -82,12 +68,15 @@ def check_fsm(fsm: Fsm) -> None:
                 raise FsmError(f"pattern '{pattern}' holds a character other than 0, 1 and -")
         if tr.src not in state_set or tr.dst not in state_set:
             raise FsmError(f"transition references unknown state: {tr.src} -> {tr.dst}")
-    conflicts = determinism_conflicts(fsm)
-    if conflicts:
-        a, b = conflicts[0]
-        raise FsmError(
-            f"nondeterministic transitions from '{a.src}': patterns '{a.inputs}' and '{b.inputs}' overlap"
-        )
+    by_src: dict[str, list[Transition]] = {}
+    for tr in fsm.transitions:
+        by_src.setdefault(tr.src, []).append(tr)
+    for group in by_src.values():  # sources in order of first appearance
+        for i, a in enumerate(group):
+            for b in group[i + 1 :]:
+                if patterns_overlap(a.inputs, b.inputs):
+                    raise FsmError(f"nondeterministic transitions from '{a.src}': "
+                                   f"patterns '{a.inputs}' and '{b.inputs}' overlap")
 
 
 def _header_count(parts: list[str], lineno: int) -> int:

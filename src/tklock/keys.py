@@ -4,11 +4,12 @@ A schedule is an ordered list of key values, one per counter time, applied
 cyclically: the key expected at cycle t is ``keys[t mod period]``. Key bits
 appear in a circuit as primary inputs ``keyinput0..keyinput{width-1}`` with
 ``keyinput0`` carrying the least significant bit. Both lock manifests store
-their schedule as ``{"keys": [...], "width": n}`` and read it here.
+their schedule as ``{"keys": [...], "width": n}`` and are read here.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from typing import TYPE_CHECKING
@@ -72,13 +73,17 @@ def _schedule_doc(schedule: KeySchedule) -> dict:
     return {"keys": list(schedule.keys), "width": schedule.width}
 
 
-def _manifest_schedule(doc: dict) -> KeySchedule:
-    """The ``schedule`` object of a lock manifest; ValueError naming a bad field."""
+def _read_manifest(text: str) -> tuple[dict, KeySchedule]:
+    """The JSON object of a lock manifest and its ``schedule``; ValueError
+    naming a bad field."""
+    doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise ValueError("manifest is not a JSON object")
     schedule = _field(doc, "schedule", dict)
     keys = tuple(_field(schedule, "keys", list, int, "schedule."))
     width = _field(schedule, "width", int, where="schedule.")
     try:
-        return KeySchedule(keys=keys, width=width)
+        return doc, KeySchedule(keys=keys, width=width)
     except ValueError as exc:
         field = "width" if width < 1 else "keys"
         raise ValueError(f"manifest field 'schedule.{field}' is invalid: {exc}") from None

@@ -38,7 +38,7 @@ from .keys import (
     LOCK_NET_PREFIX,
     KeySchedule,
     _field,
-    _manifest_schedule,
+    _read_manifest,
     _schedule_doc,
     key_input_names,
 )
@@ -64,14 +64,6 @@ class LockManifest(NamedTuple):
     schedule: KeySchedule
     layers: int
 
-    @property
-    def num_keys(self) -> int:
-        return self.schedule.period
-
-    @property
-    def key_bits(self) -> int:
-        return self.schedule.width
-
     def to_json(self) -> str:
         doc = {
             "schedule": _schedule_doc(self.schedule),
@@ -94,10 +86,7 @@ class LockManifest(NamedTuple):
     @classmethod
     def from_json(cls, text: str) -> "LockManifest":
         """Raises ValueError, naming the field, on a malformed manifest."""
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ValueError("manifest is not a JSON object")
-        schedule = _manifest_schedule(doc)
+        doc, schedule = _read_manifest(text)
         locked_ffs = []
         for i, entry in enumerate(_field(doc, "locked_ffs", list, dict)):
             where = f"locked_ffs[{i}]."
@@ -179,7 +168,7 @@ def expected_added_gate_count(
 def select_lock_targets(
     netlist: Netlist, count: int, seed: int, explicit: list[str] | None = None
 ) -> list[Dff]:
-    """Choose flip-flops to lock: the explicit list, or a seeded draw."""
+    """Choose flip-flops to lock: the explicit list, or a seeded draw of `count`."""
     if explicit is not None:
         by_output = {d.output: d for d in netlist.dffs}
         targets = []
@@ -189,8 +178,6 @@ def select_lock_targets(
             targets.append(by_output[name])
         if len({t.output for t in targets}) != len(targets):
             raise ValueError("duplicate lock targets")
-        if len(targets) != count:
-            raise ValueError("explicit target count does not match num_locked_ffs")
         return targets
     if count > len(netlist.dffs):
         raise ValueError(f"cannot lock {count} of {len(netlist.dffs)} flip-flops")
@@ -203,7 +190,7 @@ def wrongful_sources(
     target: Dff,
     count: int,
     seed: int,
-    complement_net: str | None = None,
+    complement_net: str,
 ) -> list[str]:
     """Pick `count` wrongful next-state sources for one locked flip-flop.
 
@@ -220,8 +207,7 @@ def wrongful_sources(
         dff.input for dff in netlist.dffs if dff.output != target.output and dff.input != target.input
     ))
     if not pool:
-        name = complement_net or f"{LOCK_NET_PREFIX}not_{target.output}"
-        return [name] * count
+        return [complement_net] * count
     rng = random.Random(seed)
     rng.shuffle(pool)
     return [pool[i % len(pool)] for i in range(count)]
@@ -241,17 +227,17 @@ def lock_structural(
     """Lock `netlist` to `schedule`; returns the locked netlist and its manifest.
 
     ``k = schedule.period`` (a power of two >= 2) and ``ki = schedule.width``.
-    `targets` names the flip-flops to lock; otherwise `seed` draws
-    `num_locked_ffs` of them, and it always seeds the wrongful sources. The
-    input netlist is not modified. Original primary outputs, gates, and net
-    names are preserved; only the locked flip-flops' D connections move onto
-    the new mux trees.
+    `targets` names the flip-flops to lock, and then `num_locked_ffs` is not
+    read; otherwise `seed` draws `num_locked_ffs` of them. `seed` always
+    seeds the wrongful sources. The input netlist is not modified. Original
+    primary outputs, gates, and net names are preserved; only the locked
+    flip-flops' D connections move onto the new mux trees.
     """
     k = schedule.period
     ki = schedule.width
     if k < 2 or k & (k - 1):
         raise ValueError("num_keys must be a power of two >= 2")
-    if num_locked_ffs < 1:
+    if (num_locked_ffs if targets is None else len(targets)) < 1:
         raise ValueError("num_locked_ffs must be >= 1")
     netlist._require_valid()
     if not netlist.dffs:

@@ -1,16 +1,19 @@
 """Reference op list, kept to check the compiled form's.
 
 :func:`reference_ops` is the compile as it was when ``CompiledNetlist`` built
-and kept every op up front: one pass over :func:`tklock.circuit.topo_order`,
-each gate a chain of two-fanin ops, a wide gate's unnamed nets numbered from
-``len(index)`` up in that order. The compiled form now keeps only the ops a
-keyed step can run and builds ``ops`` on first use; the tests compare that
-list, and every op list a step derives, against this one.
+and kept every op up front: one pass over the gates in topological order
+(here the name-keyed Kahn order of ``tests/bench_reference.py``, which equals
+``Netlist._graph``'s), each gate a chain of two-fanin ops, a wide gate's
+unnamed nets numbered from ``len(index)`` up in that order. The compiled
+form now keeps only the ops a keyed step can run and builds ``ops`` on first
+use; the tests compare that list, and every op list a step derives, against
+this one.
 """
 
 from __future__ import annotations
 
-from tklock.circuit import Netlist, topo_order
+from tklock.circuit import Netlist
+from tests.bench_reference import kahn_by_name
 
 _KIND_OPS = {
     "AND": (0, False), "NAND": (0, True), "OR": (1, False), "NOR": (1, True),
@@ -23,7 +26,7 @@ def reference_ops(netlist: Netlist) -> list[tuple]:
     index = netlist.compiled.index
     ops = []
     n_nets = len(index)
-    for g in topo_order(netlist):
+    for g in kahn_by_name(netlist)[0]:
         family, invert = _KIND_OPS[g.kind]
         fanins = g.fanins
         a = index[fanins[0]]

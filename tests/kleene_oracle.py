@@ -2,16 +2,19 @@
 
 :func:`kleene_eval` evaluates one gate by its kind name under strong Kleene
 logic, and :func:`simulate_kleene` steps a netlist one gate at a time over
-named nets. Neither shares code with :class:`tklock.sim.PlaneSim`, so tests
-that compare the two check the kernel against the semantics, not against
-itself.
+named nets, in the gate order of the name-keyed Kahn pass in
+``tests/bench_reference.py``. None of them shares code with
+:class:`tklock.sim.PlaneSim` or reads ``Netlist._graph``, so tests that
+compare the two check the kernel and its gate order against the semantics,
+not against themselves.
 """
 
 from __future__ import annotations
 
-from tklock.circuit import Netlist, topo_order
+from tklock.circuit import Netlist
 from tklock.keys import COUNTER_NET_PREFIX, split_inputs
 from tklock.sim import Stimulus, Trace
+from tests.bench_reference import kahn_by_name
 
 
 def kleene_eval(kind: str, values) -> int | None:
@@ -62,7 +65,7 @@ def simulate_kleene(
     Same timing model and trace layout; it does not check its inputs.
     """
     nonkey, key = split_inputs(netlist)
-    order = topo_order(netlist)
+    order, _ = kahn_by_name(netlist)
     state = {
         d.output: 0 if init == "zero" or d.output.startswith(COUNTER_NET_PREFIX) else None
         for d in netlist.dffs

@@ -72,6 +72,21 @@ def test_lock_str_byte_deterministic(tmp_path, s27_path):
     assert (out.read_bytes(), manifest.read_bytes()) == first
 
 
+def test_lock_str_targets_set_the_count(tmp_path, s27_path):
+    """--targets locks the named flip-flops without --ffs, with the bytes
+    --ffs 2 gives."""
+    written = []
+    for ffs in ((), ("--ffs", "2")):
+        out, manifest = tmp_path / f"o{len(written)}.bench", tmp_path / f"m{len(written)}.json"
+        argv = ["lock-str", "--in", str(s27_path), "--k", "4", "--ki", "2", "--targets", "G5,G6",
+                "--out", str(out), "--manifest", str(manifest), *ffs]
+        assert main(argv) == 0
+        written.append((out.read_bytes(), manifest.read_bytes()))
+    doc = json.loads(written[0][1])
+    assert [ff["ff_output_net"] for ff in doc["locked_ffs"]] == ["G5", "G6"]
+    assert written[0] == written[1]
+
+
 def test_verify_exhaustive_passes(tmp_path, s27_path, capsys):
     out, manifest = _lock(tmp_path, s27_path)
     capsys.readouterr()

@@ -33,8 +33,25 @@ def test_parse_single_state():
 
 def test_parse_nondeterministic_overlap():
     text = ".i 1\n.o 1\n.p 2\n.s 3\n0 a b 0\n- a c 0\n"
-    with pytest.raises(Kiss2FormatError, match="nondeterministic"):
+    with pytest.raises(Kiss2FormatError) as caught:
         parse_kiss2(text)
+    assert str(caught.value) == "nondeterministic transitions from 'a': patterns '0' and '-' overlap"
+
+
+def test_nondeterminism_reports_the_first_overlapping_pair():
+    # sources in order of first appearance, then the earlier transition of the
+    # pair, then the later: 'a' is listed before 'b', so its pair (0-, -1) is
+    # reported, though b's pair (00, -0) closes earlier in the file
+    text = ".i 2\n.o 1\n0- a b 0\n1- a a 0\n00 b a 0\n-0 b b 1\n-1 a a 1\n-0 a b 1\n"
+    message = "nondeterministic transitions from 'a': patterns '0-' and '-1' overlap"
+    with pytest.raises(Kiss2FormatError) as caught:
+        parse_kiss2(text)
+    assert str(caught.value) == message
+    fsm = Fsm(1, 1, ("a", "b"), "a", (Transition("1", "b", "a", "0"), Transition("-", "a", "a", "0"),
+                                      Transition("-", "b", "b", "0"), Transition("0", "a", "b", "1")))
+    with pytest.raises(FsmError) as caught:
+        check_fsm(fsm)
+    assert str(caught.value) == "nondeterministic transitions from 'b': patterns '1' and '-' overlap"
 
 
 def test_parse_header_mismatch():

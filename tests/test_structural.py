@@ -35,8 +35,12 @@ def test_config_rejects_bad_widths(s27):
     schedule = generate_key_schedule(4, 2, 0)
     with pytest.raises(ValueError, match="num_locked_ffs must be >= 1"):
         lock_structural(s27, schedule, num_locked_ffs=0)
-    with pytest.raises(ValueError, match="explicit target count does not match num_locked_ffs"):
-        lock_structural(s27, schedule, targets=["G5", "G6"])
+    with pytest.raises(ValueError, match="num_locked_ffs must be >= 1"):
+        lock_structural(s27, schedule, targets=[])
+    # targets set the count; num_locked_ffs only sizes the seeded draw
+    _, manifest = lock_structural(s27, schedule, targets=["G5", "G6"])
+    assert [ff.ff_output_net for ff in manifest.locked_ffs] == ["G5", "G6"]
+    assert lock_structural(s27, schedule, num_locked_ffs=0, targets=["G5", "G6"])[1] == manifest
 
 
 def test_select_targets_stable_per_seed(s27):
@@ -54,13 +58,15 @@ def test_select_targets_count_error(s27):
 def test_select_targets_explicit(s27):
     targets = select_lock_targets(s27, 1, seed=0, explicit=["G6"])
     assert targets[0].output == "G6"
+    # an explicit list sets the count
+    assert [t.output for t in select_lock_targets(s27, 1, seed=0, explicit=["G5", "G6"])] == ["G5", "G6"]
     with pytest.raises(ValueError, match="unknown lock target"):
         select_lock_targets(s27, 1, seed=0, explicit=["nope"])
 
 
 def test_wrongful_sources_s27(s27):
     target = next(d for d in s27.dffs if d.output == "G5")
-    slots = wrongful_sources(s27, target, 3, seed=11)
+    slots = wrongful_sources(s27, target, 3, seed=11, complement_net="cl_f0_dcompl")
     other_d_nets = {d.input for d in s27.dffs if d.output != "G5"}
     assert len(slots) == 3
     assert set(slots) <= other_d_nets
@@ -78,14 +84,14 @@ def test_wrongful_sources_single_dff_falls_back_to_complement():
 def test_wrongful_sources_two_dffs():
     text = "INPUT(a)\nOUTPUT(q0)\nq0 = DFF(d0)\nq1 = DFF(d1)\nd0 = NOT(a)\nd1 = BUF(q0)\n"
     n = parse_bench(text)
-    slots = wrongful_sources(n, n.dffs[0], 3, seed=0)
+    slots = wrongful_sources(n, n.dffs[0], 3, seed=0, complement_net="cl_f0_dcompl")
     assert slots == ["d1", "d1", "d1"]
 
 
 def test_wrongful_sources_no_dffs():
     n = parse_bench("INPUT(a)\nOUTPUT(y)\ny = BUF(a)")
     with pytest.raises(ValueError, match="no flip-flops"):
-        wrongful_sources(n, Dff("q", "d"), 1, seed=0)
+        wrongful_sources(n, Dff("q", "d"), 1, seed=0, complement_net="cl_f0_dcompl")
 
 
 def test_lock_s27_shape(s27, s27_locked):
