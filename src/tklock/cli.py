@@ -58,10 +58,14 @@ def _load_bench(path: str):
     return parse_bench(text, name=Path(path).stem)
 
 
-def _load_manifest(path: str):
-    from .structural import LockManifest
+def _load_schedule(path: str) -> KeySchedule:
+    """A structural lock manifest's schedule; of its other fields, only
+    ``key_input_nets`` is read and checked."""
+    from .keys import _field, _read_manifest
 
-    return LockManifest.from_json(Path(path).read_text(encoding="utf-8"))
+    doc, schedule = _read_manifest(Path(path).read_text(encoding="utf-8"))
+    _field(doc, "key_input_nets", list, str)
+    return schedule
 
 
 def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> KeySchedule:
@@ -129,7 +133,7 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     _, key_inputs = split_inputs(netlist)
     schedule = None
     if args.manifest:
-        schedule = _load_manifest(args.manifest).schedule
+        schedule = _load_schedule(args.manifest)
     elif args.keys or args.keys_file:
         schedule = _schedule_from_args(args, None, None)
     overrides = {}
@@ -230,8 +234,8 @@ def _cmd_attack(args) -> int:
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     if args.manifest:
-        manifest = _load_manifest(args.manifest)
-        num_keys, key_bits = manifest.schedule.period, manifest.schedule.width
+        schedule = _load_schedule(args.manifest)
+        num_keys, key_bits = schedule.period, schedule.width
     else:
         num_keys, key_bits = args.k, args.ki
     if args.mode == "static":
@@ -273,10 +277,11 @@ def _cmd_attack(args) -> int:
 
 def _cmd_report(args) -> int:
     from .analysis import overhead_report
+    from .structural import LockManifest
 
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
-    manifest = _load_manifest(args.manifest)
+    manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
     report = overhead_report(orig, locked, manifest)
     doc = {
         "original": report.original._asdict(),

@@ -40,6 +40,17 @@ inputs, flip-flop outputs, outputs, next-state nets and watched nets are
 current. Compiling keeps only the free ops, the control ops and the gate
 driving each fed net; deriving a list builds the ops of the gates it keeps,
 and the list of every op is built only for a step that cannot use a list.
+
+The Kleene pass skips each op with no marked fanin (selective trace). Every
+fed net starts a step marked, and every net does after a step that was not
+a Kleene step; a step marks each input, flip-flop or op output whose planes
+it changes. This is exact: every op list holds every free op and a free op
+reads no fed net, so after any step a free op's planes are its formula over
+its fanins' current planes, and they stay so while the fanins keep theirs.
+From unknown flip-flops most nets stay X: 3-15% of the listed ops of locked
+b04, b12 and b14 have a marked fanin per cycle. The two-valued pass does
+not skip: almost every op has a changed fanin there, and the same check made
+a 1000-lane random verify of locked b04 about 40% slower.
 """
 
 from __future__ import annotations
@@ -223,6 +234,7 @@ class CompiledNetlist:
                 (self._control_ops if control[out] else self._free).append(op)
         # net -> fed op, for the control ops and the gates an op list keeps
         self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
+        self._fed = fed
         # (watched nets, key value, counter bits) -> op list; see PlaneSim._ops
         self.op_lists: dict[tuple, list] = {}
 
@@ -373,7 +385,7 @@ class PlaneSim:
         self.x = [0] * self.c.n_nets
         self.state_h = [0] * len(self.c.dff_q_idx)
         self.state_x = [0] * len(self.c.dff_q_idx)
-        self._x_stale = False  # x holds unknown bits from a 3-valued step
+        self._x_stale = False  # the last step was a Kleene step, so x may hold unknown bits
 
     def reset(self, init: str = "zero") -> None:
         self.load_state(self.c.initial_state(init))
@@ -397,16 +409,19 @@ class PlaneSim:
         evaluated and the unknown plane is all zero.
         """
         c, h, x, mask = self.c, self.h, self.x, self.mask
+        # nets whose planes may differ from the last step's (module docstring)
+        changed = self._changed = bytearray(c._fed) if self._x_stale else bytearray(b"\1") * c.n_nets
         unknown = [v & mask for v in nonkey_x] if nonkey_x else [0] * len(nonkey_h)
         for idx, vh, vx in zip(c.nonkey_idx, nonkey_h, unknown):
-            h[idx] = vh & mask & ~vx
-            x[idx] = vx
+            vh &= mask & ~vx
+            if h[idx] != vh or x[idx] != vx:
+                h[idx], x[idx], changed[idx] = vh, vx, 1
         for bit, idx in enumerate(c.key_idx):
             h[idx] = mask if (key_value >> bit) & 1 else 0
             x[idx] = 0
         for idx, vh, vx in zip(c.dff_q_idx, self.state_h, self.state_x):
-            h[idx] = vh
-            x[idx] = vx
+            if h[idx] != vh or x[idx] != vx:
+                h[idx], x[idx], changed[idx] = vh, vx, 1
         if any(unknown) or any(self.state_x):
             run = self._step_kleene
             self._x_stale = True
@@ -461,8 +476,10 @@ class PlaneSim:
         Per gate, `u` is the unknown plane and `one` the high plane before
         inversion; the two are disjoint, so only an inverted gate masks `u`.
         """
-        h, x, mask = self.h, self.x, self.mask
+        h, x, mask, changed = self.h, self.x, self.mask, self._changed
         for family, out, a, b, invert in ops:
+            if not (changed[a] or changed[b]):
+                continue
             if family == _AND:
                 one = h[a] & h[b]
                 u = ((h[a] | x[a]) & (h[b] | x[b])) ^ one
@@ -472,8 +489,9 @@ class PlaneSim:
             else:
                 u = x[a] | x[b]
                 one = (h[a] ^ h[b]) & ~u
-            h[out] = (one ^ mask) & ~u if invert else one
-            x[out] = u
+            v = (one ^ mask) & ~u if invert else one
+            if h[out] != v or x[out] != u:
+                h[out], x[out], changed[out] = v, u, 1
 
     def output_planes(self) -> list[tuple[int, int]]:
         return [(self.h[i], self.x[i]) for i in self.c.output_idx]

@@ -457,8 +457,8 @@ def _root_planes(sim: PlaneSim):
     return sim.output_planes(), sim.next_state_planes(), watched
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+# random keyed netlists, each stepped over 1-, 8- and 70-lane planes
+_KEYED_RUNS = dict(
     seed=st.integers(0, 10_000),
     keyed=st.booleans(),
     n_inputs=st.integers(2, 4),
@@ -470,14 +470,12 @@ def _root_planes(sim: PlaneSim):
     lanes=st.sampled_from([1, 8, 70]),
     data=st.data(),
 )
-def test_cached_op_lists_match_full_steps(
-    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
-):
-    """Steps over the cached op lists give the output, next-state and watched
-    planes of steps over every op, at every cycle. Netlists are random ones
-    locked by `lock_structural`, or random ones whose inputs and flip-flops
-    are renamed key inputs and counters. Keys come from the schedule or are
-    random wrong values; stimuli hold 0, 1 and x."""
+
+
+def _keyed_netlist(seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data):
+    """A random netlist locked by `lock_structural`, or one whose inputs and
+    flip-flops are renamed key inputs and counters; its schedule; and up to
+    six of its gate nets to watch."""
     orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     if keyed:
         key_bits = min(key_bits, n_inputs - 1)
@@ -491,6 +489,23 @@ def test_cached_op_lists_match_full_steps(
         schedule = manifest.schedule
     gates = [g.output for g in netlist.gates]
     watch = tuple(data.draw(st.lists(st.sampled_from(gates), max_size=6, unique=True)))
+    return netlist, schedule, watch
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KEYED_RUNS)
+def test_cached_op_lists_match_full_steps(
+    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """Steps over the cached op lists give the output, next-state and watched
+    planes of steps over every op, at every cycle. Netlists are random ones
+    locked by `lock_structural`, or random ones whose inputs and flip-flops
+    are renamed key inputs and counters. Keys come from the schedule or are
+    random wrong values; stimuli hold 0, 1 and x."""
+    netlist, schedule, watch = _keyed_netlist(
+        seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
+    )
+    key_bits = schedule.width
     pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
     pruned.reset(init)
     full.reset(init)
@@ -696,3 +711,76 @@ def test_only_a_controlling_value_cuts_the_search(kind):
                 for sim in (pruned, full):
                     sim.step([a], key)
                 assert _root_planes(pruned) == _root_planes(full), (fanins, key, a)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KEYED_RUNS)
+def test_change_driven_steps_match_fresh_sims(
+    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """Each step gives the output, next-state and watched planes of a fresh
+    PlaneSim loaded with the same flip-flop planes, whose first step evaluates
+    every listed op. Steps use the schedule's and wrong keys (so op lists
+    switch), rows with X then X-free rows (Kleene, two-valued, Kleene again),
+    a snapshot of the flip-flop planes restored mid-run as the random
+    comparisons do, and repeated unlatched steps from one scalar state as the
+    exhaustive sweep does."""
+    netlist, schedule, watch = _keyed_netlist(
+        seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
+    )
+    key_bits = schedule.width
+    sim = PlaneSim(netlist, lanes, watch)
+    sim.reset(init)
+    rng = random.Random(seed)
+    n = len(netlist.compiled.nonkey_idx)
+    snapshot = None
+
+    def checked_step(highs, key, unknown, latch):
+        state = (sim.state_h[:], sim.state_x[:])
+        fresh = PlaneSim(netlist, lanes, watch)
+        fresh.state_h[:], fresh.state_x[:] = state
+        sim.step(highs, key, unknown, latch)
+        fresh.step(highs, key, unknown, latch)
+        assert _root_planes(sim) == _root_planes(fresh)
+        assert (sim.state_h, sim.state_x) == (fresh.state_h, fresh.state_x)
+
+    for cycle in range(12):
+        key = data.draw(st.sampled_from([schedule.key_at(cycle), rng.randrange(2**key_bits)]))
+        highs = [rng.getrandbits(lanes) for _ in range(n)]
+        unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
+        if cycle % 6 not in (0, 1):  # X rows, then X-free rows, then X rows again
+            unknown = [0] * n
+        action = data.draw(st.sampled_from(["step", "snapshot", "restore", "expand"]))
+        if action == "snapshot":
+            snapshot = (sim.state_h[:], sim.state_x[:])
+        elif action == "restore" and snapshot is not None:
+            sim.state_h[:], sim.state_x[:] = snapshot
+        elif action == "expand":
+            state = tuple(data.draw(st.sampled_from(VALUES)) for _ in netlist.dffs)
+            for _ in range(3):
+                sim.load_state(state)
+                checked_step([rng.getrandbits(lanes) for _ in range(n)], key, unknown, False)
+        checked_step(highs, key, unknown, True)
+
+
+def test_a_repeated_kleene_step_rewrites_no_free_net():
+    """A second Kleene step with the same inputs, key and state evaluates no
+    free op: every free net keeps the very int objects of its planes."""
+    netlist, manifest = lock_structural(
+        corpus.load_bench("b03_like"), generate_key_schedule(2, 4, 3), seed=3
+    )
+    lanes, rng = 70, random.Random(3)
+    sim = PlaneSim(netlist, lanes)
+    sim.reset("x")
+    n = len(sim.c.nonkey_idx)
+    args = (
+        [rng.getrandbits(lanes) for _ in range(n)],
+        manifest.schedule.key_at(0),
+        [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)],
+    )
+    sim.step(*args, latch=False)
+    free = [i for i in range(sim.c.n_nets) if not sim.c._fed[i]]
+    before = [(sim.h[i], sim.x[i]) for i in free]
+    assert sum(max(h, x) > 256 for h, x in before) > len(free) // 2  # not only small cached ints
+    sim.step(*args, latch=False)
+    assert all(sim.h[i] is h and sim.x[i] is x for i, (h, x) in zip(free, before))
