@@ -17,16 +17,25 @@ lanes into 0/1/unknown classes, one class per successor.
 The random check, the corruption rate and the random-mode attack step one
 seeded pair of simulators over one stimulus draw, one stimulus per lane.
 
+Both checks and the attack drive a pair through one frontier contract: the
+pair's ``start`` is the frontier at cycle 0, ``advance(frontier, cycle,
+kv_a, kv_b)`` returns ``(divergence, next_frontier)`` (on a divergence, the
+second value is what ``witness`` needs), and ``witness(divergence, that,
+cycle)`` returns the counterexample's input rows. A :class:`_JointSweep`
+frontier maps each reachable joint state to the input lanes that first reach
+it; a :class:`_RandomPair` frontier is the keyed sides' flip-flop planes.
+
 The attack searches key prefixes depth-first: cycle ``c`` diverges or not by
 the key values of cycles ``0..c`` alone, so a divergence prunes every
-candidate extending the prefix. A prefix carries the joint states it reaches
-(small circuits, one memo for the whole search) or a snapshot of the locked
-side's planes over the random pair's draw; as the draw is shared, the
-survivors are those of one exhaustive or random check per candidate.
+candidate extending the prefix. Each prefix carries its frontier; the joint
+sweep keeps one memo for the whole search and the random pair one stimulus
+draw, so the survivors are those of one exhaustive or random check per
+candidate.
 
 One work budget bounds every search, and each search refuses before it does
-the work the budget bounds: distinct joint states expanded (exhaustive
-check and attack) or locked-circuit steps (random attack), and survivors.
+the work the budget bounds: distinct joint states in the sweep's memo
+(exhaustive check and attack), locked-circuit steps (random attack; the
+random check takes no step budget), and survivors.
 """
 
 from __future__ import annotations
@@ -139,22 +148,20 @@ def _first_divergence(outs_a, outs_b) -> tuple[int, int, int | None, int | None]
     return None
 
 
-def _refuted(a: Netlist, divergence, inputs: list, cycle: int, mode: str, depth: int) -> EquivVerdict:
-    """The verdict of a check whose outputs first diverged at `cycle` under
-    `inputs`, with `divergence` as :func:`_first_divergence` reports it."""
-    _, oi, va, vb = divergence
-    return EquivVerdict(False, Counterexample(inputs, cycle, a.outputs[oi], va, vb), mode, depth)
-
-
 class _RandomPair:
     """Both circuits of a pair, reset to `init`, over `sequences` seeded random
     stimuli of `cycles` cycles, one per lane. Each cycle's stimulus is drawn
     when first stepped, one ``getrandbits(sequences)`` plane per non-key input.
-    A key-free side `a` is stepped once per cycle and its outputs kept; the
-    snapshots hold the keyed sides. Raises ValueError for an empty run.
+    A key-free side `a` is stepped once per cycle and its outputs kept; a
+    frontier holds the keyed sides' flip-flop planes. Raises ValueError for
+    an empty run, and :class:`BudgetExceededError` before a step past
+    `budget` locked-circuit steps.
     """
 
-    def __init__(self, a: Netlist, b: Netlist, sequences: int, cycles: int, seed: int, init: str = "zero"):
+    def __init__(
+        self, a: Netlist, b: Netlist, sequences: int, cycles: int, seed: int, init: str = "zero",
+        budget: float = float("inf"),
+    ):
         if sequences < 1 or cycles < 1:
             raise ValueError(
                 f"random run needs sequences >= 1 and cycles >= 1, got {sequences} and {cycles}"
@@ -169,6 +176,8 @@ class _RandomPair:
         keyed_a = bool(a.compiled.key_idx)
         self.outs_a = None if keyed_a else []  # a key-free side's outputs, per cycle
         self.keyed = (self.sa, self.sb) if keyed_a else (self.sb,)
+        self.start = [(s.state_h[:], s.state_x[:]) for s in self.keyed]
+        self.budget, self.steps = budget, 0
 
     def step(self, cycle: int, kv_a: int | None, kv_b: int | None):
         """Step `cycle` under key values `kv_a` (ignored for a key-free `a`)
@@ -185,12 +194,21 @@ class _RandomPair:
         outs_a = self.sa.output_planes() if self.outs_a is None else self.outs_a[cycle]
         return outs_a, self.sb.output_planes()
 
-    def snapshot(self) -> list:
-        return [(s.state_h[:], s.state_x[:]) for s in self.keyed]
-
-    def restore(self, snapshot: list) -> None:
-        for s, (h, x) in zip(self.keyed, snapshot):
+    def advance(self, frontier: list, cycle: int, kv_a: int | None, kv_b: int | None):
+        """Step `cycle` from the keyed sides' planes `frontier`; return the
+        first output divergence (None when the outputs agree) and the planes
+        after the step."""
+        if self.steps >= self.budget:
+            raise BudgetExceededError(f"locked-step budget {self.budget} exceeded")
+        self.steps += 1
+        for s, (h, x) in zip(self.keyed, frontier):
             s.state_h[:], s.state_x[:] = h, x
+        divergence = _first_divergence(*self.step(cycle, kv_a, kv_b))
+        return divergence, [(s.state_h[:], s.state_x[:]) for s in self.keyed]
+
+    def witness(self, divergence, _, cycle: int) -> list[tuple[int, ...]]:
+        lane = divergence[0]
+        return [tuple((p >> lane) & 1 for p in row) for row in self.stimulus[: cycle + 1]]
 
 
 class _JointSweep:
@@ -202,12 +220,13 @@ class _JointSweep:
     joint state past `budget` of them.
     """
 
-    def __init__(self, a: Netlist, b: Netlist, budget: int = _DEFAULT_BUDGET):
-        n = len(a.compiled.nonkey_idx)
+    def __init__(self, a: Netlist, b: Netlist, budget: int = _DEFAULT_BUDGET, init: str = "zero"):
+        self.n = n = len(a.compiled.nonkey_idx)
         if n > _MAX_MINTERM_INPUTS:
             raise BudgetExceededError(
                 f"2^{n} input minterms exceed the 2^{_MAX_MINTERM_INPUTS}-lane cap; use random mode"
             )
+        self.start = {(a.compiled.initial_state(init), b.compiled.initial_state(init)): ()}
         self.planes = minterm_planes(n)
         self.sa = PlaneSim(a, 1 << n)
         self.sb = PlaneSim(b, 1 << n)
@@ -258,22 +277,26 @@ class _JointSweep:
         cached = self.memo[key] = (divergence, successors)
         return cached
 
-    def advance(self, frontier, kv_a, kv_b):
+    def advance(self, frontier: dict, cycle: int, kv_a: int | None, kv_b: int | None):
         """One cycle from every joint state of `frontier`, in its order.
 
-        Returns ``(divergence, state)`` for the first state whose outputs
-        diverge, as :meth:`expand` reports it; otherwise ``(None, children)``,
-        each next joint state mapped to the first ``(state, lane)`` that
-        reaches it, in order of discovery.
+        Returns ``(divergence, lanes)`` for the first state whose outputs
+        diverge, as :meth:`expand` reports it, with the input lanes that
+        reach that state; otherwise ``(None, children)``, each next joint
+        state mapped to the first lanes that reach it, in order of discovery.
         """
         children: dict = {}
-        for state in frontier:
+        for state, lanes in frontier.items():
             divergence, successors = self.expand(*state, kv_a, kv_b)
             if divergence is not None:
-                return divergence, state
+                return divergence, lanes
             for child, lane in successors.items():
-                children.setdefault(child, (state, lane))
+                if child not in children:
+                    children[child] = lanes + (lane,)
         return None, children
+
+    def witness(self, divergence, lanes: tuple, _) -> list[tuple[int, ...]]:
+        return [tuple((lane >> i) & 1 for i in range(self.n)) for lane in lanes + (divergence[0],)]
 
 
 def check_equivalence_exhaustive(
@@ -295,23 +318,7 @@ def check_equivalence_exhaustive(
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
-    n = len(a.compiled.nonkey_idx)
-    sweep = _JointSweep(a, b, budget)
-    # layers[c] maps each joint state after cycle c to the first (state, lane) reaching it
-    layers: list[dict] = []
-    frontier = [(a.compiled.initial_state(init), b.compiled.initial_state(init))]
-    for cycle in range(depth):
-        divergence, reached = sweep.advance(frontier, pa.key_value_at(cycle), pb.key_value_at(cycle))
-        if divergence is not None:
-            lanes = [divergence[0]]
-            for layer in reversed(layers):
-                reached, lane = layer[reached]
-                lanes.append(lane)
-            inputs = [tuple((lane >> i) & 1 for i in range(n)) for lane in reversed(lanes)]
-            return _refuted(a, divergence, inputs, cycle, "exhaustive", depth)
-        layers.append(reached)
-        frontier = reached
-    return EquivVerdict(equivalent=True, counterexample=None, mode="exhaustive", depth=depth)
+    return _check(a, _JointSweep(a, b, budget, init), pa, pb, depth, "exhaustive")
 
 
 def check_equivalence_random(
@@ -325,14 +332,20 @@ def check_equivalence_random(
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
     pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
-    pair = _RandomPair(a, b, sequences, cycles, seed, init)
-    for cycle in range(cycles):
-        divergence = _first_divergence(*pair.step(cycle, pa.key_value_at(cycle), pb.key_value_at(cycle)))
+    return _check(a, _RandomPair(a, b, sequences, cycles, seed, init), pa, pb, cycles, "random")
+
+
+def _check(a: Netlist, pair, pa: KeyPolicy, pb: KeyPolicy, depth: int, mode: str) -> EquivVerdict:
+    """Advance `pair` from its start for `depth` cycles under the two sides'
+    key policies; the verdict, with the first divergence as its counterexample."""
+    frontier = pair.start
+    for cycle in range(depth):
+        divergence, frontier = pair.advance(frontier, cycle, pa.key_value_at(cycle), pb.key_value_at(cycle))
         if divergence is not None:
-            lane = divergence[0]
-            inputs = [tuple((p >> lane) & 1 for p in row) for row in pair.stimulus[: cycle + 1]]
-            return _refuted(a, divergence, inputs, cycle, "random", cycles)
-    return EquivVerdict(equivalent=True, counterexample=None, mode="random", depth=cycles)
+            _, oi, va, vb = divergence
+            cex = Counterexample(pair.witness(divergence, frontier, cycle), cycle, a.outputs[oi], va, vb)
+            return EquivVerdict(False, cex, mode, depth)
+    return EquivVerdict(equivalent=True, counterexample=None, mode=mode, depth=depth)
 
 
 def replay_counterexample(
@@ -393,79 +406,44 @@ def _exceeds(bits: int, budget: int) -> bool:
     return budget < 0 or bits >= budget.bit_length()
 
 
-def _prefix_search(
-    oracle: Netlist, locked: Netlist, num_keys: int, key_bits: int, depth: int, budget: int,
-    seed: int, mode: str,
-) -> list:
+def _prefix_search(pair, keyed_oracle: bool, num_keys: int, key_bits: int, depth: int, budget: int) -> list:
     """Survivors of the attack, found depth-first over key prefixes.
 
     Cycle ``c < num_keys`` tries each key value in ascending order; a value
     under which the outputs diverge prunes every candidate that extends the
-    prefix with it. A prefix that reaches `depth` survives with every
-    completion; a full candidate keeps stepping to `depth` with the key
-    ``prefix[c % num_keys]``. A prefix's frontier is, in exhaustive mode,
-    every joint state the pair can reach under it, expanded through one memo
-    of at most `budget` entries; in random mode, a snapshot of the keyed
-    sides' flip-flop planes over one seeded 256-lane stimulus, and at most
-    `budget` locked-circuit steps are taken. The survivor list holds at most
-    `budget` entries; a prefix's completions are counted before they are built.
+    prefix with it. Cycle ``c >= num_keys`` tries only the cyclic value
+    ``prefix[c - num_keys]``. A prefix that reaches `depth` survives: its
+    first `num_keys` values, with every completion. `pair` advances each
+    prefix's frontier and counts its own budget; the survivor list holds at
+    most `budget` entries, and a prefix's completions are counted before
+    they are built.
     """
-    # every candidate has the same key width, so one probe checks the pair
-    # and the width for all of them and tells whether the oracle takes keys
-    pa, _ = _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
-    keyed_oracle = bool(pa.keys)
-    if mode == "exhaustive":
-        sweep = _JointSweep(oracle, locked, budget)
-
-        def step(frontier, cycle: int, kv: int):
-            divergence, reached = sweep.advance(frontier, kv if keyed_oracle else None, kv)
-            return None if divergence is not None else reached
-
-        start = [(oracle.compiled.initial_state("zero"), locked.compiled.initial_state("zero"))]
-    else:
-        pair = _RandomPair(oracle, locked, _ATTACK_SEQUENCES, depth, seed)
-        steps = 0
-
-        def step(frontier, cycle: int, kv: int):
-            nonlocal steps
-            if steps >= budget:
-                raise BudgetExceededError(f"locked-step budget {budget} exceeded")
-            steps += 1
-            pair.restore(frontier)
-            if _first_divergence(*pair.step(cycle, kv, kv)) is not None:
-                return None
-            return pair.snapshot()
-
-        start = pair.snapshot()
     values = range(2**key_bits)
+    rest = max(num_keys - depth, 0)  # key values a prefix of length `depth` leaves open
+    tail_bits = key_bits * rest
     survivors: list = []
-    # one entry per open prefix: the prefix, its frontier, its untried key values
-    stack = [((), start, iter(values))]
+    # one entry per open prefix: the prefix, its frontier, its untried key
+    # values; an entry leaves the stack before its last value is tried, so
+    # past `num_keys` the search holds only the frontier it advances
+    stack = [((), pair.start, values)]
     while stack:
-        prefix, frontier, untried = stack[-1]
-        kv = next(untried, None)
-        if kv is None:
-            stack.pop()
-            continue
-        frontier = step(frontier, len(prefix), kv)
-        if frontier is None:
+        prefix, frontier, untried = stack.pop()
+        kv = untried[0]
+        if len(untried) > 1:
+            stack.append((prefix, frontier, untried[1:]))
+        divergence, frontier = pair.advance(frontier, len(prefix), kv if keyed_oracle else None, kv)
+        if divergence is not None:
             continue
         prefix += (kv,)
-        if len(prefix) < min(depth, num_keys):
-            stack.append((prefix, frontier, iter(values)))
+        cycle = len(prefix)
+        if cycle < depth:
+            stack.append((prefix, frontier, values if cycle < num_keys else (prefix[cycle - num_keys],)))
             continue
-        for cycle in range(len(prefix), depth):
-            frontier = step(frontier, cycle, prefix[cycle % num_keys])
-            if frontier is None:
-                break
-        if frontier is None:
-            continue
-        tail_bits = key_bits * (num_keys - len(prefix))
         if _exceeds(tail_bits, budget) or len(survivors) + (1 << tail_bits) > budget:
             raise BudgetExceededError(
                 f"{len(survivors)} + 2^{tail_bits} surviving candidates exceed budget {budget}"
             )
-        survivors.extend(prefix + tail for tail in product(values, repeat=num_keys - len(prefix)))
+        survivors.extend(prefix[:num_keys] + tail for tail in product(values, repeat=rest))
     return survivors
 
 
@@ -506,8 +484,15 @@ def brute_force_attack(
         raise ValueError(f"attack needs depth >= 1, got {depth}")
     mode = "exhaustive" if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8 else "random"
     started = time.perf_counter()
-    cycles = depth if mode == "exhaustive" else _ATTACK_CYCLES
-    survivors = _prefix_search(oracle, locked, num_keys, key_bits, cycles, budget, seed, mode)
+    # every candidate has the same key width, so one probe checks the pair
+    # and the width for all of them and tells whether the oracle takes keys
+    pa, _ = _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
+    if mode == "exhaustive":
+        pair, cycles = _JointSweep(oracle, locked, budget), depth
+    else:
+        pair = _RandomPair(oracle, locked, _ATTACK_SEQUENCES, _ATTACK_CYCLES, seed, budget=budget)
+        cycles = _ATTACK_CYCLES
+    survivors = _prefix_search(pair, bool(pa.keys), num_keys, key_bits, cycles, budget)
     return AttackResult(
         search_space_size=(2**key_bits) ** num_keys,
         survivors=survivors,

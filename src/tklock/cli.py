@@ -139,6 +139,8 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     overrides = {}
     for item in getattr(args, "override", None) or []:
         cycle, _, bits = item.partition("=")
+        if not cycle.strip().isdecimal() or not bits or set(bits) - {"0", "1"}:
+            raise ValueError(f"--override '{item}' is not CYCLE=BITS, e.g. 3=01")
         overrides[int(cycle)] = _key_value(bits, len(key_inputs), f"override at cycle {cycle}")
     if overrides and schedule is None:
         raise ValueError("--override needs a schedule from --manifest, --keys or --keys-file")

@@ -302,6 +302,22 @@ def lock_structural(
         gates.append(Gate(out, "OR", (a, b)))
         return out
 
+    def mux_levels(nets: list[str], prefix: str, levels, select) -> str:
+        """Mux `nets` down to one net, halving them once per level; mux ``p``
+        of `level` is ``{prefix}{level}_{p}`` and selects on ``select(level, p)``."""
+        for level in levels:
+            nets = [
+                mux(f"{prefix}{level}_{p}", nets[2 * p], nets[2 * p + 1], *select(level, p))
+                for p in range(len(nets) // 2)
+            ]
+        return nets[0]
+
+    def key_select(b: int, _) -> tuple[str, str]:
+        return key_nets[b], key_not[b]
+
+    def counter_select(level: int, p: int) -> tuple[str, str]:
+        return select_net[level, p], select_not[level, p]
+
     locked_records: list[LockedFf] = []
     tree_out_by_ff: dict[str, str] = {}
     for fi, target in enumerate(locked_dffs):
@@ -325,34 +341,10 @@ def lock_structural(
                     wrongful_map[(t, value)] = net
                     complement_used = complement_used or net == complement
                     data.append(net)
-            level_nets = data
-            for b in range(ki):
-                level_nets = [
-                    mux(
-                        f"cl_f{fi}_t{t}_l{b}_{p}",
-                        level_nets[2 * p],
-                        level_nets[2 * p + 1],
-                        key_nets[b],
-                        key_not[b],
-                    )
-                    for p in range(len(level_nets) // 2)
-                ]
-            first_layer.append(level_nets[0])
+            first_layer.append(mux_levels(data, f"cl_f{fi}_t{t}_l", range(ki), key_select))
         if complement_used:
             gates.append(Gate(complement, "NOT", (correct,)))
-        level_nets = first_layer
-        for level in range(1, width + 1):
-            level_nets = [
-                mux(
-                    f"cl_f{fi}_c{level}_{p}",
-                    level_nets[2 * p],
-                    level_nets[2 * p + 1],
-                    select_net[(level, p)],
-                    select_not[(level, p)],
-                )
-                for p in range(len(level_nets) // 2)
-            ]
-        tree_out = level_nets[0]
+        tree_out = mux_levels(first_layer, f"cl_f{fi}_c", range(1, width + 1), counter_select)
         tree_out_by_ff[target.output] = tree_out
         locked_records.append(
             LockedFf(

@@ -11,6 +11,8 @@ from tklock import analysis, corpus, synth
 from tklock.circuit import Gate, Netlist, parse_bench
 from tklock.analysis import (
     BudgetExceededError,
+    Counterexample,
+    EquivVerdict,
     brute_force_attack,
     check_equivalence_exhaustive,
     check_equivalence_random,
@@ -458,6 +460,37 @@ def test_overhead_rejects_mismatched_manifest(s27, s27_locked):
     broken.onehot_time_nets[0] = "cl_missing"
     with pytest.raises(ValueError, match="missing from locked netlist"):
         overhead_report(s27, locked, broken)
+
+
+def _rows(*bits: str) -> list[tuple[int, ...]]:
+    return [tuple(int(b) for b in row) for row in bits]
+
+
+@pytest.mark.parametrize(
+    "init, expected",
+    [
+        ("zero", Counterexample(_rows("0010", "0001", "0000"), 2, "G17", 0, 1)),
+        ("x", Counterexample(_rows("0000", "0000", "0000"), 2, "G17", None, 1)),
+    ],
+    ids=["zero", "x"],
+)
+def test_exhaustive_counterexample_is_pinned(s27, s27_locked, init, expected):
+    # the exact inputs: the first lanes, cycle by cycle, that reach the
+    # first diverging joint state
+    locked, _ = s27_locked
+    verdict = check_equivalence_exhaustive(s27, locked, 6, key_policy=KeyPolicy.static(1), init=init)
+    assert verdict == EquivVerdict(False, expected, "exhaustive", 6)
+
+
+def test_random_counterexample_is_pinned():
+    # the exact inputs: the lowest diverging lane's stimulus up to the cycle
+    orig = corpus.load_bench("b14_like")
+    locked, _ = lock_structural(orig, generate_key_schedule(8, 3, 0), num_locked_ffs=16, seed=0)
+    verdict = check_equivalence_random(orig, locked, 1000, 64, seed=0, key_policy=KeyPolicy.static(0))
+    expected = Counterexample(
+        _rows("10111010110010100010001010100010", "01001100110000000010111100100011"), 1, "N1834", 1, 0
+    )
+    assert verdict == EquivVerdict(False, expected, "random", 64)
 
 
 def test_x_init_definite_vs_unknown_counts_as_divergence():

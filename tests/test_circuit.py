@@ -1,5 +1,7 @@
+import importlib.util
 import re
 from itertools import chain
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -109,6 +111,29 @@ def test_round_trip_fixed_point(name):
 @pytest.mark.parametrize("name", corpus.available_benches())
 def test_corpus_validates_clean(name):
     assert validate(corpus.load_bench(name)) == []
+
+
+_ROOT = Path(__file__).resolve().parent.parent
+
+
+def _build_corpus_profiles() -> dict:
+    """`PROFILES` of scripts/build_corpus.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location("build_corpus", _ROOT / "scripts" / "build_corpus.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.PROFILES
+
+
+_CORPUS_PROFILES = _build_corpus_profiles()
+
+
+@pytest.mark.parametrize("name", [name for name in corpus.available_benches() if name.endswith("_like")])
+def test_corpus_regenerates_byte_for_byte(name):
+    # the README says scripts/build_corpus.py generates the synthetic circuits
+    seed, n_in, n_ff, n_gates, n_out = _CORPUS_PROFILES[name]
+    netlist = random_netlist(seed, n_in, n_ff, n_gates, n_out, name=name)
+    bundled = (_ROOT / "src" / "tklock" / "corpus" / f"{name}.bench").read_bytes()
+    assert write_bench(netlist).encode("utf-8") == bundled
 
 
 def test_validate_duplicate_driver():

@@ -410,6 +410,19 @@ def test_sim_override_without_schedule_rejected(tmp_path, s27_path, capsys, keyi
     assert "--override" in diag["detail"]
 
 
+@pytest.mark.parametrize("item", ["x=01", "3", "3=", "3=0x"])
+def test_sim_malformed_override_names_the_flag(tmp_path, s27_path, capsys, item):
+    out, manifest = _lock(tmp_path, s27_path)
+    capsys.readouterr()
+    code = main(["sim", "--in", str(out), "--cycles", "4", "--manifest", str(manifest), "--override", item])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    diag = json.loads(captured.err)
+    assert diag["error"] == "invalid-input"
+    assert diag["detail"].startswith(f"--override '{item}' is not CYCLE=BITS")
+
+
 def test_sim_unknown_watch_net_rejected(s27_path, capsys):
     code = main(["sim", "--in", str(s27_path), "--cycles", "2", "--watch", "G10,nope"])
     assert code == 1
