@@ -133,6 +133,8 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     _, key_inputs = split_inputs(netlist)
     schedule = None
     if args.manifest:
+        if args.keys or args.keys_file:
+            raise ValueError("--manifest conflicts with --keys/--keys-file")
         schedule = _load_schedule(args.manifest)
     elif args.keys or args.keys_file:
         schedule = _schedule_from_args(args, None, None)
@@ -236,6 +238,8 @@ def _cmd_attack(args) -> int:
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     if args.manifest:
+        if args.k is not None or args.ki is not None:
+            raise ValueError("--manifest conflicts with --k/--ki")
         schedule = _load_schedule(args.manifest)
         num_keys, key_bits = schedule.period, schedule.width
     else:

@@ -25,21 +25,22 @@ independent gate-at-a-time Kleene oracle.
 
 A step need not evaluate every op. Control nets are the key inputs, the
 counter flip-flops and the nets whose ops read only control nets; a net is
-fed when a control net reaches it. When the key value is an int and every
-counter plane is uniform and known, each control net holds one known value
-in every lane. The step then evaluates the free ops (those no control net
-reaches) and, of the fed ops, only those that its roots (outputs, next-state
-nets and the nets the caller watches) still depend on. The search for them
-stops at each AND op with a control fanin at 0 and each OR op with one at 1,
-keeping only that fanin: the op's formula gives its value whatever its other
-fanin holds, in both passes. XOR ops never stop it. The first step with a
-given key value and counter bits evaluates the control nets, derives the op
-list and caches it on the compiled netlist, where every :class:`PlaneSim` of
-the netlist shares it. Nets left out keep stale planes, so after a step only
-inputs, flip-flop outputs, outputs, next-state nets and watched nets are
-current. Compiling keeps only the free ops, the control ops and the gate
-driving each fed net; deriving a list builds the ops of the gates it keeps,
-and the list of every op is built only for a step that cannot use a list.
+fed when a control net reaches it. A step evaluates the free ops (those no
+control net reaches) and, of the fed ops, only those that its roots
+(outputs, next-state nets and the nets the caller watches) depend on. When
+every counter plane is uniform and known, each control net holds one known
+value in every lane, and the search stops at each AND op with a control
+fanin at 0 and each OR op with one at 1, keeping only that fanin: the op's
+formula gives its value whatever its other fanin holds, in both passes. XOR
+ops never stop it. The first step that needs a list derives it (a pruned
+one after evaluating the control nets) and caches it on the compiled
+netlist, where every :class:`PlaneSim` of the netlist shares it: per watched
+nets, key value (None when key-free) and counter bits, or per watched nets
+alone when the counter lanes differ or are unknown. Nets left out keep
+stale planes, so after a step only inputs, flip-flop outputs, outputs,
+next-state nets and watched nets are current. Compiling keeps only the free
+ops, the control ops and the gate driving each fed net; deriving a list
+builds the ops of the gates it keeps.
 
 The Kleene pass skips each op with no marked fanin (selective trace). Every
 fed net starts a step marked, and every net does after a step that was not
@@ -56,7 +57,6 @@ a 1000-lane random verify of locked b04 about 40% slower.
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
-from functools import cached_property
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -192,8 +192,8 @@ class CompiledNetlist:
 
     Build it through ``Netlist.compiled``, which compiles each netlist once.
     A netlist from ``parse_bench`` is not validated again; any other is
-    validated once, and one with an error raises ValueError. `ops`, every
-    op, is built on first use (see the module docstring).
+    validated once, and one with an error raises ValueError. Op lists are
+    derived and cached as steps need them (see the module docstring).
     """
 
     def __init__(self, netlist: Netlist):
@@ -235,29 +235,17 @@ class CompiledNetlist:
         # net -> fed op, for the control ops and the gates an op list keeps
         self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
         self._fed = fed
-        # (watched nets, key value, counter bits) -> op list; see PlaneSim._ops
+        # (watched nets, key value, counter bits) or (watched nets,) -> op list; see PlaneSim._ops
         self.op_lists: dict[tuple, list] = {}
 
-    @cached_property
-    def ops(self) -> list[tuple]:
-        """Every op, in topological order; the free list when no net is fed.
-        Ops already kept or built are shared, not built again."""
-        if not self.key_idx and not self.counter_pos:
-            return self._free
-        free, ops = iter(self._free), []
-        for p, g in enumerate(self._order):
-            for op in _gate_ops(g, self.index, self._chains.get(p, 0)):
-                ops.append(next(free) if self._driver[op[1]] < 0 else self._fed_ops.get(op[1], op))
-        return ops
-
-    def _select_ops(self, h: list[int], mask: int, roots: list[int]) -> list[tuple]:
+    def _select_ops(self, roots: list[int], h: list[int] | None = None, mask: int = 0) -> list[tuple]:
         """The ops for one step: every free op, then, in topological order,
-        the fed ops that `roots` depend on when an op with a control fanin
-        at its controlling value (0 for AND, `mask` for OR) depends on that
-        fanin alone. `h` must hold this step's control nets."""
+        the fed ops that `roots` depend on. Given `h`, which must hold this
+        step's control nets, an op with a control fanin at its controlling
+        value (0 for AND, `mask` for OR) depends on that fanin alone."""
         control, driver, chains, built = self._control, self._driver, self._chains, self._fed_ops
         order, index = self._order, self.index
-        controlling = (0, mask, None)
+        controlling = (None, None, None) if h is None else (0, mask, None)
         seen = bytearray(self.n_nets)
         kept = []
         stack = list(roots)
@@ -284,7 +272,7 @@ class CompiledNetlist:
                         break
             stack.extend(fanins)
         kept.sort()
-        return self._free + [op for _, _, op in kept]
+        return self._free + [op for _, _, op in kept] if kept else self._free
 
     def initial_state(self, init: str) -> tuple[int | None, ...]:
         if init not in ("zero", "x"):
@@ -436,26 +424,28 @@ class PlaneSim:
             self.state_x[:] = [x[d] for d in c.dff_d_idx]
 
     def _ops(self, key_value: int | None, run) -> list[tuple]:
-        """The op list for this step: every op, unless `key_value` is an int
-        and every counter plane is uniform and known. Then it is the cached
-        list for the watched nets, key value and counter bits; on a miss,
-        `run` evaluates the control nets and the list is derived from them."""
-        c, mask = self.c, self.mask
-        if key_value is None:
-            return c.ops
+        """The cached op list for this step. When every counter plane is
+        uniform and known, it is the pruned list for the watched nets, key
+        value and counter bits; on a miss, `run` evaluates the control nets
+        and the list is derived from them. Otherwise it is the unpruned list
+        for the watched nets."""
+        c, mask, h = self.c, self.mask, self.h
         counter = 0
         for bit, p in enumerate(c.counter_pos):
             vh = self.state_h[p]
             if self.state_x[p] or vh and vh != mask:
-                return c.ops
+                key, h = (self.watch_idx,), None  # control nets may differ by lane: no cut
+                break
             counter |= (vh & 1) << bit
-        key = (self.watch_idx, key_value, counter)
+        else:
+            key = (self.watch_idx, key_value, counter)
         ops = c.op_lists.get(key)
         if ops is None:
-            run(c._control_ops)
+            if h is not None:
+                run(c._control_ops)
             if len(c.op_lists) >= _MAX_OP_LISTS:
                 del c.op_lists[next(iter(c.op_lists))]
-            ops = c.op_lists[key] = c._select_ops(self.h, mask, self.roots)
+            ops = c.op_lists[key] = c._select_ops(self.roots, h, mask)
         return ops
 
     def _step_known(self, ops: list[tuple]) -> None:

@@ -5,8 +5,8 @@ and kept every op up front: one pass over the gates in topological order
 (here the name-keyed Kahn order of ``tests/bench_reference.py``, which equals
 ``Netlist._graph``'s), each gate a chain of two-fanin ops, a wide gate's
 unnamed nets numbered from ``len(index)`` up in that order. The compiled
-form now keeps only the ops a keyed step can run and builds ``ops`` on first
-use; the tests compare that list, and every op list a step derives, against
+form now keeps only the ops a keyed step can run and builds the others as an
+op list needs them; the tests compare every op list a step derives against
 this one.
 """
 

@@ -546,6 +546,9 @@ _LOCK_BEH = ["lock-beh", "--in", "{kiss2}", "--k", "2", "--ki", "1", "--out", "{
              "--manifest", "{tmp}/m.json"]
 
 
+_MANIFEST_RUN = ["--orig", "{bench}", "--locked", "{bench}", "--manifest", "{tmp}/m.json"]
+
+
 _ERROR_KINDS = pytest.mark.parametrize(
     "argv,bench,kiss2,patch,kind,detail",
     [
@@ -570,9 +573,22 @@ _ERROR_KINDS = pytest.mark.parametrize(
         (["sim", "--in", "{bench}", "--static-key", "00"],
          "INPUT(a)\nINPUT(keyinput0)\nINPUT(keyinput2)\nOUTPUT(a)\n", None, None,
          "invalid-input", "key inputs ['keyinput0', 'keyinput2'] are not keyinput0..keyinput1"),
+        # a manifest and a second schedule source: neither may silently win
+        (["verify", *_MANIFEST_RUN, "--keys", "00,00,00,00"], _S27, None, None,
+         "invalid-input", "--manifest conflicts with --keys/--keys-file"),
+        (["verify", *_MANIFEST_RUN, "--keys-file", "{tmp}/keys.txt"], _S27, None, None,
+         "invalid-input", "--manifest conflicts with --keys/--keys-file"),
+        (["sim", "--in", "{bench}", "--manifest", "{tmp}/m.json", "--keys", "00"], _S27, None, None,
+         "invalid-input", "--manifest conflicts with --keys/--keys-file"),
+        (["attack", *_MANIFEST_RUN, "--k", "2", "--ki", "1"], _S27, None, None,
+         "invalid-input", "--manifest conflicts with --k/--ki"),
+        (["attack", *_MANIFEST_RUN, "--mode", "static", "--ki", "2"], _S27, None, None,
+         "invalid-input", "--manifest conflicts with --k/--ki"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
-         "missing-in-file", "schedule-period", "schedule-width", "key-input-gap"],
+         "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
+         "verify-manifest-keys", "verify-manifest-keys-file", "sim-manifest-keys",
+         "attack-manifest-k-ki", "attack-manifest-ki"],
 )
 
 

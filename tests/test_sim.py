@@ -11,6 +11,7 @@ from tklock.analysis import check_equivalence_random
 from tklock.circuit import Dff, Gate, Netlist, parse_bench
 from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule, generate_key_schedule
 from tklock.sim import (
+    _MAX_OP_LISTS,
     KeyPolicy,
     PlaneSim,
     Stimulus,
@@ -460,7 +461,7 @@ def _root_planes(sim: PlaneSim):
 # random keyed netlists, each stepped over 1-, 8- and 70-lane planes
 _KEYED_RUNS = dict(
     seed=st.integers(0, 10_000),
-    keyed=st.booleans(),
+    form=st.sampled_from(["locked", "renamed", "key-free"]),
     n_inputs=st.integers(2, 4),
     n_dffs=st.integers(1, 3),
     n_gates=st.integers(4, 30),
@@ -472,12 +473,15 @@ _KEYED_RUNS = dict(
 )
 
 
-def _keyed_netlist(seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data):
-    """A random netlist locked by `lock_structural`, or one whose inputs and
-    flip-flops are renamed key inputs and counters; its schedule; and up to
-    six of its gate nets to watch."""
+def _keyed_netlist(seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data):
+    """A random netlist locked by `lock_structural`, one whose inputs and
+    flip-flops are renamed key inputs and counters, or a key-free one with
+    counters; its schedule (None when key-free); and up to six of its gate
+    nets to watch."""
     orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
-    if keyed:
+    if form == "key-free":
+        netlist, schedule = _keyed(orig, 0, data.draw(st.integers(1, n_dffs))), None
+    elif form == "renamed":
         key_bits = min(key_bits, n_inputs - 1)
         netlist = _keyed(orig, key_bits, data.draw(st.integers(0, n_dffs)))
         keys = tuple(data.draw(st.integers(0, 2**key_bits - 1)) for _ in range(num_keys))
@@ -492,27 +496,34 @@ def _keyed_netlist(seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, d
     return netlist, schedule, watch
 
 
+def _draw_key(schedule, cycle, rng, data):
+    """The schedule's key at `cycle` or a random wrong one; None with no schedule."""
+    if schedule is None:
+        return None
+    return data.draw(st.sampled_from([schedule.key_at(cycle), rng.randrange(2**schedule.width)]))
+
+
 @settings(max_examples=60, deadline=None)
 @given(**_KEYED_RUNS)
 def test_cached_op_lists_match_full_steps(
-    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+    seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
 ):
     """Steps over the cached op lists give the output, next-state and watched
     planes of steps over every op, at every cycle. Netlists are random ones
-    locked by `lock_structural`, or random ones whose inputs and flip-flops
-    are renamed key inputs and counters. Keys come from the schedule or are
-    random wrong values; stimuli hold 0, 1 and x."""
+    locked by `lock_structural`, random ones whose inputs and flip-flops are
+    renamed key inputs and counters, or key-free ones with counters, stepped
+    with key value None. Keys come from the schedule or are random wrong
+    values; stimuli hold 0, 1 and x."""
     netlist, schedule, watch = _keyed_netlist(
-        seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
+        seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
     )
-    key_bits = schedule.width
     pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
     pruned.reset(init)
     full.reset(init)
     rng = random.Random(seed)
     n = len(netlist.compiled.nonkey_idx)
     for cycle in range(8):
-        key = data.draw(st.sampled_from([schedule.key_at(cycle), rng.randrange(2**key_bits)]))
+        key = _draw_key(schedule, cycle, rng, data)
         highs = [rng.getrandbits(lanes) for _ in range(n)]
         unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
         if not data.draw(st.booleans()):
@@ -570,19 +581,24 @@ def _widened(netlist: Netlist, seed: int) -> Netlist:
     counters=st.integers(0, 2),
     widen=st.booleans(),
 )
-def test_lazy_ops_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_bits, counters, widen):
-    """`ops`, built on first use, is the list the eager compile built, wide
-    gates' unnamed nets included, on random netlists with and without key
+def test_unpruned_lists_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_bits, counters, widen):
+    """The unpruned list rooted at every gate's output holds the ops the eager
+    compile built, wide gates' unnamed nets included, with its free and its
+    fed part each in the eager order, on random netlists with and without key
     inputs and counter flip-flops; with neither it is the free list."""
     netlist = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     if widen:
         netlist = _widened(netlist, seed)
     netlist = _keyed(netlist, min(key_bits, n_inputs - 1), min(counters, n_dffs))
     compiled = netlist.compiled
-    assert "ops" not in compiled.__dict__
-    assert compiled.ops == reference_ops(netlist)
-    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in compiled.ops)
-    assert (compiled.ops is compiled._free) == (not compiled.key_idx and not compiled.counter_pos)
+    ops = compiled._select_ops([compiled.index[g.output] for g in netlist.gates])
+    reference, free = reference_ops(netlist), compiled._free
+    assert sorted(ops) == sorted(reference)
+    assert ops[: len(free)] == free
+    assert is_subsequence(free, reference) and is_subsequence(ops[len(free) :], reference)
+    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in ops)
+    if not compiled.key_idx and not compiled.counter_pos:
+        assert ops is free
 
 
 def _locked_b04():
@@ -590,12 +606,13 @@ def _locked_b04():
     return orig, *lock_structural(orig, generate_key_schedule(4, 11, 1), seed=1)
 
 
-def test_keyed_runs_build_no_full_op_list_on_locked_b04():
+def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
     """`simulate` from an unknown state under a tampered schedule, and a
-    random check under the schedule, step locked b04 (k4/ki11) through op
-    lists alone: the list of every op is never built. A step whose counter
-    lanes differ builds it, and it is the eager compile's list, holding the
-    tuples already built rather than copies."""
+    random check under the schedule, step locked b04 (k4/ki11) through
+    pruned op lists alone. Steps whose counter lanes differ build one
+    unpruned list under two key values, and match steps over every op.
+    Every list keeps the eager order and holds the tuples the compile kept
+    or built rather than copies."""
     orig, locked, manifest = _locked_b04()
     rng = random.Random(2)
     n = len(locked.compiled.nonkey_idx)
@@ -607,15 +624,21 @@ def test_keyed_runs_build_no_full_op_list_on_locked_b04():
         orig, locked, sequences=64, cycles=16, seed=0, key_policy=KeyPolicy.correct(manifest.schedule)
     )
     assert verdict.equivalent
-    assert "ops" not in locked.compiled.__dict__
-    sim = PlaneSim(locked, 2)
-    sim.state_h[locked.compiled.counter_pos[0]] = 0b01
-    sim.step([0] * n, manifest.schedule.key_at(0))
     compiled = locked.compiled
-    assert compiled.__dict__["ops"] == reference_ops(locked)
-    # the list shares the tuples the compile kept and the op lists built
-    shared = {id(op) for op in compiled.ops}
-    assert all(id(op) in shared for op in compiled._free + list(compiled._fed_ops.values()))
+    assert compiled.op_lists and all(len(key) == 3 for key in compiled.op_lists)
+    pruned, full = PlaneSim(locked, 2), _full_step_sim(locked, 2, ())
+    for cycle in range(2):
+        highs = [rng.getrandbits(2) for _ in range(n)]
+        for sim in (pruned, full):
+            sim.state_h[compiled.counter_pos[0]] = 0b01
+            sim.step(highs, manifest.schedule.key_at(cycle))
+        assert _root_planes(pruned) == _root_planes(full), cycle
+    assert [key for key in compiled.op_lists if len(key) == 1] == [((),)]
+    assert _lists_keep_the_eager_order(locked)
+    free = compiled._free
+    for ops in compiled.op_lists.values():
+        assert all(op is kept for op, kept in zip(ops, free))
+        assert all(op is compiled._fed_ops[op[1]] for op in ops[len(free) :])
 
 
 def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
@@ -638,7 +661,7 @@ def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
         if not tracing:
             tracemalloc.stop()
     assert peak < 1_500_000, peak
-    assert len(sim.c.op_lists) == 1 and "ops" not in sim.c.__dict__
+    assert list(sim.c.op_lists) == [((), manifest.schedule.key_at(0), 0)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -676,8 +699,8 @@ def test_simulate_watching_mux_nets_matches_kleene_oracle(
 
 
 def test_mixed_counter_planes_do_not_reuse_an_op_list():
-    """A counter flip-flop whose lanes disagree makes the step run every op.
-    Here `s` is 0 while the counter is 0, so the cached list for key 1 and
+    """A counter flip-flop whose lanes disagree makes the step run the
+    unpruned list, which nothing cuts. Here `s` is 0 while the counter is 0, so the cached list for key 1 and
     counter 0 skips `d`; at cycle 2 lane 1's counter is 1, and lane 1 of `y`
     needs `d`."""
     netlist = parse_bench(
@@ -690,6 +713,36 @@ def test_mixed_counter_planes_do_not_reuse_an_op_list():
             sim.step([a], 1)
         assert _root_planes(pruned) == _root_planes(full)
     assert pruned.output_planes() == [(0b10, 0)]
+
+
+def test_op_list_cache_drops_the_oldest_list_past_its_cap():
+    """70 steps through distinct (key value, counter) pairs keep at most
+    `_MAX_OP_LISTS` lists, dropping the oldest first, and a 71st step
+    revisits the first, evicted pair. Every step matches a step over every
+    op."""
+    netlist = parse_bench(
+        "INPUT(a)\nINPUT(b)\n" + "".join(f"INPUT(keyinput{i})\n" for i in range(6))
+        + "OUTPUT(y)\ncl_cnt0 = DFF(t)\nt = NOT(cl_cnt0)\nq = DFF(y)\n"
+        "d = XOR(a, q)\ne = AND(b, cl_cnt0)\n"
+        + "".join(f"m{i} = {('AND', 'OR')[i % 2]}(keyinput{i}, {'de'[i % 2]})\n" for i in range(6))
+        + "y = XOR(m0, m1, m2, m3, m4, m5)\n"
+    )
+    pruned, full = PlaneSim(netlist, 4), _full_step_sim(netlist, 4, ())
+    rng = random.Random(0)
+    expected = []
+    for cycle in range(71):
+        key = cycle // 2 % 35  # the counter toggles, so each pair is (cycle // 2, cycle % 2)
+        entry = ((), key, cycle % 2)
+        if cycle == 70:
+            assert entry not in pruned.c.op_lists
+        if entry not in expected:
+            expected = (expected + [entry])[-_MAX_OP_LISTS:]
+        highs = [rng.getrandbits(4) for _ in range(2)]
+        for sim in (pruned, full):
+            sim.step(highs, key)
+        assert _root_planes(pruned) == _root_planes(full), cycle
+        assert list(pruned.c.op_lists) == expected, cycle
+    assert len(expected) == _MAX_OP_LISTS and expected[-1] == ((), 0, 0)
 
 
 @pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
@@ -716,7 +769,7 @@ def test_only_a_controlling_value_cuts_the_search(kind):
 @settings(max_examples=60, deadline=None)
 @given(**_KEYED_RUNS)
 def test_change_driven_steps_match_fresh_sims(
-    seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+    seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
 ):
     """Each step gives the output, next-state and watched planes of a fresh
     PlaneSim loaded with the same flip-flop planes, whose first step evaluates
@@ -726,9 +779,8 @@ def test_change_driven_steps_match_fresh_sims(
     comparisons do, and repeated unlatched steps from one scalar state as the
     exhaustive sweep does."""
     netlist, schedule, watch = _keyed_netlist(
-        seed, keyed, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
+        seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
     )
-    key_bits = schedule.width
     sim = PlaneSim(netlist, lanes, watch)
     sim.reset(init)
     rng = random.Random(seed)
@@ -745,7 +797,7 @@ def test_change_driven_steps_match_fresh_sims(
         assert (sim.state_h, sim.state_x) == (fresh.state_h, fresh.state_x)
 
     for cycle in range(12):
-        key = data.draw(st.sampled_from([schedule.key_at(cycle), rng.randrange(2**key_bits)]))
+        key = _draw_key(schedule, cycle, rng, data)
         highs = [rng.getrandbits(lanes) for _ in range(n)]
         unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
         if cycle % 6 not in (0, 1):  # X rows, then X-free rows, then X rows again
