@@ -245,6 +245,8 @@ def _cmd_attack(args) -> int:
     else:
         num_keys, key_bits = args.k, args.ki
     if args.mode == "static":
+        if args.k is not None:
+            raise ValueError("--k conflicts with --mode static")
         num_keys = 1  # a static key is the period-1 schedule
     if not (num_keys and key_bits):
         raise ValueError("give --manifest, or --ki and (for bruteforce) --k")

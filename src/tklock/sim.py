@@ -26,32 +26,38 @@ independent gate-at-a-time Kleene oracle.
 A step need not evaluate every op. Control nets are the key inputs, the
 counter flip-flops and the nets whose ops read only control nets; a net is
 fed when a control net reaches it. A step evaluates the free ops (those no
-control net reaches) and, of the fed ops, only those that its roots
-(outputs, next-state nets and the nets the caller watches) depend on. When
-every counter plane is uniform and known, each control net holds one known
-value in every lane, and the search stops at each AND op with a control
-fanin at 0 and each OR op with one at 1, keeping only that fanin: the op's
-formula gives its value whatever its other fanin holds, in both passes. XOR
-ops never stop it. The first step that needs a list derives it (a pruned
-one after evaluating the control nets) and caches it on the compiled
-netlist, where every :class:`PlaneSim` of the netlist shares it: per watched
-nets, key value (None when key-free) and counter bits, or per watched nets
-alone when the counter lanes differ or are unknown. Nets left out keep
-stale planes, so after a step only inputs, flip-flop outputs, outputs,
-next-state nets and watched nets are current. Compiling keeps only the free
-ops, the control ops and the gate driving each fed net; deriving a list
-builds the ops of the gates it keeps.
+control net reaches), then a fed tail: the fed ops that its roots (outputs,
+next-state nets and the nets the caller watches) depend on. The first step
+that needs a tail derives it and caches it on the compiled netlist for
+every :class:`PlaneSim` of the netlist: per watched nets, key value (None
+when key-free) and counter bits, or per watched nets alone when the counter
+lanes differ or are unknown. Nets left out keep stale planes, so after a
+step only inputs, flip-flop outputs, outputs, next-state nets and watched
+nets are current.
 
-The Kleene pass skips each op with no marked fanin (selective trace). Every
-fed net starts a step marked, and every net does after a step that was not
-a Kleene step; a step marks each input, flip-flop or op output whose planes
-it changes. This is exact: every op list holds every free op and a free op
-reads no fed net, so after any step a free op's planes are its formula over
-its fanins' current planes, and they stay so while the fanins keep theirs.
-From unknown flip-flops most nets stay X: 3-15% of the listed ops of locked
-b04, b12 and b14 have a marked fanin per cycle. The two-valued pass does
-not skip: almost every op has a changed fanin there, and the same check made
-a 1000-lane random verify of locked b04 about 40% slower.
+When every counter plane is uniform and known, each control net holds 0 or
+all ones in every lane, and the tail is wired. An op with a fanin whose
+source is a control net becomes a wire: from that source when the fanin
+fixes the op (AND at 0, OR at 1), else from its other fanin's source, the
+inversion carried along (AND at 1, OR at 0, any XOR). NOT and BUF are
+wires. The tail keeps one wire ``(AND, net, source, source, inverted)`` per
+wired root and the ops that no control value decides; both passes give a
+wire the value of the op it replaces. A mux tree is one wire: per step, the
+tails of the xsim bench jobs (locked b14 k8/ki3 with 16 locked flip-flops,
+b12 k2/ki5, b04 k4/ki11) hold 27, 3 and 7 ops.
+
+The Kleene pass runs the free ops event-driven (selective trace): a free op
+is evaluated only when a fanin's planes changed. Its position is scheduled
+when an input or flip-flop it reads changes (every free op on a step after
+one that was not a Kleene step) or when an op it reads changes, and the
+schedule is walked in order, since readers follow the ops they read. The
+tail runs through the same loop, every op scheduled. This is exact: a free
+op reads no fed net, so after a Kleene step every free net's planes are its
+formula over its fanins' current planes. Per cycle of those jobs, 392 of
+b14's 2,745 free ops, 47 of b12's 1,212 and 129 of b04's 678 are evaluated.
+The two-valued pass evaluates every free op: almost every op has a changed
+fanin there, and the same check made a 1000-lane random verify of locked
+b04 about 40% slower.
 """
 
 from __future__ import annotations
@@ -178,11 +184,12 @@ class Trace(NamedTuple):
     def to_csv(self) -> str:
         header = ["cycle", *self.input_names, *self.output_names, *self.watch_names]
         rows = [",".join(header)]
+        cell = {0: "0", 1: "1", None: "x"}.__getitem__  # value_str, one lookup per cell
         for c in range(self.cycles):
             cells = [str(c)]
-            cells += [value_str(v) for v in self.inputs[c]]
-            cells += [value_str(v) for v in self.outputs[c]]
-            cells += [value_str(v) for v in self.watched[c]]
+            cells += map(cell, self.inputs[c])
+            cells += map(cell, self.outputs[c])
+            cells += map(cell, self.watched[c])
             rows.append(",".join(cells))
         return "\n".join(rows) + "\n"
 
@@ -192,8 +199,11 @@ class CompiledNetlist:
 
     Build it through ``Netlist.compiled``, which compiles each netlist once.
     A netlist from ``parse_bench`` is not validated again; any other is
-    validated once, and one with an error raises ValueError. Op lists are
-    derived and cached as steps need them (see the module docstring).
+    validated once, and one with an error raises ValueError. It holds the
+    free ops, which every step runs; the fed tails, derived, wired and
+    cached in `op_lists` as steps need them; and, from the first Kleene
+    step, the free ops that read each free op's output, input and
+    flip-flop (see the module docstring).
     """
 
     def __init__(self, netlist: Netlist):
@@ -234,15 +244,16 @@ class CompiledNetlist:
                 (self._control_ops if control[out] else self._free).append(op)
         # net -> fed op, for the control ops and the gates an op list keeps
         self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
-        self._fed = fed
-        # (watched nets, key value, counter bits) or (watched nets,) -> op list; see PlaneSim._ops
+        # (watched nets, key value, counter bits) or (watched nets,) -> fed tail; see PlaneSim._ops
         self.op_lists: dict[tuple, list] = {}
+        self._readers: tuple[list, dict] | None = None  # see _free_readers
 
     def _select_ops(self, roots: list[int], h: list[int] | None = None, mask: int = 0) -> list[tuple]:
-        """The ops for one step: every free op, then, in topological order,
-        the fed ops that `roots` depend on. Given `h`, which must hold this
-        step's control nets, an op with a control fanin at its controlling
-        value (0 for AND, `mask` for OR) depends on that fanin alone."""
+        """The fed tail of one step: in topological order, the fed ops that
+        `roots` depend on. Given `h`, which must hold this step's control
+        nets, an op with a control fanin at its controlling value (0 for AND,
+        `mask` for OR) depends on that fanin alone, and the tail is wired
+        (see :meth:`_wired`)."""
         control, driver, chains, built = self._control, self._driver, self._chains, self._fed_ops
         order, index = self._order, self.index
         controlling = (None, None, None) if h is None else (0, mask, None)
@@ -272,7 +283,66 @@ class CompiledNetlist:
                         break
             stack.extend(fanins)
         kept.sort()
-        return self._free + [op for _, _, op in kept] if kept else self._free
+        ops = [op for _, _, op in kept]
+        return ops if h is None else self._wired(ops, roots, h)
+
+    def _wired(self, ops: list[tuple], roots: list[int], h: list[int]) -> list[tuple]:
+        """`ops` wired under the control values that `h` holds (see the
+        module docstring). A decided net that an undecided AND or OR reads
+        inverted keeps its wire too; every control net reduces to a key
+        input or a counter flip-flop."""
+        control = self._control
+        source: dict[int, tuple[int, bool]] = {}  # wired net -> (source net, inverted)
+        undecided: dict[int, tuple] = {}
+        for family, out, a, b, invert in ops:
+            sa, ia = source.get(a, (a, False))
+            sb, ib = source.get(b, (b, False))
+            if a == b and family != _XOR:
+                source[out] = sa, ia ^ invert
+            elif control[sa] or control[sb]:
+                (s, i), (so, io) = ((sa, ia), (sb, ib)) if control[sa] else ((sb, ib), (sa, ia))
+                one = bool(h[s]) ^ i  # the decided fanin's value
+                if family == _XOR:
+                    source[out] = so, io ^ one ^ invert
+                elif one == (family == _OR):  # the controlling value
+                    source[out] = s, i ^ invert
+                else:
+                    source[out] = so, io ^ invert
+            elif family == _XOR:  # an XOR takes its fanins' inversions into its own
+                undecided[out] = (family, out, sa, sb, invert ^ ia ^ ib)
+            else:
+                undecided[out] = (family, out, a if ia else sa, b if ib else sb, invert)
+        needed = set(roots)
+        tail = []
+        for op in reversed(ops):
+            out = op[1]
+            if out not in needed:
+                continue
+            if out in undecided:
+                op = undecided[out]
+                needed.update(op[2:4])
+            else:
+                s, i = source[out]
+                op = (_AND, out, s, s, i)
+                needed.add(s)
+            tail.append(op)
+        tail.reverse()
+        return tail
+
+    def _free_readers(self) -> tuple[list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
+        """The positions in `_free` of the ops that read each free op's
+        output (by the op's position) and each input or flip-flop (by net),
+        for the nets that have readers; built on the first Kleene step and
+        kept."""
+        if self._readers is None:
+            readers: dict[int, tuple[int, ...]] = {}
+            for p, (_, _, a, b, _) in enumerate(self._free):
+                readers[a] = readers.get(a, ()) + (p,)
+                if b != a:
+                    readers[b] = readers.get(b, ()) + (p,)
+            seeds = {n: readers[n] for n in self.nonkey_idx + self.dff_q_idx if n in readers}
+            self._readers = [readers.get(op[1], ()) for op in self._free], seeds
+        return self._readers
 
     def initial_state(self, init: str) -> tuple[int | None, ...]:
         if init not in ("zero", "x"):
@@ -397,38 +467,39 @@ class PlaneSim:
         evaluated and the unknown plane is all zero.
         """
         c, h, x, mask = self.c, self.h, self.x, self.mask
-        # nets whose planes may differ from the last step's (module docstring)
-        changed = self._changed = bytearray(c._fed) if self._x_stale else bytearray(b"\1") * c.n_nets
         unknown = [v & mask for v in nonkey_x] if nonkey_x else [0] * len(nonkey_h)
+        seeds = []  # the inputs and flip-flops whose planes change
         for idx, vh, vx in zip(c.nonkey_idx, nonkey_h, unknown):
             vh &= mask & ~vx
             if h[idx] != vh or x[idx] != vx:
-                h[idx], x[idx], changed[idx] = vh, vx, 1
+                h[idx], x[idx] = vh, vx
+                seeds.append(idx)
         for bit, idx in enumerate(c.key_idx):
             h[idx] = mask if (key_value >> bit) & 1 else 0
             x[idx] = 0
         for idx, vh, vx in zip(c.dff_q_idx, self.state_h, self.state_x):
             if h[idx] != vh or x[idx] != vx:
-                h[idx], x[idx], changed[idx] = vh, vx, 1
+                h[idx], x[idx] = vh, vx
+                seeds.append(idx)
+        tail = self._ops(key_value)
         if any(unknown) or any(self.state_x):
-            run = self._step_kleene
+            self._step_kleene(tail, seeds if self._x_stale else None)
             self._x_stale = True
         else:
             if self._x_stale:
                 x[:] = [0] * len(x)
                 self._x_stale = False
-            run = self._step_known
-        run(self._ops(key_value, run))
+            self._step_known(c._free, tail)
         if latch:
             self.state_h[:] = [h[d] for d in c.dff_d_idx]
             self.state_x[:] = [x[d] for d in c.dff_d_idx]
 
-    def _ops(self, key_value: int | None, run) -> list[tuple]:
-        """The cached op list for this step. When every counter plane is
-        uniform and known, it is the pruned list for the watched nets, key
-        value and counter bits; on a miss, `run` evaluates the control nets
-        and the list is derived from them. Otherwise it is the unpruned list
-        for the watched nets."""
+    def _ops(self, key_value: int | None) -> list[tuple]:
+        """The cached fed tail for this step. When every counter plane is
+        uniform and known, it is the wired tail for the watched nets, key
+        value and counter bits; on a miss the control nets are evaluated and
+        the tail is derived from them. Otherwise it is the unpruned tail for
+        the watched nets."""
         c, mask, h = self.c, self.mask, self.h
         counter = 0
         for bit, p in enumerate(c.counter_pos):
@@ -442,34 +513,52 @@ class PlaneSim:
         ops = c.op_lists.get(key)
         if ops is None:
             if h is not None:
-                run(c._control_ops)
+                self._step_known(c._control_ops)
             if len(c.op_lists) >= _MAX_OP_LISTS:
                 del c.op_lists[next(iter(c.op_lists))]
             ops = c.op_lists[key] = c._select_ops(self.roots, h, mask)
         return ops
 
-    def _step_known(self, ops: list[tuple]) -> None:
+    def _step_known(self, *op_lists: list[tuple]) -> None:
         """Two-valued pass over the high plane."""
         h, mask = self.h, self.mask
-        for family, out, a, b, invert in ops:
-            if family == _AND:
-                v = h[a] & h[b]
-            elif family == _OR:
-                v = h[a] | h[b]
-            else:
-                v = h[a] ^ h[b]
-            h[out] = v ^ mask if invert else v
+        for ops in op_lists:
+            for family, out, a, b, invert in ops:
+                if family == _AND:
+                    v = h[a] & h[b]
+                elif family == _OR:
+                    v = h[a] | h[b]
+                else:
+                    v = h[a] ^ h[b]
+                h[out] = v ^ mask if invert else v
 
-    def _step_kleene(self, ops: list[tuple]) -> None:
-        """Strong Kleene pass over both planes.
+    def _step_kleene(self, tail: list[tuple], seeds: list[int] | None) -> None:
+        """Strong Kleene pass over both planes: the free ops that read a net
+        whose planes change, starting from the inputs and flip-flops in
+        `seeds` (every free op when `seeds` is None), then every op of `tail`.
 
         Per gate, `u` is the unknown plane and `one` the high plane before
         inversion; the two are disjoint, so only an inverted gate masks `u`.
         """
-        h, x, mask, changed = self.h, self.x, self.mask, self._changed
-        for family, out, a, b, invert in ops:
-            if not (changed[a] or changed[b]):
-                continue
+        h, x, mask, free = self.h, self.x, self.mask, self.c._free
+        readers, seed_readers = self.c._free_readers()
+        n_free = len(free)
+        if seeds is None:
+            due = bytearray(b"\1") * (n_free + len(tail))
+        else:
+            due = bytearray(n_free)
+            for net in seeds:
+                for p in seed_readers.get(net, ()):
+                    due[p] = 1
+            due += b"\1" * len(tail)
+        pos = due.find(1)
+        while pos >= 0:
+            if pos < n_free:
+                family, out, a, b, invert = free[pos]
+                fanout = readers[pos]  # a free op's readers follow it in `_free`
+            else:  # no free op reads a fed net
+                family, out, a, b, invert = tail[pos - n_free]
+                fanout = ()
             if family == _AND:
                 one = h[a] & h[b]
                 u = ((h[a] | x[a]) & (h[b] | x[b])) ^ one
@@ -481,7 +570,10 @@ class PlaneSim:
                 one = (h[a] ^ h[b]) & ~u
             v = (one ^ mask) & ~u if invert else one
             if h[out] != v or x[out] != u:
-                h[out], x[out], changed[out] = v, u, 1
+                h[out], x[out] = v, u
+                for p in fanout:
+                    due[p] = 1
+            pos = due.find(1, pos + 1)
 
     def output_planes(self) -> list[tuple[int, int]]:
         return [(self.h[i], self.x[i]) for i in self.c.output_idx]

@@ -584,11 +584,14 @@ _ERROR_KINDS = pytest.mark.parametrize(
          "invalid-input", "--manifest conflicts with --k/--ki"),
         (["attack", *_MANIFEST_RUN, "--mode", "static", "--ki", "2"], _S27, None, None,
          "invalid-input", "--manifest conflicts with --k/--ki"),
+        # a static key is one value: --k would be dropped without a word
+        (["attack", "--orig", "{bench}", "--locked", "{bench}", "--mode", "static", "--k", "7", "--ki", "2"],
+         _S27, None, None, "invalid-input", "--k conflicts with --mode static"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
          "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
          "verify-manifest-keys", "verify-manifest-keys-file", "sim-manifest-keys",
-         "attack-manifest-k-ki", "attack-manifest-ki"],
+         "attack-manifest-k-ki", "attack-manifest-ki", "attack-static-k"],
 )
 
 

@@ -435,22 +435,64 @@ def _keyed(netlist: Netlist, key_bits: int, counters: int) -> Netlist:
     )
 
 
-def _full_step_sim(netlist: Netlist, lanes: int, watch: tuple[str, ...]) -> PlaneSim:
-    """A PlaneSim that evaluates every op of the eager compile on every step."""
-    sim = PlaneSim(netlist, lanes, watch)
-    ops = reference_ops(netlist)
-    sim._ops = lambda key_value, run: ops
-    return sim
+class _FullStepSim(PlaneSim):
+    """Steps every op of the eager compile, in its order, on every step,
+    through its own Kleene formula over "is 1" and "is 0" planes; with no
+    unknown bit that is the two-valued result. It takes only the plane
+    layout, `reset`, `load_state` and the plane readers from
+    :class:`PlaneSim`."""
+
+    def __init__(self, netlist: Netlist, lanes: int, watch: tuple[str, ...]):
+        super().__init__(netlist, lanes, watch)
+        self.ops = reference_ops(netlist)
+
+    def step(self, nonkey_h, key_value, nonkey_x=None, latch=True):
+        c, h, x, mask = self.c, self.h, self.x, self.mask
+        for idx, vh, vx in zip(c.nonkey_idx, nonkey_h, nonkey_x or [0] * len(nonkey_h)):
+            h[idx], x[idx] = vh & ~vx & mask, vx & mask
+        for bit, idx in enumerate(c.key_idx):
+            h[idx], x[idx] = mask * ((key_value >> bit) & 1), 0
+        for idx, vh, vx in zip(c.dff_q_idx, self.state_h, self.state_x):
+            h[idx], x[idx] = vh, vx
+        for family, out, a, b, invert in self.ops:
+            a1, b1 = h[a], h[b]
+            a0, b0 = mask & ~(h[a] | x[a]), mask & ~(h[b] | x[b])
+            if family == 0:  # AND
+                one, zero = a1 & b1, a0 | b0
+            elif family == 1:  # OR
+                one, zero = a1 | b1, a0 & b0
+            else:
+                one, zero = a1 & b0 | a0 & b1, a1 & b1 | a0 & b0
+            if invert:
+                one, zero = zero, one
+            h[out], x[out] = one, mask & ~(one | zero)
+        if latch:
+            self.state_h[:] = [h[d] for d in c.dff_d_idx]
+            self.state_x[:] = [x[d] for d in c.dff_d_idx]
+
+
+def _wire(op: tuple) -> bool:
+    """Whether `op` is a wire ``(AND, net, source, source, inverted)``."""
+    return op[0] == 0 and op[2] == op[3]
 
 
 def _lists_keep_the_eager_order(netlist: Netlist) -> bool:
-    """Each cached op list is the free ops, then fed ops, each part in the
-    order of the eager compile."""
-    reference, free = reference_ops(netlist), netlist.compiled._free
-    return is_subsequence(free, reference) and all(
-        ops[: len(free)] == free and is_subsequence(ops[len(free) :], reference)
-        for ops in netlist.compiled.op_lists.values()
-    )
+    """Each cached list is a fed tail in the order of the eager compile: an
+    unpruned tail holds ops of the eager compile, and a wired tail holds
+    wires and ops of the compile with rewired fanins, each at its net's
+    place. No list holds a free op."""
+    reference, compiled = reference_ops(netlist), netlist.compiled
+    place = {op[1]: p for p, op in enumerate(reference)}
+    free = set(compiled._free)
+    for key, ops in compiled.op_lists.items():
+        places = [place[op[1]] for op in ops]
+        if places != sorted(set(places)) or free.intersection(ops):
+            return False
+        if len(key) == 1 and not is_subsequence(ops, reference):
+            return False
+        if not all(_wire(op) or op[0] == reference[place[op[1]]][0] for op in ops):
+            return False
+    return is_subsequence(compiled._free, reference)
 
 
 def _root_planes(sim: PlaneSim):
@@ -517,7 +559,7 @@ def test_cached_op_lists_match_full_steps(
     netlist, schedule, watch = _keyed_netlist(
         seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
     )
-    pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
+    pruned, full = PlaneSim(netlist, lanes, watch), _FullStepSim(netlist, lanes, watch)
     pruned.reset(init)
     full.reset(init)
     rng = random.Random(seed)
@@ -543,7 +585,7 @@ def test_cached_op_lists_match_full_steps_on_locked_b04():
     )
     lanes = 1000
     watch = tuple(manifest.onehot_time_nets) + (manifest.locked_ffs[0].ff_output_net,)
-    pruned, full = PlaneSim(netlist, lanes, watch), _full_step_sim(netlist, lanes, watch)
+    pruned, full = PlaneSim(netlist, lanes, watch), _FullStepSim(netlist, lanes, watch)
     pruned.reset("x")
     full.reset("x")
     rng = random.Random(4)
@@ -582,23 +624,22 @@ def _widened(netlist: Netlist, seed: int) -> Netlist:
     widen=st.booleans(),
 )
 def test_unpruned_lists_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_bits, counters, widen):
-    """The unpruned list rooted at every gate's output holds the ops the eager
-    compile built, wide gates' unnamed nets included, with its free and its
-    fed part each in the eager order, on random netlists with and without key
-    inputs and counter flip-flops; with neither it is the free list."""
+    """The free ops and the unpruned tail rooted at every gate's output hold
+    the ops the eager compile built, wide gates' unnamed nets included, each
+    part in the eager order, on random netlists with and without key inputs
+    and counter flip-flops; with neither the tail is empty."""
     netlist = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     if widen:
         netlist = _widened(netlist, seed)
     netlist = _keyed(netlist, min(key_bits, n_inputs - 1), min(counters, n_dffs))
     compiled = netlist.compiled
-    ops = compiled._select_ops([compiled.index[g.output] for g in netlist.gates])
+    tail = compiled._select_ops([compiled.index[g.output] for g in netlist.gates])
     reference, free = reference_ops(netlist), compiled._free
-    assert sorted(ops) == sorted(reference)
-    assert ops[: len(free)] == free
-    assert is_subsequence(free, reference) and is_subsequence(ops[len(free) :], reference)
-    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in ops)
+    assert sorted(free + tail) == sorted(reference)
+    assert is_subsequence(free, reference) and is_subsequence(tail, reference)
+    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in free + tail)
     if not compiled.key_idx and not compiled.counter_pos:
-        assert ops is free
+        assert tail == []
 
 
 def _locked_b04():
@@ -611,8 +652,9 @@ def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
     random check under the schedule, step locked b04 (k4/ki11) through
     pruned op lists alone. Steps whose counter lanes differ build one
     unpruned list under two key values, and match steps over every op.
-    Every list keeps the eager order and holds the tuples the compile kept
-    or built rather than copies."""
+    Every list keeps the eager order; the unpruned list holds the tuples
+    the compile kept or built rather than copies, and each wired tail holds
+    only wires."""
     orig, locked, manifest = _locked_b04()
     rng = random.Random(2)
     n = len(locked.compiled.nonkey_idx)
@@ -626,7 +668,7 @@ def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
     assert verdict.equivalent
     compiled = locked.compiled
     assert compiled.op_lists and all(len(key) == 3 for key in compiled.op_lists)
-    pruned, full = PlaneSim(locked, 2), _full_step_sim(locked, 2, ())
+    pruned, full = PlaneSim(locked, 2), _FullStepSim(locked, 2, ())
     for cycle in range(2):
         highs = [rng.getrandbits(2) for _ in range(n)]
         for sim in (pruned, full):
@@ -635,10 +677,11 @@ def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
         assert _root_planes(pruned) == _root_planes(full), cycle
     assert [key for key in compiled.op_lists if len(key) == 1] == [((),)]
     assert _lists_keep_the_eager_order(locked)
-    free = compiled._free
-    for ops in compiled.op_lists.values():
-        assert all(op is kept for op, kept in zip(ops, free))
-        assert all(op is compiled._fed_ops[op[1]] for op in ops[len(free) :])
+    for key, ops in compiled.op_lists.items():
+        if len(key) == 1:
+            assert all(op is compiled._fed_ops[op[1]] for op in ops)
+        else:
+            assert all(map(_wire, ops))
 
 
 def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
@@ -698,6 +741,119 @@ def test_simulate_watching_mux_nets_matches_kleene_oracle(
     )
 
 
+def _with_control_readers(netlist: Netlist, data) -> Netlist:
+    """`netlist` with gates that read a control net `c` (its first key input,
+    else its first counter flip-flop) as outputs: ``kx = XOR(c, a, b)``,
+    ``kxn = XNOR(b, c)`` and ``kan = AND(kxn, a)`` over drawn gate nets `a`
+    and `b`; and `c` itself as an output."""
+    keys = [n for n in netlist.inputs if n.startswith(KEY_INPUT_PREFIX)]
+    c = (keys or [d.output for d in netlist.dffs if d.output.startswith(COUNTER_NET_PREFIX)])[0]
+    a, b = (data.draw(st.sampled_from([g.output for g in netlist.gates])) for _ in range(2))
+    gates = (Gate("kx", "XOR", (c, a, b)), Gate("kxn", "XNOR", (b, c)), Gate("kan", "AND", ("kxn", a)))
+    outputs = netlist.outputs + tuple(n for n in ("kx", "kan", c) if n not in netlist.outputs)
+    return Netlist(netlist.name, netlist.inputs, outputs, netlist.gates + gates, netlist.dffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_KEYED_RUNS)
+def test_wired_event_driven_steps_match_full_steps(
+    seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """Steps over wired tails, with the Kleene pass event-driven, give the
+    root planes and flip-flop planes of a simulator that steps every op of
+    the eager compile by its own formula. The netlists are the locked,
+    renamed and key-free forms plus an XOR, an XNOR and an AND that read
+    a control net, and that control net as an output; a locked netlist
+    also watches a net inside a mux tree. Each cycle draws its key (so tails
+    switch), X rows or X-free ones (so Kleene and two-valued steps
+    alternate), whether to load a scalar state first (with X counters, an
+    unpruned step) and whether to latch."""
+    netlist, schedule, watch = _keyed_netlist(
+        seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
+    )
+    netlist = _with_control_readers(netlist, data)
+    if form == "locked":
+        mux = data.draw(st.sampled_from([g.output for g in netlist.gates if g.output.startswith("cl_f")]))
+        watch += (mux,) if mux not in watch else ()
+    sim, full = PlaneSim(netlist, lanes, watch), _FullStepSim(netlist, lanes, watch)
+    for s in (sim, full):
+        s.reset(init)
+    rng = random.Random(seed)
+    n = len(netlist.compiled.nonkey_idx)
+    for cycle in range(12):
+        key = _draw_key(schedule, cycle, rng, data)
+        highs = [rng.getrandbits(lanes) for _ in range(n)]
+        unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
+        if data.draw(st.booleans()):
+            unknown = [0] * n
+        state = data.draw(st.none() | st.tuples(*[st.sampled_from(VALUES) for _ in netlist.dffs]))
+        latch = data.draw(st.booleans())
+        for s in (sim, full):
+            if state is not None:
+                s.load_state(state)
+            s.step(highs, key, unknown, latch)
+        assert _root_planes(sim) == _root_planes(full), cycle
+        assert (sim.state_h, sim.state_x) == (full.state_h, full.state_x), cycle
+    assert _lists_keep_the_eager_order(netlist)
+
+
+def test_wires_carry_inversions():
+    """Under key 0, ``n = XNOR(keyinput0, b)`` is NOT b, so the tail keeps
+    that wire for the AND that reads it. Under key 1, ``m = XOR(keyinput0,
+    b)`` is NOT b, and ``z = XOR(m, a)`` reads b itself, m's inversion
+    taken into the XOR. Each step matches a full step."""
+    netlist = parse_bench(
+        "INPUT(a)\nINPUT(b)\nINPUT(keyinput0)\nOUTPUT(y)\nOUTPUT(z)\n"
+        "n = XNOR(keyinput0, b)\ny = AND(n, a)\nm = XOR(keyinput0, b)\nz = XOR(m, a)\n"
+    )
+    index = netlist.compiled.index
+    a, b, n, y, z, key0 = (index[name] for name in ("a", "b", "n", "y", "z", "keyinput0"))
+    sim, full = PlaneSim(netlist, 4, ()), _FullStepSim(netlist, 4, ())
+    for key in (0, 1, 0):
+        for s in (sim, full):
+            s.step([0b0011, 0b0101], key, [0b1000, 0])
+        assert _root_planes(sim) == _root_planes(full), key
+    assert netlist.compiled.op_lists[((), 0, 0)] == [
+        (0, n, b, b, True), (0, y, n, a, False), (2, z, b, a, False)
+    ]
+    assert netlist.compiled.op_lists[((), 1, 0)] == [(0, y, b, a, False), (2, z, b, a, True)]
+    assert key0 not in {op[2] for ops in netlist.compiled.op_lists.values() for op in ops}
+
+
+def test_wired_tails_of_locked_b14_hold_one_wire_per_fed_root():
+    """Locked b14 (k8/ki3, 16 locked flip-flops) stepped from an unknown
+    state under its schedule, with a wrong key at cycles 3 and 12, watching
+    the one-hot time nets. Every cached tail is one wire per fed root and
+    nothing else: each locked flip-flop's mux tree output is wired to the net
+    the key value and counter time select, and each counter next-state net
+    and one-hot time net is wired to a counter flip-flop."""
+    schedule = generate_key_schedule(8, 3, 5)
+    netlist, manifest = lock_structural(corpus.load_bench("b14_like"), schedule, 16, seed=5)
+    watch = tuple(manifest.onehot_time_nets)
+    sim = PlaneSim(netlist, 1, watch)
+    sim.reset("x")
+    rng = random.Random(5)
+    for cycle in range(16):
+        key = schedule.key_at(cycle) ^ (cycle in (3, 12))
+        sim.step([rng.getrandbits(1) for _ in sim.c.nonkey_idx], key)
+    index = sim.c.index
+    counters = {index[net] for net in manifest.counter_state_nets}
+    decode = {index[net] for net in watch} | {index[d.input] for d in netlist.dffs if d.output.startswith("cl_cnt")}
+    assert len(sim.c.op_lists) == 10  # eight counter times, two of them also under a wrong key
+    for (_, value, time), tail in sim.c.op_lists.items():
+        assert all(map(_wire, tail))
+        wires = {op[1]: (op[2], op[4]) for op in tail}
+        selected = {
+            index[ff.mux_tree_output_net]: (
+                index[ff.correct_d_net if value == schedule.keys[time] else ff.wrongful_source_nets[time, value]],
+                False,
+            )
+            for ff in manifest.locked_ffs
+        }
+        assert {net: wires.pop(net) for net in selected} == selected
+        assert set(wires) == decode and {src for src, _ in wires.values()} <= counters
+
+
 def test_mixed_counter_planes_do_not_reuse_an_op_list():
     """A counter flip-flop whose lanes disagree makes the step run the
     unpruned list, which nothing cuts. Here `s` is 0 while the counter is 0, so the cached list for key 1 and
@@ -707,7 +863,7 @@ def test_mixed_counter_planes_do_not_reuse_an_op_list():
         "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ncl_cnt0 = DFF(a)\n"
         "s = AND(keyinput0, cl_cnt0)\nd = XOR(a, keyinput0)\ny = AND(s, d)\n"
     )
-    pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
+    pruned, full = PlaneSim(netlist, 2), _FullStepSim(netlist, 2, ())
     for a in (0b00, 0b10, 0b00):
         for sim in (pruned, full):
             sim.step([a], 1)
@@ -727,7 +883,7 @@ def test_op_list_cache_drops_the_oldest_list_past_its_cap():
         + "".join(f"m{i} = {('AND', 'OR')[i % 2]}(keyinput{i}, {'de'[i % 2]})\n" for i in range(6))
         + "y = XOR(m0, m1, m2, m3, m4, m5)\n"
     )
-    pruned, full = PlaneSim(netlist, 4), _full_step_sim(netlist, 4, ())
+    pruned, full = PlaneSim(netlist, 4), _FullStepSim(netlist, 4, ())
     rng = random.Random(0)
     expected = []
     for cycle in range(71):
@@ -759,7 +915,7 @@ def test_only_a_controlling_value_cuts_the_search(kind):
                 + "".join(f"{d} = {('XOR', 'XNOR')[i % 2]}(a, keyinput0)\n" for i, d in enumerate(data))
                 + f"y = {kind}({', '.join(fanins)})\n"
             )
-            pruned, full = PlaneSim(netlist, 2), _full_step_sim(netlist, 2, ())
+            pruned, full = PlaneSim(netlist, 2), _FullStepSim(netlist, 2, ())
             for key, a in ((0, 0b01), (0, 0b10), (1, 0b01), (1, 0b10)):
                 for sim in (pruned, full):
                     sim.step([a], key)
@@ -831,7 +987,7 @@ def test_a_repeated_kleene_step_rewrites_no_free_net():
         [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)],
     )
     sim.step(*args, latch=False)
-    free = [i for i in range(sim.c.n_nets) if not sim.c._fed[i]]
+    free = [op[1] for op in sim.c._free]
     before = [(sim.h[i], sim.x[i]) for i in free]
     assert sum(max(h, x) > 256 for h, x in before) > len(free) // 2  # not only small cached ints
     sim.step(*args, latch=False)
