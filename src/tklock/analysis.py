@@ -43,12 +43,14 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .circuit import Netlist
 from .keys import KeySchedule
 from .sim import KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, simulate
-from .structural import LockManifest, added_mux_count, expected_added_gate_count
+
+if TYPE_CHECKING:
+    from .structural import LockManifest
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes, checked before any plane is allocated
@@ -515,6 +517,8 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
     """Exact added-cost report; raises ValueError when a netlist fails
     validation, the manifest does not describe the locked netlist or the
     deltas break the closed form."""
+    from .structural import added_mux_count, expected_added_gate_count  # verify and attack never load it
+
     locked._require_valid()  # a netlist free of errors drives every net it names,
     orig._require_valid()  # so its net index holds them all
     locked_nets, orig_nets = locked._graph[0], orig._graph[0]

@@ -5,12 +5,14 @@ gates over a fixed primitive set, and D flip-flops. Nets are identified by
 name; every net has exactly one driver (an input, a gate output, or a DFF
 output) and the combinational subgraph is acyclic once DFFs are cut.
 
-:func:`parse_bench` is one indexed pass: one capturing full-match pattern per
+:func:`parse_bench` reads each line once: one capturing full-match pattern per
 gate or DFF line yields the output, the kind and the first two fanins, and only
-a gate with three or more fanins reads the rest with ``findall``. Net names are
-interned as read and each ``Gate`` is built by ``tuple.__new__``. Only lines
+a gate with three or more fanins reads the rest with ``findall``. One table maps
+each driven name to its shared string; a name read before its driver waits in a
+small pending table. Each ``Gate`` is built by ``tuple.__new__``. Only lines
 that pattern rejects take the slower checks, which give each error its message
-and line number.
+and line number; the two errors found after the last line (an undefined fanin,
+a cycle) read theirs from the line numbers the pass kept per gate and DFF.
 ``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
 gate positions, the cycle net) is built once and read by the parse's cycle
 check, :func:`validate` and the compiled form.
@@ -24,6 +26,7 @@ code is validated the first time one of them needs it.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain
@@ -196,20 +199,22 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     are case-sensitive. Forward references are legal. Raises
     :class:`BenchFormatError` with a line number on malformed input.
 
-    Besides the netlist, the pass keeps one map from each net name read to a
-    shared string and the set of driven names; both are released before the
-    graph pass. No name is mapped to its line: the two errors found after
-    the pass (an undefined fanin, a cycle) read their line from the text.
+    The pass keeps one name table, ``driven``, from each driven name to its
+    shared string. A fanin or output read before its driver waits in
+    ``pending`` until the line that drives it; each gate's and DFF's line
+    number goes in an ``array('i')``. The two errors found after the last
+    line (an undefined fanin, a cycle) read their line from those arrays, so
+    no text is read again and the name tables are freed before the graph pass.
     """
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
     dffs: list[Dff] = []
-    driven: dict[str, None] = {}  # the driven names (a dict is half the size of a set)
+    gate_line, dff_line = array("i"), array("i")
     output_line: dict[str, int] = {}
-    # every net name read, mapped to one shared string object
-    seen: dict[str, str] = {}
-    intern = seen.setdefault
+    driven: dict[str, str] = {}
+    pending: dict[str, str] = {}
+    get, wait, take = driven.get, pending.setdefault, pending.pop
     new_gate = tuple.__new__  # builds a Gate in C, without NamedTuple's Python-level __new__
 
     for lineno, raw in enumerate(_lines(text), start=1):
@@ -222,17 +227,17 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         else:
             io_match = _IO_RE.fullmatch(line)
             if io_match:
-                net = intern(io_match["net"], io_match["net"])
+                net = io_match["net"]
                 if io_match["kw"].upper() == "INPUT":
                     if net in driven:
                         raise BenchFormatError(f"duplicate driver for net '{net}'", lineno)
-                    driven[net] = None
+                    net = driven[net] = take(net, net)
                     inputs.append(net)
                 else:
                     if net in output_line:
                         raise BenchFormatError(f"duplicate output declaration '{net}'", lineno)
                     output_line[net] = lineno
-                    outputs.append(net)
+                    outputs.append(get(net) or wait(net, net))
                 continue
             assign = re.fullmatch(_ASSIGN, line)
             if assign is None:
@@ -242,8 +247,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             lhs, kind_text, first, second, rest = assign["lhs"], assign["kind"], None, None, None
         if lhs in driven:
             raise BenchFormatError(f"duplicate driver for net '{lhs}'", lineno)
-        lhs = intern(lhs, lhs)
-        driven[lhs] = None
+        lhs = driven[lhs] = take(lhs, lhs)
         kind = _KINDS.get(kind_text) or _KINDS.get(kind_text.upper())
         if kind is None:
             raise BenchFormatError(f"unknown gate kind '{kind_text}'", lineno)
@@ -251,27 +255,31 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
             if first is None or second is not None:
                 raise BenchFormatError(f"{kind} takes exactly one fanin", lineno)
             if kind == "DFF":
-                dffs.append(Dff(lhs, intern(first, first)))
+                dffs.append(Dff(lhs, get(first) or wait(first, first)))
+                dff_line.append(lineno)
                 continue
-            fanins = (intern(first, first),)
+            fanins = (get(first) or wait(first, first),)
         elif second is None:
             raise BenchFormatError(f"{kind} takes at least two fanins", lineno)
         elif rest:
-            names = _NAME_RE.findall(rest)
-            fanins = (intern(first, first), intern(second, second), *map(intern, names, names))
+            fanins = (get(first) or wait(first, first), get(second) or wait(second, second),
+                      *[get(n) or wait(n, n) for n in _NAME_RE.findall(rest)])
         else:
-            fanins = (intern(first, first), intern(second, second))
+            fanins = (get(first) or wait(first, first), get(second) or wait(second, second))
         gates.append(new_gate(Gate, (lhs, kind, fanins)))
+        gate_line.append(lineno)
 
-    if len(seen) > len(driven):
-        # a fanin or an output is undriven: report the first fanin reference
-        for lineno, _, fanins in _gate_lines(text):
+    if pending:
+        # a fanin or an output is undriven: report the first fanin reference,
+        # walking the gates and DFFs in line order
+        reads = chain(zip(gate_line, (g.fanins for g in gates)), zip(dff_line, ((d.input,) for d in dffs)))
+        for lineno, fanins in sorted(reads):
             for net in fanins:
-                if net not in driven:
+                if net in pending:
                     raise BenchFormatError(f"undefined fanin net '{net}'", lineno)
-    for net, lineno in output_line.items():
-        if net not in driven:
-            raise BenchFormatError(f"undefined output net '{net}'", lineno)
+        for net, lineno in output_line.items():
+            if net in pending:
+                raise BenchFormatError(f"undefined output net '{net}'", lineno)
 
     netlist = Netlist(
         name=name,
@@ -280,11 +288,12 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
-    del seen, intern, driven, output_line, inputs, outputs, gates, dffs  # before the graph pass
+    # nothing but the netlist and the gate lines outlives the line loop
+    del text, driven, pending, get, wait, take, output_line, inputs, outputs, gates, dffs, dff_line
     cyclic = netlist._graph[2]
     if cyclic is not None:
-        lineno = next(lineno for lineno, lhs, _ in _gate_lines(text) if lhs == cyclic)
-        raise BenchFormatError(f"combinational cycle through net '{cyclic}'", lineno)
+        p = next(p for p, gate in enumerate(netlist.gates) if gate.output == cyclic)
+        raise BenchFormatError(f"combinational cycle through net '{cyclic}'", gate_line[p])
     netlist._checked = True
     return netlist
 
@@ -302,17 +311,6 @@ def _chunks(text: str, size: int = 1 << 16):
         end = text.find("\n", start + size) + 1 or len(text)
         yield text[start:end]
         start = end
-
-
-def _gate_lines(text: str):
-    """(line number, output, fanin names) of each gate and DFF line of `text`,
-    for error lines after a parse that got through every line: each gate or
-    DFF it accepted matched the gate pattern, and no other line does."""
-    for lineno, raw in enumerate(_lines(text), start=1):
-        match = _GATE_RE.fullmatch(raw.split("#", 1)[0].strip())
-        if match is not None:
-            lhs, _, first, second, rest = match.groups()
-            yield lineno, lhs, [first] if second is None else [first, second, *_NAME_RE.findall(rest)]
 
 
 def _bench_lines(netlist: Netlist):

@@ -54,8 +54,7 @@ def _fail(kind: str, detail: str) -> int:
 def _load_bench(path: str):
     from .circuit import parse_bench
 
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_bench(text, name=Path(path).stem)
+    return parse_bench(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
 
 
 def _load_schedule(path: str) -> KeySchedule:
@@ -167,18 +166,15 @@ def _cmd_sim(args) -> int:
     if args.stimulus:
         lines = Path(args.stimulus).read_text(encoding="utf-8").splitlines()
         rows = [row for row in (line.split("#", 1)[0].strip() for line in lines) if row]
+        if not rows:
+            raise ValueError(f"stimulus file '{args.stimulus}' has no rows")
+        stimulus = Stimulus.from_strings(rows, policy)
     else:
-        rng = random.Random(args.random_seed)
-        rows = [
-            "".join(str(rng.randint(0, 1)) for _ in non_key) for _ in range(args.cycles)
-        ]
-    if not rows:
-        raise ValueError(
-            f"stimulus file '{args.stimulus}' has no rows"
-            if args.stimulus
-            else f"sim needs cycles >= 1, got {args.cycles}"
-        )
-    stimulus = Stimulus.from_strings(rows, policy)
+        if args.cycles < 1:
+            raise ValueError(f"sim needs cycles >= 1, got {args.cycles}")
+        draw = random.Random(args.random_seed).randint
+        rows = tuple(tuple(draw(0, 1) for _ in non_key) for _ in range(args.cycles))
+        stimulus = Stimulus(rows, policy)
     watch = tuple(args.watch.split(",")) if args.watch else ()
     trace = simulate(netlist, stimulus, init=args.init, watch=watch)
     csv = trace.to_csv()

@@ -320,6 +320,8 @@ _PARSE_ERRORS = {
     "undefined-dff-fanin": (_HEAD + "y = AND(a, b)\nq = DFF(d)\nz = OR(d, e)\n", 5, "undefined fanin net 'd'"),
     "undefined-output": (_HEAD + "OUTPUT(z)\ny = AND(a, b)\n", 4, "undefined output net 'z'"),
     "fanin-before-output": (_HEAD + "OUTPUT(z)\ny = AND(a, c)\n", 5, "undefined fanin net 'c'"),
+    "driven-later-then-undefined": (_HEAD + "q = DFF(n)\ny = AND(a, m)\nn = NOT(a)\n", 5, "undefined fanin net 'm'"),
+    "undefined-third-fanin": (_HEAD + "y = AND(a, b, c)\n", 4, "undefined fanin net 'c'"),
     "cycle": (_HEAD + "y = AND(a, w)\nw = OR(v, b)\nv = NOT(w)\n", 6, "combinational cycle through net 'v'"),
     "self-loop": (_HEAD + "y = AND(y, a)\n", 4, "combinational cycle through net 'y'"),
 }
@@ -419,7 +421,15 @@ def test_wide_gates_parse_like_reference(text, error):
         assert got == (line, f"line {line}: {message}")
 
 
-@pytest.mark.parametrize("text", [corpus.read_text("s27.bench"), _long_text("y = BUF(g4999)")], ids=["s27", "long"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        corpus.read_text("s27.bench"),
+        _long_text("y = BUF(g4999)"),
+        "OUTPUT(y)\nOUTPUT(q)\ny = XOR(a, b, q)\nq = DFF(z)\nz = NOT(y)\nINPUT(b)\nINPUT(a)\n",
+    ],
+    ids=["s27", "long", "forward-references"],
+)
 def test_parse_shares_driver_names_and_builds_gates(text):
     netlist = parse_bench(text)
     # each net read is the very string its driver declared, so a name is stored once

@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import json
+import random
 import re
 import shlex
 import subprocess
@@ -339,6 +340,20 @@ def test_sim_trace_csv(tmp_path, s27_path, capsys):
     lines = trace.read_text().splitlines()
     assert lines[0].startswith("cycle,G0,G1,G2,G3,keyinput0,keyinput1,G17")
     assert len(lines) == 9
+
+
+def test_sim_random_stimulus_is_the_seeded_draw(tmp_path, s27_path, capsys):
+    """`--random-seed` traces the rows `random.Random(seed)` draws bit by bit."""
+    out, manifest = _lock(tmp_path, s27_path)
+    draw = random.Random(5).randint
+    stim = tmp_path / "stim.txt"
+    stim.write_text("".join("".join(str(draw(0, 1)) for _ in range(4)) + "\n" for _ in range(8)),
+                    encoding="utf-8")
+    run = ["sim", "--in", str(out), "--manifest", str(manifest)]
+    random_trace, file_trace = tmp_path / "random.csv", tmp_path / "file.csv"
+    assert main([*run, "--cycles", "8", "--random-seed", "5", "--trace", str(random_trace)]) == 0
+    assert main([*run, "--stimulus", str(stim), "--trace", str(file_trace)]) == 0
+    assert random_trace.read_bytes() == file_trace.read_bytes()
 
 
 def test_sim_stimulus_file_and_override(tmp_path, s27_path, capsys):

@@ -10,6 +10,7 @@ import pytest
 
 import tklock
 from tklock import corpus
+from tklock.cli import main
 
 SRC = Path(tklock.__file__).resolve().parent.parent
 
@@ -93,13 +94,20 @@ def test_traced_bench_child_wraps_every_layer(tmp_path):
         # mapping the error to its kind runs no layer the job did not use
         (["lock-beh", "--in", "bad.kiss2", "--k", "4", "--ki", "2", "--out", "o.kiss2",
           "--manifest", "m.json"], 1, "tklock.fsm", {"tklock.circuit", "tklock.analysis"}),
+        # only `report` needs the locker's closed forms
+        (["verify", "--orig", "in.bench", "--locked", "locked.bench", "--manifest", "m.json",
+          "--depth", "2"], 0, "tklock.analysis", {"tklock.structural"}),
+        (["attack", "--orig", "in.bench", "--locked", "locked.bench", "--manifest", "m.json",
+          "--depth", "2"], 0, "tklock.analysis", {"tklock.structural"}),
     ],
-    ids=["lock-beh", "lock-str", "lock-beh-parse-error"],
+    ids=["lock-beh", "lock-str", "lock-beh-parse-error", "verify", "attack"],
 )
 def test_cli_job_loads_only_what_it_runs(tmp_path, argv, code, runs, absent):
     (tmp_path / "in.kiss2").write_text(corpus.read_text("detector1001.kiss2"), encoding="utf-8")
     (tmp_path / "bad.kiss2").write_text(".i 1\n.o 1\n.s 2\n0 s s 1\n", encoding="utf-8")
     (tmp_path / "in.bench").write_text(corpus.read_text("s27.bench"), encoding="utf-8")
+    assert main(["lock-str", "--in", str(tmp_path / "in.bench"), "--k", "2", "--ki", "1",
+                 "--out", str(tmp_path / "locked.bench"), "--manifest", str(tmp_path / "m.json")]) == 0
     script = f"import json\nfrom tklock.cli import main\nassert main({argv!r}) == {code}\n{LOADED}"
     loaded = set(_fresh(script, tmp_path))
     assert runs in loaded
