@@ -10,9 +10,18 @@ cycle, synchronized with an on-chip counter. Works on two representations:
 with a cycle-accurate 3-valued simulator (:mod:`tklock.sim`), sequential
 equivalence checking and key-recovery attack oracles (:mod:`tklock.analysis`),
 and a command-line front end (:mod:`tklock.cli`).
+
+A job runs only the layers it uses. Importing this package puts every layer
+of ``_EXPORTS`` in ``sys.modules`` unexecuted (:class:`importlib.util.LazyLoader`)
+and binds it here: a layer runs on its first attribute access, while tools
+that look the layers up (the span tracer in ``bench/spans.py``) find all of
+them. So import a layer as a module (``from . import sim``) wherever a job may
+not run it: a name import (``from .sim import X``) runs that layer as soon as
+the importing module runs.
 """
 
-from importlib import import_module as _import_module
+import sys as _sys
+from importlib import util as _util
 
 # submodule -> the public names it defines; each resolves on first use
 _EXPORTS = {
@@ -36,15 +45,25 @@ __all__ = [*_MODULE_OF, *_EXPORTS]
 __version__ = "0.1.0"
 
 
+def _register_lazily(layer: str):
+    name = f"{__name__}.{layer}"
+    module = _sys.modules.get(name)
+    if module is None:  # else already imported, e.g. before this package was reloaded
+        spec = _util.find_spec(name)
+        spec.loader = _util.LazyLoader(spec.loader)
+        module = _sys.modules[name] = _util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+globals().update({layer: _register_lazily(layer) for layer in _EXPORTS})
+
+
 def __getattr__(name: str):
     module = _MODULE_OF.get(name)
-    if module is not None:
-        value = getattr(_import_module(f".{module}", __name__), name)
-    elif name in _EXPORTS:
-        value = _import_module(f".{name}", __name__)
-    else:
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    globals()[name] = value
+    value = globals()[name] = getattr(globals()[module], name)
     return value
 
 

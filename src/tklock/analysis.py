@@ -43,14 +43,12 @@ from __future__ import annotations
 import random
 import time
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
+from . import structural  # a module import: verify and attack never run it
 from .circuit import Netlist
 from .keys import KeySchedule
 from .sim import KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, simulate
-
-if TYPE_CHECKING:
-    from .structural import LockManifest
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes, checked before any plane is allocated
@@ -513,12 +511,10 @@ def _counts(netlist: Netlist) -> CircuitCounts:
     )
 
 
-def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> OverheadReport:
+def overhead_report(orig: Netlist, locked: Netlist, manifest: structural.LockManifest) -> OverheadReport:
     """Exact added-cost report; raises ValueError when a netlist fails
     validation, the manifest does not describe the locked netlist or the
     deltas break the closed form."""
-    from .structural import added_mux_count, expected_added_gate_count  # verify and attack never load it
-
     locked._require_valid()  # a netlist free of errors drives every net it names,
     orig._require_valid()  # so its net index holds them all
     locked_nets, orig_nets = locked._graph[0], orig._graph[0]
@@ -551,7 +547,7 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
     original = _counts(orig)
     after = _counts(locked)
     delta = CircuitCounts(*(x - y for x, y in zip(after, original)))
-    expected_gates = expected_added_gate_count(k, ki, len(manifest.locked_ffs), fallback_ffs)
+    expected_gates = structural.expected_added_gate_count(k, ki, len(manifest.locked_ffs), fallback_ffs)
     expected_width = k.bit_length() - 1
     if delta.gates != expected_gates:
         raise ValueError(f"added gate count {delta.gates} != closed form {expected_gates}")
@@ -565,7 +561,7 @@ def overhead_report(orig: Netlist, locked: Netlist, manifest: LockManifest) -> O
         original=original,
         locked=after,
         delta=delta,
-        per_ff_mux_count=added_mux_count(k, ki),
+        per_ff_mux_count=structural.added_mux_count(k, ki),
         key_inputs=ki,
         schedule_bits=k * ki,
         layers=manifest.layers,

@@ -30,10 +30,9 @@ from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    from .sim import CompiledNetlist
+from . import sim  # a module import: sim imports this module, and a parse runs no simulator
 
 GATE_KINDS = ("AND", "NAND", "OR", "NOR", "XOR", "XNOR", "NOT", "BUF")
 UNARY_KINDS = ("NOT", "BUF")
@@ -95,16 +94,14 @@ class Netlist:
         )
 
     @cached_property
-    def compiled(self) -> CompiledNetlist:
+    def compiled(self) -> sim.CompiledNetlist:
         """The index-based simulation form, built once per netlist.
 
         Validates the netlist first unless it is already known to be free of
         errors (see :meth:`_require_valid`); raises ValueError when
         :func:`validate` reports an error.
         """
-        from .sim import CompiledNetlist  # sim imports this module
-
-        return CompiledNetlist(self)
+        return sim.CompiledNetlist(self)
 
     def _require_valid(self) -> None:
         """Raise ValueError when :func:`validate` reports an error.

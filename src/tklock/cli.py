@@ -5,45 +5,21 @@ byte-deterministic for a fixed argv and input files. Exit codes: 0 success,
 1 analytic failure (validation, equivalence, budget) with a one-line JSON
 diagnostic on stderr, 2 usage errors.
 
-A job runs only the modules its subcommand uses. Importing this module puts
-every layer in ``sys.modules`` unexecuted (:class:`importlib.util.LazyLoader`):
-a layer runs on its first attribute access, so each handler imports what it
-calls, while tools that look the layers up after importing the CLI (the span
-tracer in ``bench/spans.py``) still find all of them. :func:`main` maps errors
-to their kinds without running a layer the job never used.
+The layers are imported as modules, so a job runs only those its subcommand
+uses (see :mod:`tklock`), and :func:`main` maps errors to their kinds by name.
 """
 
 from __future__ import annotations
 
 import argparse
 import gc
-import importlib.util
 import json
 import math
 import random
 import sys
 from pathlib import Path
-from types import ModuleType
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:
-    from .keys import KeySchedule
-    from .sim import KeyPolicy
-
-
-def _register_lazily(layer: str) -> None:
-    name = f"{__package__}.{layer}"
-    if name in sys.modules:  # already imported, or registered by an earlier import
-        return
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-
-
-for _layer in ("circuit", "fsm", "keys", "structural", "behavioral", "sim", "analysis"):
-    _register_lazily(_layer)
+from . import analysis, behavioral, circuit, fsm, keys, sim, structural
 
 
 def _fail(kind: str, detail: str) -> int:
@@ -52,35 +28,28 @@ def _fail(kind: str, detail: str) -> int:
 
 
 def _load_bench(path: str):
-    from .circuit import parse_bench
-
-    return parse_bench(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
+    return circuit.parse_bench(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
 
 
-def _load_schedule(path: str) -> KeySchedule:
+def _load_schedule(path: str) -> keys.KeySchedule:
     """A structural lock manifest's schedule; of its other fields, only
     ``key_input_nets`` is read and checked."""
-    from .keys import _field, _read_manifest
-
-    doc, schedule = _read_manifest(Path(path).read_text(encoding="utf-8"))
-    _field(doc, "key_input_nets", list, str)
+    doc, schedule = keys._read_manifest(Path(path).read_text(encoding="utf-8"))
+    keys._field(doc, "key_input_nets", list, str)
     return schedule
 
 
-def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> KeySchedule:
-    from .keys import generate_key_schedule, parse_key_list, schedule_from_text
-
-    sources = [s for s in (args.keys, args.keys_file) if s]
-    if len(sources) > 1:
+def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> keys.KeySchedule:
+    if args.keys is not None and args.keys_file is not None:
         raise ValueError("give at most one of --keys and --keys-file")
-    if args.keys:
-        schedule = parse_key_list(args.keys)
-    elif args.keys_file:
-        schedule = schedule_from_text(Path(args.keys_file).read_text(encoding="utf-8"))
+    if args.keys is not None:
+        schedule = keys.parse_key_list(args.keys)
+    elif args.keys_file is not None:
+        schedule = keys.schedule_from_text(Path(args.keys_file).read_text(encoding="utf-8"))
     else:
         if num_keys is None or key_bits is None:
             raise ValueError("--k and --ki are required to generate a schedule")
-        return generate_key_schedule(num_keys, key_bits, args.seed)
+        return keys.generate_key_schedule(num_keys, key_bits, args.seed)
     if num_keys is not None and schedule.period != num_keys:
         raise ValueError(f"schedule has {schedule.period} keys, --k says {num_keys}")
     if key_bits is not None and schedule.width != key_bits:
@@ -89,53 +58,43 @@ def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> Key
 
 
 def _cmd_lock_str(args) -> int:
-    from .circuit import _bench_lines
-    from .structural import lock_structural
-
     netlist = _load_bench(args.infile)
     schedule = _schedule_from_args(args, args.k, args.ki)
-    targets = args.targets.split(",") if args.targets else None
-    locked, manifest = lock_structural(netlist, schedule, args.ffs, args.seed, targets)
+    targets = None if args.targets is None else args.targets.split(",")
+    locked, manifest = structural.lock_structural(netlist, schedule, args.ffs, args.seed, targets)
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(_bench_lines(locked))  # line by line: no copy of the whole text
+        fh.writelines(circuit._bench_lines(locked))  # line by line: no copy of the whole text
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
     print(f"locked {len(manifest.locked_ffs)} flip-flop(s); wrote {args.out} and {args.manifest}")
     return 0
 
 
 def _cmd_lock_beh(args) -> int:
-    from .behavioral import lock_behavioral
-    from .fsm import parse_kiss2, write_kiss2
-
-    fsm = parse_kiss2(Path(args.infile).read_text(encoding="utf-8"))
+    machine = fsm.parse_kiss2(Path(args.infile).read_text(encoding="utf-8"))
     schedule = _schedule_from_args(args, args.k, args.ki)
-    locked, manifest = lock_behavioral(fsm, schedule, args.seed)
-    Path(args.out).write_text(write_kiss2(locked), encoding="utf-8")
+    locked, manifest = behavioral.lock_behavioral(machine, schedule, args.seed)
+    Path(args.out).write_text(fsm.write_kiss2(locked), encoding="utf-8")
     Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
     print(f"locked machine: {len(locked.states)} states; wrote {args.out} and {args.manifest}")
     return 0
 
 
 def _key_value(bits: str, width: int, what: str) -> int:
-    from .keys import from_binary
-
-    value = from_binary(bits)
+    value = keys.from_binary(bits)
     if len(bits) != width:
         raise ValueError(f"{what} '{bits}' has {len(bits)} bits, the netlist has {width} key inputs")
     return value
 
 
-def _key_policy_from_args(args, netlist) -> KeyPolicy:
-    from .keys import split_inputs
-    from .sim import KeyPolicy
-
-    _, key_inputs = split_inputs(netlist)
+def _key_policy_from_args(args, netlist) -> sim.KeyPolicy:
+    _, key_inputs = keys.split_inputs(netlist)
     schedule = None
-    if args.manifest:
-        if args.keys or args.keys_file:
+    given = args.keys is not None or args.keys_file is not None
+    if args.manifest is not None:
+        if given:
             raise ValueError("--manifest conflicts with --keys/--keys-file")
         schedule = _load_schedule(args.manifest)
-    elif args.keys or args.keys_file:
+    elif given:
         schedule = _schedule_from_args(args, None, None)
     overrides = {}
     for item in getattr(args, "override", None) or []:
@@ -148,37 +107,34 @@ def _key_policy_from_args(args, netlist) -> KeyPolicy:
     if getattr(args, "static_key", None) is not None:
         if schedule is not None:
             raise ValueError("--static-key conflicts with --keys/--manifest")
-        return KeyPolicy.static(_key_value(args.static_key, len(key_inputs), "--static-key"))
+        return sim.KeyPolicy.static(_key_value(args.static_key, len(key_inputs), "--static-key"))
     if schedule is None:
         if key_inputs:
             raise ValueError("netlist has key inputs; give --manifest, --keys, or --static-key")
-        return KeyPolicy()
-    return KeyPolicy.tampered(schedule, overrides)
+        return sim.KeyPolicy()
+    return sim.KeyPolicy.tampered(schedule, overrides)
 
 
 def _cmd_sim(args) -> int:
-    from .keys import split_inputs
-    from .sim import Stimulus, simulate
-
     netlist = _load_bench(args.infile)
     policy = _key_policy_from_args(args, netlist)
-    non_key, _ = split_inputs(netlist)
-    if args.stimulus:
+    non_key, _ = keys.split_inputs(netlist)
+    if args.stimulus is not None:
         lines = Path(args.stimulus).read_text(encoding="utf-8").splitlines()
         rows = [row for row in (line.split("#", 1)[0].strip() for line in lines) if row]
         if not rows:
             raise ValueError(f"stimulus file '{args.stimulus}' has no rows")
-        stimulus = Stimulus.from_strings(rows, policy)
+        stimulus = sim.Stimulus.from_strings(rows, policy)
     else:
         if args.cycles < 1:
             raise ValueError(f"sim needs cycles >= 1, got {args.cycles}")
         draw = random.Random(args.random_seed).randint
         rows = tuple(tuple(draw(0, 1) for _ in non_key) for _ in range(args.cycles))
-        stimulus = Stimulus(rows, policy)
-    watch = tuple(args.watch.split(",")) if args.watch else ()
-    trace = simulate(netlist, stimulus, init=args.init, watch=watch)
+        stimulus = sim.Stimulus(rows, policy)
+    watch = () if args.watch is None else tuple(args.watch.split(","))
+    trace = sim.simulate(netlist, stimulus, init=args.init, watch=watch)
     csv = trace.to_csv()
-    if args.trace:
+    if args.trace is not None:
         Path(args.trace).write_text(csv, encoding="utf-8")
         print(f"wrote {trace.cycles}-cycle trace to {args.trace}")
     else:
@@ -187,22 +143,22 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .analysis import _DEFAULT_BUDGET, check_equivalence_exhaustive, check_equivalence_random
-
+    if args.mode == "random" and args.budget is not None:
+        raise ValueError("--budget conflicts with --mode random")
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     policy = _key_policy_from_args(args, locked)
     if args.mode == "exhaustive":
-        verdict = check_equivalence_exhaustive(
+        verdict = analysis.check_equivalence_exhaustive(
             orig,
             locked,
             depth=args.depth,
             key_policy=policy,
             init=args.init,
-            budget=_DEFAULT_BUDGET if args.budget is None else args.budget,
+            budget=analysis._DEFAULT_BUDGET if args.budget is None else args.budget,
         )
     else:
-        verdict = check_equivalence_random(
+        verdict = analysis.check_equivalence_random(
             orig,
             locked,
             sequences=args.sequences,
@@ -228,12 +184,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    from .analysis import _DEFAULT_BUDGET, BudgetExceededError, brute_force_attack
-    from .keys import KeySchedule
-
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
-    if args.manifest:
+    if args.manifest is not None:
         if args.k is not None or args.ki is not None:
             raise ValueError("--manifest conflicts with --k/--ki")
         schedule = _load_schedule(args.manifest)
@@ -248,20 +201,20 @@ def _cmd_attack(args) -> int:
         raise ValueError("give --manifest, or --ki and (for bruteforce) --k")
     limit = sys.get_int_max_str_digits()
     if limit and key_bits * num_keys > limit * math.log2(10):
-        raise BudgetExceededError(
+        raise analysis.BudgetExceededError(
             f"key-sequence space 2^{key_bits * num_keys} has too many digits to report (limit {limit})"
         )
-    result = brute_force_attack(
+    result = analysis.brute_force_attack(
         locked,
         orig,
         num_keys=num_keys,
         key_bits=key_bits,
         depth=args.depth,
-        budget=_DEFAULT_BUDGET if args.budget is None else args.budget,
+        budget=analysis._DEFAULT_BUDGET if args.budget is None else args.budget,
         seed=args.seed,
     )
     survivors = [
-        ",".join(KeySchedule(keys=s, width=key_bits).binary_strings()) for s in result.survivors
+        ",".join(keys.KeySchedule(keys=s, width=key_bits).binary_strings()) for s in result.survivors
     ]
     doc = {
         "mode": args.mode,
@@ -271,7 +224,7 @@ def _cmd_attack(args) -> int:
         "survivors": survivors,
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)
     survived = f"{len(survivors)} of {result.search_space_size} candidates survive"
@@ -280,13 +233,10 @@ def _cmd_attack(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    from .analysis import overhead_report
-    from .structural import LockManifest
-
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
-    manifest = LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
-    report = overhead_report(orig, locked, manifest)
+    manifest = structural.LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+    report = analysis.overhead_report(orig, locked, manifest)
     doc = {
         "original": report.original._asdict(),
         "locked": report.locked._asdict(),
@@ -298,11 +248,11 @@ def _cmd_report(args) -> int:
         "relative_gate_overhead": round(report.relative_gate_overhead, 6),
     }
     text = json.dumps(doc, indent=2) + "\n"
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     else:
         sys.stdout.write(text)
-    if args.csv:
+    if args.csv is not None:
         import csv
 
         header = [
@@ -411,18 +361,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _loaded(*names: str) -> tuple[type, ...]:
-    """The named ``module.Class`` errors of the tklock modules this job has
-    run. A module that never ran cannot have raised its error, so none is run
-    here: a layer still unexecuted keeps LazyLoader's module type, and any
-    attribute lookup on it would execute it."""
-    classes = []
-    for name in names:
-        module, _, cls = name.partition(".")
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if type(loaded) is ModuleType:
-            classes.append(getattr(loaded, cls))
-    return tuple(classes)
+# error class (``module.qualname``) -> its kind; found by name, so no layer runs
+_ERROR_KINDS = {
+    "tklock.circuit.BenchFormatError": "parse-error",
+    "tklock.fsm.Kiss2FormatError": "parse-error",
+    "tklock.analysis.BudgetExceededError": "budget-exceeded",
+    "builtins.ValueError": "invalid-input",  # FsmError is a ValueError
+    "builtins.OSError": "io-error",
+}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -430,7 +376,8 @@ def main(argv: list[str] | None = None) -> int:
 
     A job builds a few hundred thousand acyclic tuples and lists and then
     returns: collection passes over them free nothing. The caller's
-    collector state is restored on the way out, whatever the outcome.
+    collector state is restored on the way out, whatever the outcome. An
+    error of no kind in ``_ERROR_KINDS`` propagates.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -438,15 +385,12 @@ def main(argv: list[str] | None = None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    # each except clause is evaluated only when an error reaches it
-    except _loaded("circuit.BenchFormatError", "fsm.Kiss2FormatError") as exc:
-        return _fail("parse-error", str(exc))
-    except _loaded("analysis.BudgetExceededError") as exc:
-        return _fail("budget-exceeded", str(exc))
-    except ValueError as exc:  # FsmError is a ValueError
-        return _fail("invalid-input", str(exc))
-    except OSError as exc:
-        return _fail("io-error", str(exc))
+    except Exception as exc:
+        for cls in type(exc).__mro__:  # the most derived class with a kind names it
+            kind = _ERROR_KINDS.get(f"{cls.__module__}.{cls.__qualname__}")
+            if kind is not None:
+                return _fail(kind, str(exc))
+        raise
     finally:
         if collecting:
             gc.enable()

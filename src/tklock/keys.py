@@ -12,10 +12,8 @@ from __future__ import annotations
 import json
 import random
 import re
-from typing import TYPE_CHECKING
 
-if TYPE_CHECKING:  # the behavioral lock needs keys but not circuit
-    from .circuit import Netlist
+from . import circuit  # a module import: the behavioral lock needs keys but not circuit
 
 KEY_INPUT_PREFIX = "keyinput"
 COUNTER_NET_PREFIX = "cl_cnt"
@@ -141,7 +139,7 @@ def key_input_names(width: int) -> list[str]:
     return [f"{KEY_INPUT_PREFIX}{b}" for b in range(width)]
 
 
-def split_inputs(netlist: Netlist) -> tuple[list[str], list[str]]:
+def split_inputs(netlist: circuit.Netlist) -> tuple[list[str], list[str]]:
     """Split primary inputs into (non-key, key) lists, key inputs by bit index.
 
     Raises ValueError unless the ``keyinput<N>`` inputs are exactly

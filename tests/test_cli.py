@@ -602,11 +602,22 @@ _ERROR_KINDS = pytest.mark.parametrize(
         # a static key is one value: --k would be dropped without a word
         (["attack", "--orig", "{bench}", "--locked", "{bench}", "--mode", "static", "--k", "7", "--ki", "2"],
          _S27, None, None, "invalid-input", "--k conflicts with --mode static"),
+        # the random check takes no budget: it would be dropped without a word
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--mode", "random", "--budget", "1"],
+         _S27, None, None, "invalid-input", "--budget conflicts with --mode random"),
+        # an empty flag value is a value, not a missing flag
+        ([*_LOCK_STR, "--keys", ""], _S27, None, None, "invalid-input", "empty key schedule"),
+        ([*_LOCK_STR, "--targets", ""], _S27, None, None, "invalid-input", "unknown lock target ''"),
+        (["attack", "--orig", "{bench}", "--locked", "{bench}", "--manifest", "", "--k", "4", "--ki", "2"],
+         _S27, None, None, "invalid-input", "--manifest conflicts with --k/--ki"),
+        (["sim", "--in", "{bench}", "--stimulus", ""], _S27, None, None, "io-error", "Is a directory"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
          "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
          "verify-manifest-keys", "verify-manifest-keys-file", "sim-manifest-keys",
-         "attack-manifest-k-ki", "attack-manifest-ki", "attack-static-k"],
+         "attack-manifest-k-ki", "attack-manifest-ki", "attack-static-k", "verify-random-budget",
+         "lock-str-empty-keys", "lock-str-empty-targets", "attack-empty-manifest-k",
+         "sim-empty-stimulus"],
 )
 
 
@@ -666,6 +677,20 @@ def test_failed_job_restores_the_collector(tmp_path, capsys, monkeypatch, collec
                                           bench, kiss2, patch, kind, detail):
     (gc.enable if enabled else gc.disable)()
     assert _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch) == 1
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+def test_error_of_no_kind_propagates_and_restores_the_collector(tmp_path, s27_path, monkeypatch,
+                                                                collector, enabled):
+    """An error main has no kind for (here the locker's own output check) is not mapped."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("locked netlist failed its own check")
+
+    monkeypatch.setattr("tklock.structural.lock_structural", fail)
+    (gc.enable if enabled else gc.disable)()
+    with pytest.raises(RuntimeError, match="failed its own check"):
+        _lock(tmp_path, s27_path)
     assert gc.isenabled() is enabled
 
 

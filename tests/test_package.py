@@ -53,6 +53,19 @@ def test_cli_import_loads_no_layer(tmp_path):
     assert loaded == ["tklock", "tklock.cli"]
 
 
+def test_package_import_registers_every_layer_and_runs_none(tmp_path):
+    """The package, not the CLI, puts each layer in sys.modules unexecuted."""
+    script = ("import json\nimport tklock\n"
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('tklock.'))))\n"
+              f"{LOADED}")
+    code = f"import sys\nsys.path.insert(0, {str(SRC)!r})\n{script}"
+    done = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, check=True)
+    registered, loaded = (json.loads(line) for line in done.stdout.splitlines())
+    assert registered == [f"tklock.{layer}" for layer in LAYERS]
+    assert loaded == ["tklock"]
+
+
 def test_cli_import_registers_every_layer(tmp_path):
     """Each layer is in sys.modules after the CLI import and runs when first looked up."""
     script = ("import json\nimport tklock.cli\n"
@@ -99,8 +112,13 @@ def test_traced_bench_child_wraps_every_layer(tmp_path):
           "--depth", "2"], 0, "tklock.analysis", {"tklock.structural"}),
         (["attack", "--orig", "in.bench", "--locked", "locked.bench", "--manifest", "m.json",
           "--depth", "2"], 0, "tklock.analysis", {"tklock.structural"}),
+        # the simulator alone: no checker, locker or state machine
+        (["sim", "--in", "locked.bench", "--manifest", "m.json", "--cycles", "4"], 0, "tklock.sim",
+         {"tklock.analysis", "tklock.structural", "tklock.fsm", "tklock.behavioral"}),
+        (["report", "--orig", "in.bench", "--locked", "locked.bench", "--manifest", "m.json"], 0,
+         "tklock.structural", {"tklock.fsm", "tklock.behavioral"}),
     ],
-    ids=["lock-beh", "lock-str", "lock-beh-parse-error", "verify", "attack"],
+    ids=["lock-beh", "lock-str", "lock-beh-parse-error", "verify", "attack", "sim", "report"],
 )
 def test_cli_job_loads_only_what_it_runs(tmp_path, argv, code, runs, absent):
     (tmp_path / "in.kiss2").write_text(corpus.read_text("detector1001.kiss2"), encoding="utf-8")
