@@ -19,11 +19,12 @@ seeded pair of simulators over one stimulus draw, one stimulus per lane.
 
 Both checks and the attack drive a pair through one frontier contract: the
 pair's ``start`` is the frontier at cycle 0, ``advance(frontier, cycle,
-kv_a, kv_b)`` returns ``(divergence, next_frontier)`` (on a divergence, the
-second value is what ``witness`` needs), and ``witness(divergence, that,
-cycle)`` returns the counterexample's input rows. A :class:`_JointSweep`
-frontier maps each reachable joint state to the input lanes that first reach
-it; a :class:`_RandomPair` frontier is the keyed sides' flip-flop planes.
+kv)`` returns ``(divergence, next_frontier)`` (on a divergence, the second
+value is what ``witness`` needs), and ``witness(divergence, that, cycle)``
+returns the counterexample's input rows; a side without key inputs ignores
+`kv`. A :class:`_JointSweep` frontier maps each reachable joint state to the
+input lanes that first reach it; a :class:`_RandomPair` frontier is the keyed
+sides' flip-flop planes.
 
 The attack searches key prefixes depth-first: cycle ``c`` diverges or not by
 the key values of cycles ``0..c`` alone, so a divergence prunes every
@@ -113,10 +114,10 @@ class OverheadReport(NamedTuple):
         return self.delta.gates / self.original.gates
 
 
-def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy, KeyPolicy]:
+def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> KeyPolicy:
     """Check that `a` and `b` share their non-key inputs and outputs and that
-    `policy` fits every side with key inputs; return the policy for each side
-    (none for a side without key inputs)."""
+    `policy` fits every side with key inputs; return `policy`, which drives
+    the keyed sides."""
     ca, cb = a.compiled, b.compiled
     if ca.nonkey_names != cb.nonkey_names:
         raise ValueError(f"non-key input mismatch: {ca.nonkey_names} vs {cb.nonkey_names}")
@@ -127,7 +128,7 @@ def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> tuple[KeyPolicy
     for compiled in (ca, cb):
         if compiled.key_idx:
             check_policy(compiled, policy)
-    return tuple(policy if compiled.key_idx else KeyPolicy() for compiled in (ca, cb))
+    return policy
 
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
@@ -179,22 +180,22 @@ class _RandomPair:
         self.start = [(s.state_h[:], s.state_x[:]) for s in self.keyed]
         self.budget, self.steps = budget, 0
 
-    def step(self, cycle: int, kv_a: int | None, kv_b: int | None):
-        """Step `cycle` under key values `kv_a` (ignored for a key-free `a`)
-        and `kv_b`; return the output planes of `a` and of `b`."""
+    def step(self, cycle: int, kv: int | None):
+        """Step `cycle` under the key value `kv`; return the output planes of
+        `a` and of `b`."""
         if cycle == len(self.stimulus):  # a cycle is first stepped after the one before it
             self.stimulus.append(next(self.draw))
         planes = self.stimulus[cycle]
         if self.outs_a is None:
-            self.sa.step(planes, kv_a)
+            self.sa.step(planes, kv)
         elif cycle == len(self.outs_a):
             self.sa.step(planes, None)
             self.outs_a.append(self.sa.output_planes())
-        self.sb.step(planes, kv_b)
+        self.sb.step(planes, kv)
         outs_a = self.sa.output_planes() if self.outs_a is None else self.outs_a[cycle]
         return outs_a, self.sb.output_planes()
 
-    def advance(self, frontier: list, cycle: int, kv_a: int | None, kv_b: int | None):
+    def advance(self, frontier: list, cycle: int, kv: int | None):
         """Step `cycle` from the keyed sides' planes `frontier`; return the
         first output divergence (None when the outputs agree) and the planes
         after the step."""
@@ -203,7 +204,7 @@ class _RandomPair:
         self.steps += 1
         for s, (h, x) in zip(self.keyed, frontier):
             s.state_h[:], s.state_x[:] = h, x
-        divergence = _first_divergence(*self.step(cycle, kv_a, kv_b))
+        divergence = _first_divergence(*self.step(cycle, kv))
         return divergence, [(s.state_h[:], s.state_x[:]) for s in self.keyed]
 
     def witness(self, divergence, _, cycle: int) -> list[tuple[int, ...]]:
@@ -233,9 +234,9 @@ class _JointSweep:
         self.memo: dict = {}
         self.budget = budget
 
-    def expand(self, st_a, st_b, kv_a, kv_b):
+    def expand(self, st_a, st_b, kv):
         """Evaluate one cycle from the joint state ``(st_a, st_b)`` under the
-        key values ``kv_a`` and ``kv_b``, over every input minterm.
+        key value ``kv``, over every input minterm.
 
         Returns ``(divergence, successors)``: the first output divergence as
         :func:`_first_divergence` reports it (None when the outputs agree),
@@ -243,10 +244,10 @@ class _JointSweep:
         that reaches it, in order of that lane. The lanes are split into
         classes by the 0/1/unknown value of every next-state plane of both
         sides, so each class is one successor. Each distinct
-        ``(st_a, st_b, kv_a, kv_b)`` is evaluated once, and at most `budget`
-        distinct ones are.
+        ``(st_a, st_b, kv)`` is evaluated once, and at most `budget` distinct
+        ones are.
         """
-        key = (st_a, st_b, kv_a, kv_b)
+        key = (st_a, st_b, kv)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
@@ -256,9 +257,9 @@ class _JointSweep:
             )
         sa, sb = self.sa, self.sb
         sa.load_state(st_a)
-        sa.step(self.planes, kv_a, latch=False)
+        sa.step(self.planes, kv, latch=False)
         sb.load_state(st_b)
-        sb.step(self.planes, kv_b, latch=False)
+        sb.step(self.planes, kv, latch=False)
         divergence = _first_divergence(sa.output_planes(), sb.output_planes())
         classes = [(sa.mask, ())]
         for h, x in sa.next_state_planes() + sb.next_state_planes():
@@ -277,7 +278,7 @@ class _JointSweep:
         cached = self.memo[key] = (divergence, successors)
         return cached
 
-    def advance(self, frontier: dict, cycle: int, kv_a: int | None, kv_b: int | None):
+    def advance(self, frontier: dict, cycle: int, kv: int | None):
         """One cycle from every joint state of `frontier`, in its order.
 
         Returns ``(divergence, lanes)`` for the first state whose outputs
@@ -287,7 +288,7 @@ class _JointSweep:
         """
         children: dict = {}
         for state, lanes in frontier.items():
-            divergence, successors = self.expand(*state, kv_a, kv_b)
+            divergence, successors = self.expand(*state, kv)
             if divergence is not None:
                 return divergence, lanes
             for child, lane in successors.items():
@@ -317,8 +318,8 @@ def check_equivalence_exhaustive(
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
-    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
-    return _check(a, _JointSweep(a, b, budget, init), pa, pb, depth, "exhaustive")
+    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    return _check(a, _JointSweep(a, b, budget, init), policy, depth, "exhaustive")
 
 
 def check_equivalence_random(
@@ -331,16 +332,16 @@ def check_equivalence_random(
     init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
-    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
-    return _check(a, _RandomPair(a, b, sequences, cycles, seed, init), pa, pb, cycles, "random")
+    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    return _check(a, _RandomPair(a, b, sequences, cycles, seed, init), policy, cycles, "random")
 
 
-def _check(a: Netlist, pair, pa: KeyPolicy, pb: KeyPolicy, depth: int, mode: str) -> EquivVerdict:
-    """Advance `pair` from its start for `depth` cycles under the two sides'
-    key policies; the verdict, with the first divergence as its counterexample."""
+def _check(a: Netlist, pair, policy: KeyPolicy, depth: int, mode: str) -> EquivVerdict:
+    """Advance `pair` from its start for `depth` cycles under the key policy;
+    the verdict, with the first divergence as its counterexample."""
     frontier = pair.start
     for cycle in range(depth):
-        divergence, frontier = pair.advance(frontier, cycle, pa.key_value_at(cycle), pb.key_value_at(cycle))
+        divergence, frontier = pair.advance(frontier, cycle, policy.key_value_at(cycle))
         if divergence is not None:
             _, oi, va, vb = divergence
             cex = Counterexample(pair.witness(divergence, frontier, cycle), cycle, a.outputs[oi], va, vb)
@@ -360,17 +361,12 @@ def replay_counterexample(
     Key overrides at cycles past the counterexample cannot affect it and are
     left out of the replay.
     """
-
-    def run(netlist: Netlist, policy: KeyPolicy):
-        stim = Stimulus(inputs=tuple(cex.inputs), key_policy=policy)
-        return simulate(netlist, stim, init=init)
-
-    pa, pb = _pair_policies(a, b, key_policy or KeyPolicy())
-    pa, pb = (
-        p._replace(overrides={c: v for c, v in p.overrides.items() if c < len(cex.inputs)})
-        for p in (pa, pb)
+    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    policy = policy._replace(overrides={c: v for c, v in policy.overrides.items() if c < len(cex.inputs)})
+    ta, tb = (
+        simulate(n, Stimulus(tuple(cex.inputs), policy if n.compiled.key_idx else KeyPolicy()), init=init)
+        for n in (a, b)
     )
-    ta, tb = run(a, pa), run(b, pb)
     va = ta.value(cex.cycle, cex.output)
     vb = tb.value(cex.cycle, cex.output)
     return va != vb and (va, vb) == (cex.left_value, cex.right_value)
@@ -391,11 +387,11 @@ def corruption_rate(
     ValueError, before any simulation is set up, when there is no output."""
     if not orig.outputs:
         raise ValueError(f"netlist '{orig.name}' has no output to observe")
-    pa, pb = _pair_policies(orig, locked, KeyPolicy.tampered(schedule, overrides))
+    policy = _pair_policies(orig, locked, KeyPolicy.tampered(schedule, overrides))
     pair = _RandomPair(orig, locked, sequences, cycles, seed, init)
     differing = 0
     for cycle in range(cycles):
-        outs_o, outs_l = pair.step(cycle, pa.key_value_at(cycle), pb.key_value_at(cycle))
+        outs_o, outs_l = pair.step(cycle, policy.key_value_at(cycle))
         for po, pl in zip(outs_o, outs_l):
             differing += ((po[0] ^ pl[0]) | (po[1] ^ pl[1])).bit_count()
     return differing / (sequences * cycles * len(orig.outputs))
@@ -406,7 +402,7 @@ def _exceeds(bits: int, budget: int) -> bool:
     return budget < 0 or bits >= budget.bit_length()
 
 
-def _prefix_search(pair, keyed_oracle: bool, num_keys: int, key_bits: int, depth: int, budget: int) -> list:
+def _prefix_search(pair, num_keys: int, key_bits: int, depth: int, budget: int) -> list:
     """Survivors of the attack, found depth-first over key prefixes.
 
     Cycle ``c < num_keys`` tries each key value in ascending order; a value
@@ -431,7 +427,7 @@ def _prefix_search(pair, keyed_oracle: bool, num_keys: int, key_bits: int, depth
         kv = untried[0]
         if len(untried) > 1:
             stack.append((prefix, frontier, untried[1:]))
-        divergence, frontier = pair.advance(frontier, len(prefix), kv if keyed_oracle else None, kv)
+        divergence, frontier = pair.advance(frontier, len(prefix), kv)
         if divergence is not None:
             continue
         prefix += (kv,)
@@ -485,14 +481,14 @@ def brute_force_attack(
     mode = "exhaustive" if len(locked.compiled.nonkey_idx) <= 6 and len(oracle.dffs) <= 8 else "random"
     started = time.perf_counter()
     # every candidate has the same key width, so one probe checks the pair
-    # and the width for all of them and tells whether the oracle takes keys
-    pa, _ = _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
+    # and the width for all of them
+    _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
     if mode == "exhaustive":
         pair, cycles = _JointSweep(oracle, locked, budget), depth
     else:
         pair = _RandomPair(oracle, locked, _ATTACK_SEQUENCES, _ATTACK_CYCLES, seed, budget=budget)
         cycles = _ATTACK_CYCLES
-    survivors = _prefix_search(pair, bool(pa.keys), num_keys, key_bits, cycles, budget)
+    survivors = _prefix_search(pair, num_keys, key_bits, cycles, budget)
     return AttackResult(
         search_space_size=(2**key_bits) ** num_keys,
         survivors=survivors,

@@ -22,7 +22,7 @@ import random
 import re
 from typing import NamedTuple
 
-from .fsm import Fsm, FsmError, Transition, check_fsm, _listed_states
+from .fsm import Fsm, Transition, check_fsm
 from .keys import KeySchedule, _field, _read_manifest, _schedule_doc, to_binary
 
 # manifest map keys, "state@time" and "state@time|input pattern"; only
@@ -92,13 +92,8 @@ def lock_behavioral(fsm: Fsm, schedule: KeySchedule, seed: int = 0) -> tuple[Fsm
     if k < 2:
         raise ValueError("num_keys must be >= 2")
     check_fsm(fsm)
-    referenced = {t.src for t in fsm.transitions} | {t.dst for t in fsm.transitions}
-    if referenced != set(fsm.states):
-        missing = sorted(set(fsm.states) - referenced)
-        raise FsmError(f"states never used in a transition: {missing}")
-
+    states = fsm.states
     rng = random.Random(seed)
-    single_state = len(fsm.states) == 1
 
     transitions: list[Transition] = []
     wrongful_map: dict[tuple[str, int, str], str] = {}
@@ -114,10 +109,8 @@ def lock_behavioral(fsm: Fsm, schedule: KeySchedule, seed: int = 0) -> tuple[Fsm
                     outputs=tr.outputs,
                 )
             )
-            if single_state:
-                wrongful = tr.dst
-            else:
-                wrongful = rng.choice([s for s in fsm.states if s != tr.dst])
+            others = [s for s in states if s != tr.dst]
+            wrongful = rng.choice(others) if others else tr.dst  # a one-state machine has no other
             wrongful_map[(tr.src, t, tr.inputs)] = wrongful
             for cube in wrong_key_cubes(schedule.keys[t], ki):
                 transitions.append(
@@ -129,21 +122,16 @@ def lock_behavioral(fsm: Fsm, schedule: KeySchedule, seed: int = 0) -> tuple[Fsm
                     )
                 )
 
-    states = _listed_states(transitions)
-    if len(states) != len(fsm.states) * k:
-        raise FsmError("product construction lost states")
-
     locked = Fsm(
         input_width=ki + fsm.input_width,
         output_width=fsm.output_width,
-        states=states,
         reset_state=f"{fsm.reset_state}@0",
         transitions=tuple(transitions),
     )
     check_fsm(locked)
     manifest = BehManifest(
         schedule=schedule,
-        state_map={(s, t): f"{s}@{t}" for t in range(k) for s in fsm.states},
+        state_map={(s, t): f"{s}@{t}" for t in range(k) for s in states},
         wrongful_map=wrongful_map,
     )
     return locked, manifest

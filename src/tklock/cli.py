@@ -27,14 +27,25 @@ def _fail(kind: str, detail: str) -> int:
     return 1
 
 
+def _read(path: str) -> str:
+    # open, not pathlib: Path("") is ".", a directory the user never named
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def _write(path: str, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _load_bench(path: str):
-    return circuit.parse_bench(Path(path).read_text(encoding="utf-8"), name=Path(path).stem)
+    return circuit.parse_bench(_read(path), name=Path(path).stem)
 
 
 def _load_schedule(path: str) -> keys.KeySchedule:
     """A structural lock manifest's schedule; of its other fields, only
     ``key_input_nets`` is read and checked."""
-    doc, schedule = keys._read_manifest(Path(path).read_text(encoding="utf-8"))
+    doc, schedule = keys._read_manifest(_read(path))
     keys._field(doc, "key_input_nets", list, str)
     return schedule
 
@@ -45,7 +56,7 @@ def _schedule_from_args(args, num_keys: int | None, key_bits: int | None) -> key
     if args.keys is not None:
         schedule = keys.parse_key_list(args.keys)
     elif args.keys_file is not None:
-        schedule = keys.schedule_from_text(Path(args.keys_file).read_text(encoding="utf-8"))
+        schedule = keys.schedule_from_text(_read(args.keys_file))
     else:
         if num_keys is None or key_bits is None:
             raise ValueError("--k and --ki are required to generate a schedule")
@@ -64,17 +75,17 @@ def _cmd_lock_str(args) -> int:
     locked, manifest = structural.lock_structural(netlist, schedule, args.ffs, args.seed, targets)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.writelines(circuit._bench_lines(locked))  # line by line: no copy of the whole text
-    Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
+    _write(args.manifest, manifest.to_json())
     print(f"locked {len(manifest.locked_ffs)} flip-flop(s); wrote {args.out} and {args.manifest}")
     return 0
 
 
 def _cmd_lock_beh(args) -> int:
-    machine = fsm.parse_kiss2(Path(args.infile).read_text(encoding="utf-8"))
+    machine = fsm.parse_kiss2(_read(args.infile))
     schedule = _schedule_from_args(args, args.k, args.ki)
     locked, manifest = behavioral.lock_behavioral(machine, schedule, args.seed)
-    Path(args.out).write_text(fsm.write_kiss2(locked), encoding="utf-8")
-    Path(args.manifest).write_text(manifest.to_json(), encoding="utf-8")
+    _write(args.out, fsm.write_kiss2(locked))
+    _write(args.manifest, manifest.to_json())
     print(f"locked machine: {len(locked.states)} states; wrote {args.out} and {args.manifest}")
     return 0
 
@@ -120,7 +131,7 @@ def _cmd_sim(args) -> int:
     policy = _key_policy_from_args(args, netlist)
     non_key, _ = keys.split_inputs(netlist)
     if args.stimulus is not None:
-        lines = Path(args.stimulus).read_text(encoding="utf-8").splitlines()
+        lines = _read(args.stimulus).splitlines()
         rows = [row for row in (line.split("#", 1)[0].strip() for line in lines) if row]
         if not rows:
             raise ValueError(f"stimulus file '{args.stimulus}' has no rows")
@@ -135,7 +146,7 @@ def _cmd_sim(args) -> int:
     trace = sim.simulate(netlist, stimulus, init=args.init, watch=watch)
     csv = trace.to_csv()
     if args.trace is not None:
-        Path(args.trace).write_text(csv, encoding="utf-8")
+        _write(args.trace, csv)
         print(f"wrote {trace.cycles}-cycle trace to {args.trace}")
     else:
         sys.stdout.write(csv)
@@ -225,7 +236,7 @@ def _cmd_attack(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     sys.stdout.write(text)
     survived = f"{len(survivors)} of {result.search_space_size} candidates survive"
     print(f"{survived} ({result.elapsed:.2f}s)", file=sys.stderr)
@@ -235,7 +246,7 @@ def _cmd_attack(args) -> int:
 def _cmd_report(args) -> int:
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
-    manifest = structural.LockManifest.from_json(Path(args.manifest).read_text(encoding="utf-8"))
+    manifest = structural.LockManifest.from_json(_read(args.manifest))
     report = analysis.overhead_report(orig, locked, manifest)
     doc = {
         "original": report.original._asdict(),
@@ -249,7 +260,7 @@ def _cmd_report(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
     if args.csv is not None:

@@ -2,7 +2,8 @@
 
 Transitions carry input/output patterns over {0,1,-}; don't-cares are kept
 symbolic and only interpreted when checking determinism or matching a
-concrete input vector.
+concrete input vector. A machine's states are its transitions' states, in
+order of first appearance, as in KISS2 text, which has no state list.
 """
 
 from __future__ import annotations
@@ -30,11 +31,16 @@ class Transition(NamedTuple):
 
 
 class Fsm(NamedTuple):
+    """A Mealy machine; its states are its transitions' states, in order of first appearance."""
+
     input_width: int
     output_width: int
-    states: tuple[str, ...]
     reset_state: str
     transitions: tuple[Transition, ...]
+
+    @property
+    def states(self) -> tuple[str, ...]:
+        return tuple(dict.fromkeys(name for t in self.transitions for name in (t.src, t.dst)))
 
 
 def patterns_overlap(a: str, b: str) -> bool:
@@ -42,22 +48,15 @@ def patterns_overlap(a: str, b: str) -> bool:
     return all(x == "-" or y == "-" or x == y for x, y in zip(a, b))
 
 
-def _listed_states(transitions) -> tuple[str, ...]:
-    """The states of the transitions in order of first appearance: the state
-    list KISS2 text implies, having none of its own."""
-    return tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
-
-
 def check_fsm(fsm: Fsm) -> None:
     """Raise :class:`FsmError` for a machine that is malformed, nondeterministic
     or not writable as KISS2 text: fields are split on whitespace, ``#`` starts
     a comment, and with no input field a line starting with ``.`` is a directive."""
     if fsm.reset_state not in fsm.states:
-        raise FsmError(f"reset state '{fsm.reset_state}' is not a state")
+        raise FsmError(f"reset state '{fsm.reset_state}' never appears in a transition")
     for state in fsm.states:
         if state.split() != [state] or "#" in state or (fsm.input_width == 0 and state[0] == "."):
             raise FsmError(f"state name '{state}' cannot be written as KISS2")
-    state_set = set(fsm.states)
     for tr in fsm.transitions:
         if len(tr.inputs) != fsm.input_width:
             raise FsmError(f"input pattern '{tr.inputs}' does not match width {fsm.input_width}")
@@ -66,8 +65,6 @@ def check_fsm(fsm: Fsm) -> None:
         for pattern in (tr.inputs, tr.outputs):
             if pattern.strip("01-"):
                 raise FsmError(f"pattern '{pattern}' holds a character other than 0, 1 and -")
-        if tr.src not in state_set or tr.dst not in state_set:
-            raise FsmError(f"transition references unknown state: {tr.src} -> {tr.dst}")
     by_src: dict[str, list[Transition]] = {}
     for tr in fsm.transitions:
         by_src.setdefault(tr.src, []).append(tr)
@@ -152,21 +149,14 @@ def parse_kiss2(text: str) -> Fsm:
         raise Kiss2FormatError("no transitions")
     if declared_terms is not None and declared_terms != len(transitions):
         raise Kiss2FormatError(f".p declares {declared_terms} terms, found {len(transitions)}")
-    states = _listed_states(transitions)
-    if declared_states is not None and declared_states != len(states):
-        raise Kiss2FormatError(f".s declares {declared_states} states, found {len(states)}")
-    if reset is None:
-        reset = transitions[0].src
-    if reset not in states:
-        raise Kiss2FormatError(f"reset state '{reset}' never appears in a transition")
-
     fsm = Fsm(
         input_width=input_width,
         output_width=output_width,
-        states=states,
-        reset_state=reset,
+        reset_state=transitions[0].src if reset is None else reset,
         transitions=tuple(transitions),
     )
+    if declared_states is not None and declared_states != len(fsm.states):
+        raise Kiss2FormatError(f".s declares {declared_states} states, found {len(fsm.states)}")
     try:
         check_fsm(fsm)
     except FsmError as exc:
@@ -175,18 +165,7 @@ def parse_kiss2(text: str) -> Fsm:
 
 
 def write_kiss2(fsm: Fsm) -> str:
-    """Emit KISS2 text that re-parses to an equal :class:`Fsm`.
-
-    Raises :class:`FsmError` for a machine whose `states` is not the
-    transitions' states in order of first appearance (an unused state, or
-    another order): KISS2 text has no state list, so none can state it.
-    """
-    listed = _listed_states(fsm.transitions)
-    if fsm.states != listed:
-        raise FsmError(
-            f"states {list(fsm.states)} are not the transitions' states in order of first appearance, "
-            f"{list(listed)}"
-        )
+    """Emit KISS2 text that re-parses to an equal :class:`Fsm`."""
     lines = [
         f".i {fsm.input_width}",
         f".o {fsm.output_width}",

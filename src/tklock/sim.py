@@ -497,9 +497,9 @@ class PlaneSim:
     def _ops(self, key_value: int | None) -> list[tuple]:
         """The cached fed tail for this step. When every counter plane is
         uniform and known, it is the wired tail for the watched nets, key
-        value and counter bits; on a miss the control nets are evaluated and
-        the tail is derived from them. Otherwise it is the unpruned tail for
-        the watched nets."""
+        value (ignored without key inputs) and counter bits; on a miss the
+        control nets are evaluated and the tail is derived from them.
+        Otherwise it is the unpruned tail for the watched nets."""
         c, mask, h = self.c, self.mask, self.h
         counter = 0
         for bit, p in enumerate(c.counter_pos):
@@ -509,7 +509,7 @@ class PlaneSim:
                 break
             counter |= (vh & 1) << bit
         else:
-            key = (self.watch_idx, key_value, counter)
+            key = (self.watch_idx, key_value if c.key_idx else None, counter)
         ops = c.op_lists.get(key)
         if ops is None:
             if h is not None:

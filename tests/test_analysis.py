@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tklock import analysis, corpus, synth
-from tklock.circuit import Gate, Netlist, parse_bench
+from tklock.circuit import Dff, Gate, Netlist, parse_bench
 from tklock.analysis import (
     BudgetExceededError,
     Counterexample,
@@ -382,7 +382,7 @@ def test_expansion_matches_per_lane_reference(s27, s27_locked, init):
         next_frontier = set()
         for st_a, st_b in sorted(frontier, key=repr):
             for kv in range(4):
-                _, successors = sweep.expand(st_a, st_b, None, kv)
+                _, successors = sweep.expand(st_a, st_b, kv)
                 expected = lane_successors(ref_a, ref_b, st_a, st_b, None, kv, planes)
                 assert list(successors.items()) == list(expected.items())
                 next_frontier.update(successors)
@@ -460,6 +460,57 @@ def test_overhead_rejects_mismatched_manifest(s27, s27_locked):
     broken.onehot_time_nets[0] = "cl_missing"
     with pytest.raises(ValueError, match="missing from locked netlist"):
         overhead_report(s27, locked, broken)
+
+
+def _first_ff(manifest, **fields):
+    """`manifest` with fields of its first locked flip-flop replaced."""
+    ff = manifest.locked_ffs[0]
+    return manifest._replace(locked_ffs=[ff._replace(**fields), *manifest.locked_ffs[1:]])
+
+
+def _wrongful(manifest, net):
+    """`manifest` with one wrongful source of its first locked flip-flop set to `net`."""
+    sources = dict(manifest.locked_ffs[0].wrongful_source_nets)
+    sources[next(iter(sources))] = net
+    return _first_ff(manifest, wrongful_source_nets=sources)
+
+
+def _grown(netlist, gates=(), dffs=(), outputs=()):
+    return Netlist(netlist.name, netlist.inputs, netlist.outputs + outputs, netlist.gates + gates,
+                   netlist.dffs + dffs)
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda s27, locked, m: overhead_report(s27, locked, _first_ff(m, correct_d_net="G0")),
+         "manifest correct_d_net mismatch for 'G6'"),
+        (lambda s27, locked, m: overhead_report(s27, locked, _wrongful(m, m.locked_ffs[0].correct_d_net)),
+         "wrongful map for 'G6' includes the correct net"),
+        (lambda s27, locked, m: overhead_report(s27, locked, _wrongful(m, "nowhere")),
+         "wrongful source missing from locked netlist for 'G6'"),
+        (lambda s27, locked, m: overhead_report(s27, _grown(locked, gates=(Gate("extra", "AND", ("G0", "G1")),)), m),
+         "added gate count 60 != closed form 59"),
+        (lambda s27, locked, m: overhead_report(s27, _grown(locked, dffs=(Dff("extra", "G0"),)), m),
+         "added DFF count 3 != counter width 2"),
+        (lambda s27, locked, m: overhead_report(s27, _grown(locked, outputs=("G0",)), m),
+         "added I/O counts do not match the manifest"),
+        (lambda s27, locked, m: overhead_report(s27, locked, m._replace(layers=m.layers + 1)),
+         "manifest layer count does not match num_keys"),
+        (lambda s27, locked, m: check_equivalence_exhaustive(s27, _grown(s27, outputs=("G0",)), depth=1),
+         "output mismatch"),
+        (lambda s27, locked, m: check_equivalence_exhaustive(s27, s27, depth=1, key_policy=KeyPolicy.static(0)),
+         "key policy given but neither netlist has key inputs"),
+    ],
+    ids=["correct-d-net", "wrongful-is-correct", "wrongful-nowhere", "extra-gate", "extra-dff",
+         "extra-output", "layers", "pair-outputs", "pair-policy-without-keys"],
+)
+def test_outside_input_refused(s27, s27_locked, call, message):
+    """Each manifest or netlist that does not describe the lock, and each
+    pair that cannot be compared, is refused with its reason."""
+    locked, manifest = s27_locked
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(s27, locked, manifest)
 
 
 def _rows(*bits: str) -> list[tuple[int, ...]]:

@@ -79,7 +79,6 @@ def test_lock_rejects_nondeterministic_machine():
     bad = Fsm(
         input_width=1,
         output_width=1,
-        states=("a", "b"),
         reset_state="a",
         transitions=(Transition("-", "a", "a", "0"), Transition("0", "a", "b", "0"),
                      Transition("-", "b", "a", "0")),

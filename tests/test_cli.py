@@ -73,6 +73,33 @@ def test_lock_str_byte_deterministic(tmp_path, s27_path):
     assert (out.read_bytes(), manifest.read_bytes()) == first
 
 
+def test_lock_str_keys_file_writes_what_keys_writes(tmp_path, s27_path):
+    keys_file = tmp_path / "keys.txt"
+    keys_file.write_text("01\n11\n10\n00\n", encoding="utf-8")
+    out, manifest = _lock(tmp_path, s27_path)
+    by_keys = (out.read_bytes(), manifest.read_bytes())
+    argv = ["lock-str", "--in", str(s27_path), "--k", "4", "--ki", "2", "--ffs", "1", "--seed", "7",
+            "--out", str(out), "--manifest", str(manifest), "--keys-file", str(keys_file)]
+    assert main(argv) == 0
+    assert (out.read_bytes(), manifest.read_bytes()) == by_keys
+
+
+def test_schedule_flags_drive_keys_as_the_manifest_does(tmp_path, s27_path, capsys):
+    """verify --keys and sim --keys-file, without --manifest, print the
+    verdict and the trace that the manifest's schedule gives."""
+    out, manifest = _lock(tmp_path, s27_path)
+    keys_file = tmp_path / "keys.txt"
+    keys_file.write_text("01\n11\n10\n00\n", encoding="utf-8")
+    verify = ["verify", "--orig", str(s27_path), "--locked", str(out)]
+    sim = ["sim", "--in", str(out), "--cycles", "8"]
+    for run, schedule in ((verify, ["--keys", "01,11,10,00"]), (sim, ["--keys-file", str(keys_file)])):
+        capsys.readouterr()
+        assert main([*run, "--manifest", str(manifest)]) == 0
+        by_manifest = capsys.readouterr().out
+        assert main([*run, *schedule]) == 0
+        assert capsys.readouterr().out == by_manifest
+
+
 def test_lock_str_targets_set_the_count(tmp_path, s27_path):
     """--targets locks the named flip-flops without --ffs, with the bytes
     --ffs 2 gives."""
@@ -306,6 +333,18 @@ def test_report_outputs_counts(tmp_path, s27_path, capsys):
     rows = csv_path.read_text().splitlines()
     assert rows[0].startswith("circuit,orig_gates")
     assert rows[1].startswith("s27,10,69,59")
+
+
+def test_report_out_writes_what_stdout_prints(tmp_path, s27_path, capsys):
+    out, manifest = _lock(tmp_path, s27_path)
+    argv = ["report", "--orig", str(s27_path), "--locked", str(out), "--manifest", str(manifest)]
+    capsys.readouterr()
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    report = tmp_path / "report.json"
+    assert main([*argv, "--out", str(report)]) == 0
+    assert capsys.readouterr().out == ""
+    assert report.read_text(encoding="utf-8") == printed
 
 
 def test_report_csv_quotes_the_circuit_name(tmp_path, s27_path, capsys):
@@ -562,6 +601,10 @@ _LOCK_BEH = ["lock-beh", "--in", "{kiss2}", "--k", "2", "--ki", "1", "--out", "{
 
 
 _MANIFEST_RUN = ["--orig", "{bench}", "--locked", "{bench}", "--manifest", "{tmp}/m.json"]
+# s27 locked k2/ki1, for the rows whose job must run before it fails
+_LOCKED_S27, _LOCKED_S27_MANIFEST = lock_structural(circuit.parse_bench(_S27), generate_key_schedule(2, 1, 0))
+_LOCKED_RUN = ["--orig", "{bench}", "--locked", "{locked}", "--manifest", "{manifest}"]
+_NO_FILE = "No such file or directory: ''"
 
 
 _ERROR_KINDS = pytest.mark.parametrize(
@@ -610,20 +653,35 @@ _ERROR_KINDS = pytest.mark.parametrize(
         ([*_LOCK_STR, "--targets", ""], _S27, None, None, "invalid-input", "unknown lock target ''"),
         (["attack", "--orig", "{bench}", "--locked", "{bench}", "--manifest", "", "--k", "4", "--ki", "2"],
          _S27, None, None, "invalid-input", "--manifest conflicts with --k/--ki"),
-        (["sim", "--in", "{bench}", "--stimulus", ""], _S27, None, None, "io-error", "Is a directory"),
+        # an empty path names no file, not the current directory
+        (["sim", "--in", "{bench}", "--stimulus", ""], _S27, None, None, "io-error", _NO_FILE),
+        (["sim", "--in", "{bench}", "--trace", ""], _S27, None, None, "io-error", _NO_FILE),
+        (["report", *_LOCKED_RUN, "--out", ""], _S27, None, None, "io-error", _NO_FILE),
+        (["attack", *_LOCKED_RUN, "--out", ""], _S27, None, None, "io-error", _NO_FILE),
+        (["lock-str", "--in", "{bench}", "--k", "2", "--ki", "1", "--out", "{tmp}/o.bench", "--manifest", ""],
+         _S27, None, None, "io-error", _NO_FILE),
+        (["lock-beh", "--in", "", "--k", "2", "--ki", "1", "--out", "{tmp}/o.kiss2", "--manifest", "{tmp}/m.json"],
+         None, None, None, "io-error", _NO_FILE),
+        (["sim", "--in", "{bench}", "--keys", "0,1", "--static-key", "0"], _S27, None, None,
+         "invalid-input", "--static-key conflicts with --keys/--manifest"),
+        (["sim", "--in", "{locked}"], None, None, None,
+         "invalid-input", "netlist has key inputs; give --manifest, --keys, or --static-key"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
          "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
          "verify-manifest-keys", "verify-manifest-keys-file", "sim-manifest-keys",
          "attack-manifest-k-ki", "attack-manifest-ki", "attack-static-k", "verify-random-budget",
          "lock-str-empty-keys", "lock-str-empty-targets", "attack-empty-manifest-k",
-         "sim-empty-stimulus"],
+         "sim-empty-stimulus", "sim-empty-trace", "report-empty-out", "attack-empty-out",
+         "lock-str-empty-manifest", "lock-beh-empty-in", "static-key-and-keys", "key-inputs-without-keys"],
 )
 
 
 def _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch) -> int:
     paths = {"tmp": str(tmp_path)}
-    for suffix, text in (("bench", bench), ("kiss2", kiss2)):
+    files = (("bench", bench), ("kiss2", kiss2), ("locked", write_bench(_LOCKED_S27)),
+             ("manifest", _LOCKED_S27_MANIFEST.to_json()))
+    for suffix, text in files:
         path = tmp_path / f"in.{suffix}"
         if text is not None:  # else the file is missing
             path.write_text(text, encoding="utf-8")

@@ -47,8 +47,8 @@ def test_nondeterminism_reports_the_first_overlapping_pair():
     with pytest.raises(Kiss2FormatError) as caught:
         parse_kiss2(text)
     assert str(caught.value) == message
-    fsm = Fsm(1, 1, ("a", "b"), "a", (Transition("1", "b", "a", "0"), Transition("-", "a", "a", "0"),
-                                      Transition("-", "b", "b", "0"), Transition("0", "a", "b", "1")))
+    fsm = Fsm(1, 1, "a", (Transition("1", "b", "a", "0"), Transition("-", "a", "a", "0"),
+                          Transition("-", "b", "b", "0"), Transition("0", "a", "b", "1")))
     with pytest.raises(FsmError) as caught:
         check_fsm(fsm)
     assert str(caught.value) == "nondeterministic transitions from 'b': patterns '1' and '-' overlap"
@@ -96,21 +96,14 @@ def test_round_trip_fixed_point(name):
     assert write_kiss2(second) == text
 
 
-def _first_appearance(transitions) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(name for t in transitions for name in (t.src, t.dst)))
-
-
 @st.composite
 def deterministic_fsms(draw):
     """Random deterministic machines with 0-3 input and output bits, and the
     one flaw each holds that KISS2 text cannot carry, or None. A state's input
     patterns care about the same positions and differ there, so no two
-    overlap. Half the draws are in the form KISS2 text can state: every state
-    is in a transition, and `states` lists them in order of first appearance.
-    The other half list a permutation of those states plus unused ones. About
-    half the draws hold a flaw: a state name that is empty, holds whitespace
-    or '#', or starts with '.' where there is no input field, or a pattern
-    character other than 0, 1 and -."""
+    overlap. About half the draws hold a flaw: a state name that is empty,
+    holds whitespace or '#', or starts with '.' where there is no input field,
+    or a pattern character other than 0, 1 and -."""
     input_width = draw(st.integers(0, 3))
     output_width = draw(st.integers(0, 3))
     flaw_kind = draw(st.sampled_from(["none", "none", "state", "pattern"]))
@@ -139,40 +132,33 @@ def deterministic_fsms(draw):
         pos = draw(st.integers(0, len(pattern) - 1))
         flaw = pattern[:pos] + "x" + pattern[pos + 1 :]
         transitions[i] = transitions[i]._replace(**{field: flaw})
-    listed = _first_appearance(transitions)
-    states = listed
-    if draw(st.booleans()):
-        unused = draw(st.lists(st.sampled_from(["spare", "u_1"]), unique=True))
-        states = tuple(draw(st.permutations([*listed, *unused])))
-    if flaw_kind == "state" and flaw not in states:
+    fsm = Fsm(input_width, output_width, transitions[0].src, tuple(transitions))
+    fsm = fsm._replace(reset_state=draw(st.sampled_from(fsm.states)))
+    if flaw_kind == "state" and flaw not in fsm.states:
         flaw = None  # the flawed name has no transition
-    return Fsm(input_width, output_width, states, draw(st.sampled_from(listed)), tuple(transitions)), flaw
+    return fsm, flaw
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=deterministic_fsms())
 def test_write_then_parse_is_identity(case):
-    """Every machine KISS2 can state round-trips; every other one is refused,
-    by check_fsm for a flaw in a name or pattern, by write_kiss2 for a state list."""
+    """Every machine KISS2 can state round-trips; check_fsm refuses every one
+    with a flaw in a name or pattern."""
     fsm, flaw = case
     if flaw is not None:
         with pytest.raises(FsmError, match=re.escape(f"'{flaw}'")):
             check_fsm(fsm)
         return
     check_fsm(fsm)
-    if fsm.states == _first_appearance(fsm.transitions):
-        assert parse_kiss2(write_kiss2(fsm)) == fsm
-    else:
-        with pytest.raises(FsmError, match="order of first appearance"):
-            write_kiss2(fsm)
+    assert parse_kiss2(write_kiss2(fsm)) == fsm
 
 
 @pytest.mark.parametrize(
     "fsm,flaw",
     [
-        (Fsm(1, 1, ("a b",), "a b", (Transition("-", "a b", "a b", "0"),)), "a b"),
-        (Fsm(0, 1, (".a",), ".a", (Transition("", ".a", ".a", "0"),)), ".a"),
-        (Fsm(1, 1, ("a",), "a", (Transition("x", "a", "a", "0"),)), "x"),
+        (Fsm(1, 1, "a b", (Transition("-", "a b", "a b", "0"),)), "a b"),
+        (Fsm(0, 1, ".a", (Transition("", ".a", ".a", "0"),)), ".a"),
+        (Fsm(1, 1, "a", (Transition("x", "a", "a", "0"),)), "x"),
     ],
     ids=["whitespace-state", "dot-state-no-inputs", "pattern-x"],
 )
@@ -182,19 +168,6 @@ def test_check_refuses_what_kiss2_cannot_state(fsm, flaw):
         check_fsm(fsm)
     with pytest.raises(Kiss2FormatError):
         parse_kiss2(write_kiss2(fsm))
-
-
-@pytest.mark.parametrize(
-    "states", [("a", "b", "c"), ("b", "a")], ids=["unused-state", "not-first-appearance"]
-)
-def test_write_refuses_states_kiss2_cannot_state(states):
-    """Such a machine used to be written as text the parser refuses
-    (".s declares 3 states, found 2") or reads back with another state order."""
-    fsm = Fsm(1, 1, states, "a", (Transition("0", "a", "b", "1"), Transition("1", "a", "a", "0"),
-                                  Transition("-", "b", "a", "0")))
-    check_fsm(fsm)
-    with pytest.raises(FsmError, match=r"order of first appearance, \['a', 'b'\]"):
-        write_kiss2(fsm)
 
 
 def test_write_single_state_header():
@@ -262,7 +235,6 @@ def test_programmatic_fsm_validation():
     bad = Fsm(
         input_width=1,
         output_width=1,
-        states=("a",),
         reset_state="b",
         transitions=(Transition("0", "a", "a", "0"),),
     )

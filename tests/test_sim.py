@@ -707,6 +707,16 @@ def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
     assert list(sim.c.op_lists) == [((), manifest.schedule.key_at(0), 0)]
 
 
+def test_netlist_without_key_inputs_keeps_one_op_list_for_every_key_value():
+    """The two sides of a comparison step under one key value, which a
+    netlist without key inputs ignores: it shares one cached op list."""
+    netlist = corpus.load_bench("s27")
+    sim = PlaneSim(netlist, 1)
+    for kv in (None, 0, 1, 2):
+        sim.step([0] * len(sim.c.nonkey_idx), kv)
+    assert list(sim.c.op_lists) == [((), None, 0)]
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10_000),
