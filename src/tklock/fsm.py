@@ -20,7 +20,12 @@ class Kiss2FormatError(ValueError):
 
 
 class FsmError(ValueError):
-    """Semantic state-machine error (nondeterminism, incomplete machine, ...)."""
+    """Semantic state-machine error (nondeterminism, incomplete machine, ...);
+    `transition` is the position of the transition it is found at, if any."""
+
+    def __init__(self, message: str, transition: int | None = None):
+        self.transition = transition
+        super().__init__(message)
 
 
 class Transition(NamedTuple):
@@ -54,26 +59,26 @@ def check_fsm(fsm: Fsm) -> None:
     a comment, and with no input field a line starting with ``.`` is a directive."""
     if fsm.reset_state not in fsm.states:
         raise FsmError(f"reset state '{fsm.reset_state}' never appears in a transition")
-    for state in fsm.states:
-        if state.split() != [state] or "#" in state or (fsm.input_width == 0 and state[0] == "."):
-            raise FsmError(f"state name '{state}' cannot be written as KISS2")
-    for tr in fsm.transitions:
+    for i, tr in enumerate(fsm.transitions):  # the states in order of first appearance
+        for state in (tr.src, tr.dst):
+            if state.split() != [state] or "#" in state or (fsm.input_width == 0 and state[0] == "."):
+                raise FsmError(f"state name '{state}' cannot be written as KISS2", i)
+    by_src: dict[str, list[tuple[int, Transition]]] = {}
+    for i, tr in enumerate(fsm.transitions):
         if len(tr.inputs) != fsm.input_width:
-            raise FsmError(f"input pattern '{tr.inputs}' does not match width {fsm.input_width}")
+            raise FsmError(f"input pattern '{tr.inputs}' does not match width {fsm.input_width}", i)
         if len(tr.outputs) != fsm.output_width:
-            raise FsmError(f"output pattern '{tr.outputs}' does not match width {fsm.output_width}")
+            raise FsmError(f"output pattern '{tr.outputs}' does not match width {fsm.output_width}", i)
         for pattern in (tr.inputs, tr.outputs):
             if pattern.strip("01-"):
-                raise FsmError(f"pattern '{pattern}' holds a character other than 0, 1 and -")
-    by_src: dict[str, list[Transition]] = {}
-    for tr in fsm.transitions:
-        by_src.setdefault(tr.src, []).append(tr)
+                raise FsmError(f"pattern '{pattern}' holds a character other than 0, 1 and -", i)
+        by_src.setdefault(tr.src, []).append((i, tr))
     for group in by_src.values():  # sources in order of first appearance
-        for i, a in enumerate(group):
-            for b in group[i + 1 :]:
+        for n, (_, a) in enumerate(group):
+            for i, b in group[n + 1 :]:  # the later transition of the pair names the error
                 if patterns_overlap(a.inputs, b.inputs):
                     raise FsmError(f"nondeterministic transitions from '{a.src}': "
-                                   f"patterns '{a.inputs}' and '{b.inputs}' overlap")
+                                   f"patterns '{a.inputs}' and '{b.inputs}' overlap", i)
 
 
 def _header_count(parts: list[str], lineno: int) -> int:
@@ -99,6 +104,8 @@ def parse_kiss2(text: str) -> Fsm:
     declared_terms = declared_states = None
     reset: str | None = None
     transitions: list[Transition] = []
+    line_of: dict[str, int] = {}  # directive -> its line
+    transition_lines: list[int] = []
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -113,6 +120,7 @@ def parse_kiss2(text: str) -> Fsm:
                 break
             if len(parts) != 2:
                 raise Kiss2FormatError(f"malformed directive '{line}'", lineno)
+            line_of[directive] = lineno
             if directive == ".i":
                 input_width = _header_count(parts, lineno)
             elif directive == ".o":
@@ -142,13 +150,14 @@ def parse_kiss2(text: str) -> Fsm:
         if len(outs) != output_width or set(outs) - set("01-"):
             raise Kiss2FormatError(f"bad output pattern '{outs}'", lineno)
         transitions.append(Transition(inputs=ins, src=src, dst=dst, outputs=outs))
+        transition_lines.append(lineno)
 
     if input_width is None or output_width is None:
         raise Kiss2FormatError("missing .i/.o headers")
     if not transitions:
         raise Kiss2FormatError("no transitions")
     if declared_terms is not None and declared_terms != len(transitions):
-        raise Kiss2FormatError(f".p declares {declared_terms} terms, found {len(transitions)}")
+        raise Kiss2FormatError(f".p declares {declared_terms} terms, found {len(transitions)}", line_of[".p"])
     fsm = Fsm(
         input_width=input_width,
         output_width=output_width,
@@ -156,11 +165,12 @@ def parse_kiss2(text: str) -> Fsm:
         transitions=tuple(transitions),
     )
     if declared_states is not None and declared_states != len(fsm.states):
-        raise Kiss2FormatError(f".s declares {declared_states} states, found {len(fsm.states)}")
+        raise Kiss2FormatError(f".s declares {declared_states} states, found {len(fsm.states)}", line_of[".s"])
     try:
         check_fsm(fsm)
-    except FsmError as exc:
-        raise Kiss2FormatError(str(exc)) from exc
+    except FsmError as exc:  # only a reset state that never appears names no transition
+        line = line_of[".r"] if exc.transition is None else transition_lines[exc.transition]
+        raise Kiss2FormatError(str(exc), line) from exc
     return fsm
 
 

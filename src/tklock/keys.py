@@ -131,8 +131,13 @@ def schedule_from_text(text: str) -> KeySchedule:
 
 
 def parse_key_list(text: str) -> KeySchedule:
-    """Parse a comma-separated list of binary key strings (MSB first)."""
-    return schedule_from_text(text.replace(",", "\n"))
+    """Parse a comma-separated list of binary key strings (MSB first). An
+    empty item is refused rather than dropped, which would change the period."""
+    items = text.split(",")
+    for n, item in enumerate(items, start=1):
+        if len(items) > 1 and not item.strip():
+            raise ValueError(f"key {n} of '{text}' is empty")
+    return schedule_from_text("\n".join(items))
 
 
 def key_input_names(width: int) -> list[str]:

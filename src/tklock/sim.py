@@ -27,13 +27,13 @@ A step need not evaluate every op. Control nets are the key inputs, the
 counter flip-flops and the nets whose ops read only control nets; a net is
 fed when a control net reaches it. A step evaluates the free ops (those no
 control net reaches), then a fed tail: the fed ops that its roots (outputs,
-next-state nets and the nets the caller watches) depend on. The first step
-that needs a tail derives it and caches it on the compiled netlist for
-every :class:`PlaneSim` of the netlist: per watched nets, key value (None
-when key-free) and counter bits, or per watched nets alone when the counter
-lanes differ or are unknown. Nets left out keep stale planes, so after a
-step only inputs, flip-flop outputs, outputs, next-state nets and watched
-nets are current.
+next-state nets and the nets the caller watches) depend on. The compiled
+netlist derives each tail from the watched nets, key value (None when
+key-free) and counter bits alone, never from a simulator's planes, and
+caches it for every :class:`PlaneSim`; when the counter lanes differ or are
+unknown, the tail is unpruned and cached per watched nets. Nets left out
+keep stale planes, so after a step only inputs, flip-flop outputs, outputs,
+next-state nets and watched nets are current.
 
 When every counter plane is uniform and known, each control net holds 0 or
 all ones in every lane, and the tail is wired. An op with a fanin whose
@@ -95,6 +95,19 @@ def _gate_ops(gate, index: dict[str, int], n: int) -> Sequence[tuple]:
         a, n = n, n + 1
     ops.append((family, index[gate.output], a, index[fanins[-1]], invert))
     return ops
+
+
+def _known_pass(h, mask: int, *op_lists: list[tuple]) -> None:
+    """Two-valued pass over the high planes `h` (a list or a dict), `mask` all ones."""
+    for ops in op_lists:
+        for family, out, a, b, invert in ops:
+            if family == _AND:
+                v = h[a] & h[b]
+            elif family == _OR:
+                v = h[a] | h[b]
+            else:
+                v = h[a] ^ h[b]
+            h[out] = v ^ mask if invert else v
 
 
 class KeyPolicy(NamedTuple):
@@ -200,10 +213,10 @@ class CompiledNetlist:
     Build it through ``Netlist.compiled``, which compiles each netlist once.
     A netlist from ``parse_bench`` is not validated again; any other is
     validated once, and one with an error raises ValueError. It holds the
-    free ops, which every step runs; the fed tails, derived, wired and
-    cached in `op_lists` as steps need them; and, from the first Kleene
-    step, the free ops that read each free op's output, input and
-    flip-flop (see the module docstring).
+    free ops, which every step runs; the fed tails, which :meth:`tail`
+    derives from (watched nets, key value, counter bits) alone, never from a
+    simulator's planes, and caches in `op_lists`; and, from the first Kleene
+    step, the free ops that read each free op's output, input and flip-flop.
     """
 
     def __init__(self, netlist: Netlist):
@@ -244,19 +257,37 @@ class CompiledNetlist:
                 (self._control_ops if control[out] else self._free).append(op)
         # net -> fed op, for the control ops and the gates an op list keeps
         self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
-        # (watched nets, key value, counter bits) or (watched nets,) -> fed tail; see PlaneSim._ops
+        # (watched nets, key value, counter bits) or (watched nets,) -> fed tail; see tail
         self.op_lists: dict[tuple, list] = {}
         self._readers: tuple[list, dict] | None = None  # see _free_readers
 
-    def _select_ops(self, roots: list[int], h: list[int] | None = None, mask: int = 0) -> list[tuple]:
+    def tail(self, watch: tuple[int, ...], key_value: int | None, counter: int | None) -> list[tuple]:
+        """The cached fed tail of a step that watches the nets `watch`: wired
+        under the key value (ignored without key inputs) and the counter bits,
+        or unpruned when `counter` is None (counter lanes differ or are unknown).
+        On a miss the control nets are evaluated in one lane from those bits."""
+        key = (watch,) if counter is None else (watch, key_value if self.key_idx else None, counter)
+        ops = self.op_lists.get(key)
+        if ops is None:
+            h = None
+            if counter is not None:  # each key input and counter flip-flop -> its bit
+                h = {i: key_value >> bit & 1 for bit, i in enumerate(self.key_idx)}
+                h.update((self.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(self.counter_pos))
+                _known_pass(h, 1, self._control_ops)
+            if len(self.op_lists) >= _MAX_OP_LISTS:
+                del self.op_lists[next(iter(self.op_lists))]
+            ops = self.op_lists[key] = self._select_ops(self.output_idx + self.dff_d_idx + list(watch), h)
+        return ops
+
+    def _select_ops(self, roots: list[int], h: dict[int, int] | None = None) -> list[tuple]:
         """The fed tail of one step: in topological order, the fed ops that
-        `roots` depend on. Given `h`, which must hold this step's control
-        nets, an op with a control fanin at its controlling value (0 for AND,
-        `mask` for OR) depends on that fanin alone, and the tail is wired
-        (see :meth:`_wired`)."""
+        `roots` depend on. Given `h`, which must map each control net to its
+        bit, an op with a control fanin at its controlling value (0 for AND,
+        1 for OR) depends on that fanin alone, and the tail is wired (see
+        :meth:`_wired`)."""
         control, driver, chains, built = self._control, self._driver, self._chains, self._fed_ops
         order, index = self._order, self.index
-        controlling = (None, None, None) if h is None else (0, mask, None)
+        controlling = (None, None, None) if h is None else (0, 1, None)
         seen = bytearray(self.n_nets)
         kept = []
         stack = list(roots)
@@ -286,8 +317,8 @@ class CompiledNetlist:
         ops = [op for _, _, op in kept]
         return ops if h is None else self._wired(ops, roots, h)
 
-    def _wired(self, ops: list[tuple], roots: list[int], h: list[int]) -> list[tuple]:
-        """`ops` wired under the control values that `h` holds (see the
+    def _wired(self, ops: list[tuple], roots: list[int], h: dict[int, int]) -> list[tuple]:
+        """`ops` wired under the control bits that `h` holds (see the
         module docstring). A decided net that an undecided AND or OR reads
         inverted keeps its wire too; every control net reduces to a key
         input or a counter flip-flop."""
@@ -438,7 +469,6 @@ class PlaneSim:
         self.lanes = lanes
         self.mask = (1 << lanes) - 1
         self.watch_idx = tuple(self.c.index[n] for n in watch)
-        self.roots = self.c.output_idx + self.c.dff_d_idx + list(self.watch_idx)
         self.h = [0] * self.c.n_nets
         self.x = [0] * self.c.n_nets
         self.state_h = [0] * len(self.c.dff_q_idx)
@@ -481,7 +511,14 @@ class PlaneSim:
             if h[idx] != vh or x[idx] != vx:
                 h[idx], x[idx] = vh, vx
                 seeds.append(idx)
-        tail = self._ops(key_value)
+        counter = 0
+        for bit, p in enumerate(c.counter_pos):
+            vh = self.state_h[p]
+            if self.state_x[p] or vh and vh != mask:
+                counter = None  # control nets may differ by lane: no cut
+                break
+            counter |= (vh & 1) << bit
+        tail = c.tail(self.watch_idx, key_value, counter)
         if any(unknown) or any(self.state_x):
             self._step_kleene(tail, seeds if self._x_stale else None)
             self._x_stale = True
@@ -489,48 +526,10 @@ class PlaneSim:
             if self._x_stale:
                 x[:] = [0] * len(x)
                 self._x_stale = False
-            self._step_known(c._free, tail)
+            _known_pass(h, mask, c._free, tail)
         if latch:
             self.state_h[:] = [h[d] for d in c.dff_d_idx]
             self.state_x[:] = [x[d] for d in c.dff_d_idx]
-
-    def _ops(self, key_value: int | None) -> list[tuple]:
-        """The cached fed tail for this step. When every counter plane is
-        uniform and known, it is the wired tail for the watched nets, key
-        value (ignored without key inputs) and counter bits; on a miss the
-        control nets are evaluated and the tail is derived from them.
-        Otherwise it is the unpruned tail for the watched nets."""
-        c, mask, h = self.c, self.mask, self.h
-        counter = 0
-        for bit, p in enumerate(c.counter_pos):
-            vh = self.state_h[p]
-            if self.state_x[p] or vh and vh != mask:
-                key, h = (self.watch_idx,), None  # control nets may differ by lane: no cut
-                break
-            counter |= (vh & 1) << bit
-        else:
-            key = (self.watch_idx, key_value if c.key_idx else None, counter)
-        ops = c.op_lists.get(key)
-        if ops is None:
-            if h is not None:
-                self._step_known(c._control_ops)
-            if len(c.op_lists) >= _MAX_OP_LISTS:
-                del c.op_lists[next(iter(c.op_lists))]
-            ops = c.op_lists[key] = c._select_ops(self.roots, h, mask)
-        return ops
-
-    def _step_known(self, *op_lists: list[tuple]) -> None:
-        """Two-valued pass over the high plane."""
-        h, mask = self.h, self.mask
-        for ops in op_lists:
-            for family, out, a, b, invert in ops:
-                if family == _AND:
-                    v = h[a] & h[b]
-                elif family == _OR:
-                    v = h[a] | h[b]
-                else:
-                    v = h[a] ^ h[b]
-                h[out] = v ^ mask if invert else v
 
     def _step_kleene(self, tail: list[tuple], seeds: list[int] | None) -> None:
         """Strong Kleene pass over both planes: the free ops that read a net

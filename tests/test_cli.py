@@ -613,7 +613,7 @@ _ERROR_KINDS = pytest.mark.parametrize(
         (_LOCK_STR, "INPUT(a)\nOUTPUT(y)\ny = AND(a, zz)\n", None, None,
          "parse-error", "line 3: undefined fanin net 'zz'"),
         (_LOCK_BEH, None, ".i 1\n.o 1\n.s 2\n0 s s 1\n1 s s 0\n", None,
-         "parse-error", ".s declares 2 states, found 1"),
+         "parse-error", "line 3: .s declares 2 states, found 1"),
         (["verify", "--orig", "{bench}", "--locked", "{bench}", "--budget", "1"], _S27, None, None,
          "budget-exceeded", "reachable-state budget 1 exceeded"),
         (["lock-str", "--in", "{bench}", "--k", "3", "--ki", "1", "--out", "{tmp}/o.bench",
@@ -650,6 +650,10 @@ _ERROR_KINDS = pytest.mark.parametrize(
          _S27, None, None, "invalid-input", "--budget conflicts with --mode random"),
         # an empty flag value is a value, not a missing flag
         ([*_LOCK_STR, "--keys", ""], _S27, None, None, "invalid-input", "empty key schedule"),
+        # an empty item would drop a key from the period
+        ([*_LOCK_STR, "--keys", "01,,10"], _S27, None, None, "invalid-input", "key 2 of '01,,10' is empty"),
+        (["sim", "--in", "{locked}", "--keys", "0,1,"], _S27, None, None,
+         "invalid-input", "key 3 of '0,1,' is empty"),
         ([*_LOCK_STR, "--targets", ""], _S27, None, None, "invalid-input", "unknown lock target ''"),
         (["attack", "--orig", "{bench}", "--locked", "{bench}", "--manifest", "", "--k", "4", "--ki", "2"],
          _S27, None, None, "invalid-input", "--manifest conflicts with --k/--ki"),
@@ -671,7 +675,8 @@ _ERROR_KINDS = pytest.mark.parametrize(
          "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
          "verify-manifest-keys", "verify-manifest-keys-file", "sim-manifest-keys",
          "attack-manifest-k-ki", "attack-manifest-ki", "attack-static-k", "verify-random-budget",
-         "lock-str-empty-keys", "lock-str-empty-targets", "attack-empty-manifest-k",
+         "lock-str-empty-keys", "lock-str-empty-key-item", "sim-trailing-empty-key",
+         "lock-str-empty-targets", "attack-empty-manifest-k",
          "sim-empty-stimulus", "sim-empty-trace", "report-empty-out", "attack-empty-out",
          "lock-str-empty-manifest", "lock-beh-empty-in", "static-key-and-keys", "key-inputs-without-keys"],
 )

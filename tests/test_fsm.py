@@ -35,7 +35,7 @@ def test_parse_nondeterministic_overlap():
     text = ".i 1\n.o 1\n.p 2\n.s 3\n0 a b 0\n- a c 0\n"
     with pytest.raises(Kiss2FormatError) as caught:
         parse_kiss2(text)
-    assert str(caught.value) == "nondeterministic transitions from 'a': patterns '0' and '-' overlap"
+    assert str(caught.value) == "line 6: nondeterministic transitions from 'a': patterns '0' and '-' overlap"
 
 
 def test_nondeterminism_reports_the_first_overlapping_pair():
@@ -43,7 +43,7 @@ def test_nondeterminism_reports_the_first_overlapping_pair():
     # pair, then the later: 'a' is listed before 'b', so its pair (0-, -1) is
     # reported, though b's pair (00, -0) closes earlier in the file
     text = ".i 2\n.o 1\n0- a b 0\n1- a a 0\n00 b a 0\n-0 b b 1\n-1 a a 1\n-0 a b 1\n"
-    message = "nondeterministic transitions from 'a': patterns '0-' and '-1' overlap"
+    message = "line 7: nondeterministic transitions from 'a': patterns '0-' and '-1' overlap"
     with pytest.raises(Kiss2FormatError) as caught:
         parse_kiss2(text)
     assert str(caught.value) == message
@@ -55,9 +55,9 @@ def test_nondeterminism_reports_the_first_overlapping_pair():
 
 
 def test_parse_header_mismatch():
-    with pytest.raises(Kiss2FormatError, match=r"\.p declares"):
+    with pytest.raises(Kiss2FormatError, match=r"^line 3: \.p declares"):
         parse_kiss2(".i 1\n.o 1\n.p 2\n.s 1\n- s s 0\n")
-    with pytest.raises(Kiss2FormatError, match=r"\.s declares"):
+    with pytest.raises(Kiss2FormatError, match=r"^line 4: \.s declares"):
         parse_kiss2(".i 1\n.o 1\n.p 1\n.s 3\n- s s 0\n")
 
 
@@ -83,7 +83,7 @@ def test_reset_defaults_to_first_declared_state():
 
 
 def test_unknown_reset_state():
-    with pytest.raises(Kiss2FormatError, match="reset state"):
+    with pytest.raises(Kiss2FormatError, match="^line 5: reset state"):
         parse_kiss2(".i 1\n.o 1\n.p 1\n.s 1\n.r zz\n- s s 0\n")
 
 
@@ -94,6 +94,40 @@ def test_round_trip_fixed_point(name):
     second = parse_kiss2(text)
     assert first == second
     assert write_kiss2(second) == text
+
+
+# the two errors about the whole file, which no line can carry
+_WHOLE_FILE_ERRORS = ("missing .i/.o headers", "no transitions")
+
+
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("name", corpus.available_machines())
+@given(data=st.data())
+def test_parse_mutated_kiss2(name, data):
+    """A corpus machine's text under insert, delete and copy-line edits either
+    parses to a machine that round-trips through write_kiss2, or fails with a
+    Kiss2FormatError that names a line of the text (bar the two errors about
+    the whole file)."""
+    text = corpus.read_text(f"{name}.kiss2")
+    for _ in range(data.draw(st.integers(1, 4))):
+        edit = data.draw(st.sampled_from(["insert", "delete", "copy-line"]))
+        if edit == "insert":
+            at = data.draw(st.integers(0, len(text)))
+            text = text[:at] + data.draw(st.sampled_from(".ipsr01-# \nxS")) + text[at:]
+        elif edit == "delete" and text:
+            at = data.draw(st.integers(0, len(text) - 1))
+            text = text[:at] + text[at + 1 :]
+        elif edit == "copy-line":
+            lines = text.split("\n")
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(lines)))
+            text = "\n".join(lines)
+    try:
+        fsm = parse_kiss2(text)
+    except Kiss2FormatError as exc:
+        if str(exc) not in _WHOLE_FILE_ERRORS:
+            assert exc.line is not None and 1 <= exc.line <= len(text.splitlines()), str(exc)
+        return
+    assert parse_kiss2(write_kiss2(fsm)) == fsm
 
 
 @st.composite

@@ -23,7 +23,7 @@ from tklock.sim import (
 from tklock.structural import lock_structural
 from tklock.synth import random_netlist
 from tests.compile_reference import is_subsequence, reference_ops
-from tests.conftest import S27_SCHEDULE
+from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import kleene_eval, simulate_kleene
 
 VALUES = (0, 1, None)
@@ -715,6 +715,36 @@ def test_netlist_without_key_inputs_keeps_one_op_list_for_every_key_value():
     for kv in (None, 0, 1, 2):
         sim.step([0] * len(sim.c.nonkey_idx), kv)
     assert list(sim.c.op_lists) == [((), None, 0)]
+
+
+def test_a_tail_derives_from_the_key_value_and_counter_bits_alone():
+    """For every key value and counter time of locked s27 (k4/ki2), a compile
+    that no simulator has stepped gives the tail that a step under them
+    caches on another compile, and so does a compile whose simulator last
+    stepped under another key value: a tail never reads a simulator's
+    planes."""
+
+    def fresh():  # the same locked netlist, with a compile of its own
+        return lock_structural(corpus.load_bench("s27"), S27_SCHEDULE, seed=S27_SEED)[0]
+
+    def stepped(value, time):
+        sim = PlaneSim(fresh(), 1)
+        state = [0] * len(sim.state_h)
+        for bit, p in enumerate(sim.c.counter_pos):
+            state[p] = time >> bit & 1
+        sim.load_state(tuple(state))
+        sim.step([0] * len(sim.c.nonkey_idx), value)
+        return sim.c
+
+    tails = set()
+    for value, time in itertools.product(range(4), range(4)):
+        cached = stepped(value, time).op_lists
+        assert list(cached) == [((), value, time)]
+        tail = cached[(), value, time]
+        assert fresh().compiled.tail((), value, time) == tail
+        assert stepped(value ^ 1, time).tail((), value, time) == tail
+        tails.add(tuple(tail))
+    assert len(tails) > 4  # the tails differ by key value, not by counter time alone
 
 
 @settings(max_examples=40, deadline=None)
