@@ -114,10 +114,9 @@ class OverheadReport(NamedTuple):
         return self.delta.gates / self.original.gates
 
 
-def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> KeyPolicy:
+def _check_pair(a: Netlist, b: Netlist, policy: KeyPolicy) -> None:
     """Check that `a` and `b` share their non-key inputs and outputs and that
-    `policy` fits every side with key inputs; return `policy`, which drives
-    the keyed sides."""
+    `policy`, which drives the keyed sides, fits every side with key inputs."""
     ca, cb = a.compiled, b.compiled
     if ca.nonkey_names != cb.nonkey_names:
         raise ValueError(f"non-key input mismatch: {ca.nonkey_names} vs {cb.nonkey_names}")
@@ -128,7 +127,6 @@ def _pair_policies(a: Netlist, b: Netlist, policy: KeyPolicy) -> KeyPolicy:
     for compiled in (ca, cb):
         if compiled.key_idx:
             check_policy(compiled, policy)
-    return policy
 
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
@@ -318,7 +316,8 @@ def check_equivalence_exhaustive(
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
-    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    policy = key_policy or KeyPolicy()
+    _check_pair(a, b, policy)
     return _check(a, _JointSweep(a, b, budget, init), policy, depth, "exhaustive")
 
 
@@ -332,7 +331,8 @@ def check_equivalence_random(
     init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
-    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    policy = key_policy or KeyPolicy()
+    _check_pair(a, b, policy)
     return _check(a, _RandomPair(a, b, sequences, cycles, seed, init), policy, cycles, "random")
 
 
@@ -361,7 +361,8 @@ def replay_counterexample(
     Key overrides at cycles past the counterexample cannot affect it and are
     left out of the replay.
     """
-    policy = _pair_policies(a, b, key_policy or KeyPolicy())
+    policy = key_policy or KeyPolicy()
+    _check_pair(a, b, policy)
     policy = policy._replace(overrides={c: v for c, v in policy.overrides.items() if c < len(cex.inputs)})
     ta, tb = (
         simulate(n, Stimulus(tuple(cex.inputs), policy if n.compiled.key_idx else KeyPolicy()), init=init)
@@ -387,7 +388,8 @@ def corruption_rate(
     ValueError, before any simulation is set up, when there is no output."""
     if not orig.outputs:
         raise ValueError(f"netlist '{orig.name}' has no output to observe")
-    policy = _pair_policies(orig, locked, KeyPolicy.tampered(schedule, overrides))
+    policy = KeyPolicy.tampered(schedule, overrides)
+    _check_pair(orig, locked, policy)
     pair = _RandomPair(orig, locked, sequences, cycles, seed, init)
     differing = 0
     for cycle in range(cycles):
@@ -482,7 +484,7 @@ def brute_force_attack(
     started = time.perf_counter()
     # every candidate has the same key width, so one probe checks the pair
     # and the width for all of them
-    _pair_policies(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
+    _check_pair(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
     if mode == "exhaustive":
         pair, cycles = _JointSweep(oracle, locked, budget), depth
     else:

@@ -12,11 +12,14 @@ uses (see :mod:`tklock`), and :func:`main` maps errors to their kinds by name.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import json
 import math
+import os
 import random
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import analysis, behavioral, circuit, fsm, keys, sim, structural
@@ -33,9 +36,21 @@ def _read(path: str) -> str:
         return fh.read()
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+def _write(*outputs: tuple[str, Iterable[str]]) -> None:
+    """Write each ``(path, chunks)`` in turn. When one fails, every file
+    opened here is removed before the error propagates, so a failed job
+    leaves no output behind; the error still names the path given."""
+    opened = []
+    try:
+        for path, chunks in outputs:
+            with open(path, "w", encoding="utf-8") as fh:
+                opened.append(path)
+                fh.writelines(chunks)  # chunk by chunk: no copy of a whole netlist's text
+    except BaseException:
+        for path in opened:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
 
 
 def _load_bench(path: str):
@@ -73,9 +88,7 @@ def _cmd_lock_str(args) -> int:
     schedule = _schedule_from_args(args, args.k, args.ki)
     targets = None if args.targets is None else args.targets.split(",")
     locked, manifest = structural.lock_structural(netlist, schedule, args.ffs, args.seed, targets)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.writelines(circuit._bench_lines(locked))  # line by line: no copy of the whole text
-    _write(args.manifest, manifest.to_json())
+    _write((args.out, circuit._bench_lines(locked)), (args.manifest, [manifest.to_json()]))
     print(f"locked {len(manifest.locked_ffs)} flip-flop(s); wrote {args.out} and {args.manifest}")
     return 0
 
@@ -84,8 +97,7 @@ def _cmd_lock_beh(args) -> int:
     machine = fsm.parse_kiss2(_read(args.infile))
     schedule = _schedule_from_args(args, args.k, args.ki)
     locked, manifest = behavioral.lock_behavioral(machine, schedule, args.seed)
-    _write(args.out, fsm.write_kiss2(locked))
-    _write(args.manifest, manifest.to_json())
+    _write((args.out, [fsm.write_kiss2(locked)]), (args.manifest, [manifest.to_json()]))
     print(f"locked machine: {len(locked.states)} states; wrote {args.out} and {args.manifest}")
     return 0
 
@@ -146,7 +158,7 @@ def _cmd_sim(args) -> int:
     trace = sim.simulate(netlist, stimulus, init=args.init, watch=watch)
     csv = trace.to_csv()
     if args.trace is not None:
-        _write(args.trace, csv)
+        _write((args.trace, [csv]))
         print(f"wrote {trace.cycles}-cycle trace to {args.trace}")
     else:
         sys.stdout.write(csv)
@@ -236,7 +248,7 @@ def _cmd_attack(args) -> int:
     }
     text = json.dumps(doc, indent=2) + "\n"
     if args.out is not None:
-        _write(args.out, text)
+        _write((args.out, [text]))
     sys.stdout.write(text)
     survived = f"{len(survivors)} of {result.search_space_size} candidates survive"
     print(f"{survived} ({result.elapsed:.2f}s)", file=sys.stderr)
@@ -259,12 +271,14 @@ def _cmd_report(args) -> int:
         "relative_gate_overhead": round(report.relative_gate_overhead, 6),
     }
     text = json.dumps(doc, indent=2) + "\n"
+    outputs = []
     if args.out is not None:
-        _write(args.out, text)
+        outputs.append((args.out, [text]))
     else:
         sys.stdout.write(text)
     if args.csv is not None:
         import csv
+        import io
 
         header = [
             "circuit", "orig_gates", "locked_gates", "added_gates", "added_dffs",
@@ -275,8 +289,10 @@ def _cmd_report(args) -> int:
             report.delta.dffs, report.delta.inputs, report.per_ff_mux_count,
             round(report.relative_gate_overhead, 6),
         ]
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([header, row])
+        table = io.StringIO()
+        csv.writer(table, lineterminator="\n").writerows([header, row])
+        outputs.append((args.csv, [table.getvalue()]))
+    _write(*outputs)
     return 0
 
 

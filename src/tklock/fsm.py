@@ -56,12 +56,13 @@ def patterns_overlap(a: str, b: str) -> bool:
 def check_fsm(fsm: Fsm) -> None:
     """Raise :class:`FsmError` for a machine that is malformed, nondeterministic
     or not writable as KISS2 text: fields are split on whitespace, ``#`` starts
-    a comment, and with no input field a line starting with ``.`` is a directive."""
+    a comment, and a line starting with ``.`` is a directive, so with no input
+    field a source state may not start with ``.``."""
     if fsm.reset_state not in fsm.states:
         raise FsmError(f"reset state '{fsm.reset_state}' never appears in a transition")
     for i, tr in enumerate(fsm.transitions):  # the states in order of first appearance
-        for state in (tr.src, tr.dst):
-            if state.split() != [state] or "#" in state or (fsm.input_width == 0 and state[0] == "."):
+        for state, starts_line in ((tr.src, fsm.input_width == 0), (tr.dst, False)):
+            if state.split() != [state] or "#" in state or (starts_line and state[0] == "."):
                 raise FsmError(f"state name '{state}' cannot be written as KISS2", i)
     by_src: dict[str, list[tuple[int, Transition]]] = {}
     for i, tr in enumerate(fsm.transitions):

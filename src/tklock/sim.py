@@ -25,22 +25,24 @@ independent gate-at-a-time Kleene oracle.
 
 A step need not evaluate every op. Control nets are the key inputs, the
 counter flip-flops and the nets whose ops read only control nets; a net is
-fed when a control net reaches it. A step evaluates the free ops (those no
-control net reaches), then a fed tail: the fed ops that its roots (outputs,
-next-state nets and the nets the caller watches) depend on. The compiled
-netlist derives each tail from the watched nets, key value (None when
-key-free) and counter bits alone, never from a simulator's planes, and
-caches it for every :class:`PlaneSim`; when the counter lanes differ or are
-unknown, the tail is unpruned and cached per watched nets. Nets left out
-keep stale planes, so after a step only inputs, flip-flop outputs, outputs,
-next-state nets and watched nets are current.
+fed when a control net reaches it. The flip-flops named by the counter
+prefix are counter flip-flops only if the D net of each one is a control
+net; else none is. A step evaluates the free ops (those no control net
+reaches), then a fed tail: the fed ops that its roots (outputs, next-state
+nets and the nets the caller watches) depend on. The compiled netlist
+derives each tail from the watched nets, key value (None when key-free) and
+counter bits alone, never from a simulator's planes, and caches it for every
+:class:`PlaneSim`. Nets left out keep stale planes, so after a step only
+inputs, flip-flop outputs, outputs, next-state nets and watched nets are
+current.
 
-When every counter plane is uniform and known, each control net holds 0 or
-all ones in every lane, and the tail is wired. An op with a fanin whose
-source is a control net becomes a wire: from that source when the fanin
-fixes the op (AND at 0, OR at 1), else from its other fanin's source, the
-inversion carried along (AND at 1, OR at 0, any XOR). NOT and BUF are
-wires. The tail keeps one wire ``(AND, net, source, source, inverted)`` per
+The counter starts at 0 and its next state reads only control nets, so every
+counter plane is uniform and known (a step refuses one that is not), each
+control net holds 0 or all ones in every lane, and the tail is wired. An op
+with a fanin whose source is a control net becomes a wire: from that source
+when the fanin fixes the op (AND at 0, OR at 1), else from its other fanin's
+source, the inversion carried along (AND at 1, OR at 0, any XOR). NOT and BUF
+are wires. The tail keeps one wire ``(AND, net, source, source, inverted)`` per
 wired root and the ops that no control value decides; both passes give a
 wire the value of the op it replaces. A mux tree is one wire: per step, the
 tails of the xsim bench jobs (locked b14 k8/ki3 with 16 locked flip-flops,
@@ -165,10 +167,6 @@ class Stimulus(NamedTuple):
         return cls(inputs=tuple(vectors), key_policy=key_policy or KeyPolicy())
 
 
-def value_str(v: int | None) -> str:
-    return "x" if v is None else str(v)
-
-
 class Trace(NamedTuple):
     """Per-cycle values of all primary inputs, primary outputs, and watched nets."""
 
@@ -197,7 +195,7 @@ class Trace(NamedTuple):
     def to_csv(self) -> str:
         header = ["cycle", *self.input_names, *self.output_names, *self.watch_names]
         rows = [",".join(header)]
-        cell = {0: "0", 1: "1", None: "x"}.__getitem__  # value_str, one lookup per cell
+        cell = {0: "0", 1: "1", None: "x"}.__getitem__
         for c in range(self.cycles):
             cells = [str(c)]
             cells += map(cell, self.inputs[c])
@@ -213,10 +211,12 @@ class CompiledNetlist:
     Build it through ``Netlist.compiled``, which compiles each netlist once.
     A netlist from ``parse_bench`` is not validated again; any other is
     validated once, and one with an error raises ValueError. It holds the
-    free ops, which every step runs; the fed tails, which :meth:`tail`
-    derives from (watched nets, key value, counter bits) alone, never from a
-    simulator's planes, and caches in `op_lists`; and, from the first Kleene
-    step, the free ops that read each free op's output, input and flip-flop.
+    counter flip-flops (`counter_pos`: all that the counter prefix names, or
+    none); the free ops, which every step runs; the fed tails, which
+    :meth:`tail` derives from (watched nets, key value, counter bits) alone,
+    never from a simulator's planes, and caches in `op_lists`; and, from the
+    first Kleene step, the free ops that read each free op's output, input
+    and flip-flop.
     """
 
     def __init__(self, netlist: Netlist):
@@ -232,62 +232,61 @@ class CompiledNetlist:
         self.dff_q_idx = [index[d.output] for d in netlist.dffs]
         self.dff_d_idx = [index[d.input] for d in netlist.dffs]
         self.dff_forced_zero = [d.output.startswith(COUNTER_NET_PREFIX) for d in netlist.dffs]
-        self.counter_pos = [p for p, forced in enumerate(self.dff_forced_zero) if forced]
         self.n_nets = n_nets = len(index) + sum(len(g.fanins) - 2 for g in order if len(g.fanins) > 2)
-        # _driver: the position in `order` of the gate driving each fed op net,
-        # else -1, in int32 slots; _chains: each wide gate's first unnamed net
-        self._control = control = bytearray(n_nets)
-        fed = bytearray(n_nets)
-        for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
-            control[i] = fed[i] = 1
-        self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
-        self._free, self._control_ops, self._chains = [], [], {}  # _free: ops reading no fed net
-        n = len(index)
-        for p, g in enumerate(order):
-            ops = _gate_ops(g, index, n)
-            if len(ops) > 1:  # a wide gate: its unnamed nets are numbered from n
-                self._chains[p] = n
-                n += len(ops) - 1
-            for op in ops:  # mark what each op feeds; keep it if free or control
-                _, out, a, b, _ = op
-                if fed[a] or fed[b]:
-                    fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-                    if not control[out]:
-                        continue
-                (self._control_ops if control[out] else self._free).append(op)
-        # net -> fed op, for the control ops and the gates an op list keeps
-        self._fed_ops: dict[int, tuple] = {op[1]: op for op in self._control_ops}
-        # (watched nets, key value, counter bits) or (watched nets,) -> fed tail; see tail
+        # mark from the key inputs and the counter; if a counter flip-flop's D
+        # net is no control net, there is no counter: mark from the key inputs
+        for self.counter_pos in ([p for p, forced in enumerate(self.dff_forced_zero) if forced], []):
+            # _driver: the position in `order` of the gate driving each fed op
+            # net, else -1, in int32 slots; _chains: each wide gate's first unnamed net
+            self._control = control = bytearray(n_nets)
+            fed = bytearray(n_nets)
+            for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
+                control[i] = fed[i] = 1
+            self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
+            self._free, self._control_ops, self._chains = [], [], {}  # _free: ops reading no fed net
+            n = len(index)
+            for p, g in enumerate(order):
+                ops = _gate_ops(g, index, n)
+                if len(ops) > 1:  # a wide gate: its unnamed nets are numbered from n
+                    self._chains[p] = n
+                    n += len(ops) - 1
+                for op in ops:  # mark what each op feeds; keep it if free or control
+                    _, out, a, b, _ = op
+                    if fed[a] or fed[b]:
+                        fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                        if not control[out]:
+                            continue
+                    (self._control_ops if control[out] else self._free).append(op)
+            if all(control[self.dff_d_idx[p]] for p in self.counter_pos):
+                break
+        # (watched nets, key value, counter bits) -> fed tail; see tail
         self.op_lists: dict[tuple, list] = {}
         self._readers: tuple[list, dict] | None = None  # see _free_readers
 
-    def tail(self, watch: tuple[int, ...], key_value: int | None, counter: int | None) -> list[tuple]:
-        """The cached fed tail of a step that watches the nets `watch`: wired
+    def tail(self, watch: tuple[int, ...], key_value: int | None, counter: int) -> list[tuple]:
+        """The cached fed tail of a step that watches the nets `watch`, wired
         under the key value (ignored without key inputs) and the counter bits,
-        or unpruned when `counter` is None (counter lanes differ or are unknown).
-        On a miss the control nets are evaluated in one lane from those bits."""
-        key = (watch,) if counter is None else (watch, key_value if self.key_idx else None, counter)
+        from which a miss evaluates the control nets in one lane."""
+        key = (watch, key_value if self.key_idx else None, counter)
         ops = self.op_lists.get(key)
         if ops is None:
-            h = None
-            if counter is not None:  # each key input and counter flip-flop -> its bit
-                h = {i: key_value >> bit & 1 for bit, i in enumerate(self.key_idx)}
-                h.update((self.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(self.counter_pos))
-                _known_pass(h, 1, self._control_ops)
+            h = {i: key_value >> bit & 1 for bit, i in enumerate(self.key_idx)}
+            h.update((self.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(self.counter_pos))
+            _known_pass(h, 1, self._control_ops)
             if len(self.op_lists) >= _MAX_OP_LISTS:
                 del self.op_lists[next(iter(self.op_lists))]
             ops = self.op_lists[key] = self._select_ops(self.output_idx + self.dff_d_idx + list(watch), h)
         return ops
 
-    def _select_ops(self, roots: list[int], h: dict[int, int] | None = None) -> list[tuple]:
-        """The fed tail of one step: in topological order, the fed ops that
-        `roots` depend on. Given `h`, which must map each control net to its
-        bit, an op with a control fanin at its controlling value (0 for AND,
-        1 for OR) depends on that fanin alone, and the tail is wired (see
-        :meth:`_wired`)."""
-        control, driver, chains, built = self._control, self._driver, self._chains, self._fed_ops
+    def _select_ops(self, roots: list[int], h: dict[int, int]) -> list[tuple]:
+        """The fed tail of one step, wired (see :meth:`_wired`): in
+        topological order, the fed ops that `roots` depend on, where `h` maps
+        each control net to its bit and an op with a control fanin at its
+        controlling value (0 for AND, 1 for OR) depends on that fanin alone."""
+        control, driver, chains = self._control, self._driver, self._chains
         order, index = self._order, self.index
-        controlling = (None, None, None) if h is None else (0, 1, None)
+        controlling = (0, 1, None)  # by family: AND, OR, XOR
+        built: dict[int, tuple] = {}  # net -> op, for the gates the walk reaches
         seen = bytearray(self.n_nets)
         kept = []
         stack = list(roots)
@@ -297,11 +296,9 @@ class CompiledNetlist:
             if p < 0 or seen[net]:
                 continue
             seen[net] = 1
-            op = built.get(net)
-            if op is None:  # built once, so op lists share the tuples
-                for op in _gate_ops(order[p], index, chains.get(p, 0)):
-                    built.setdefault(op[1], op)
-                op = built[net]
+            if net not in built:
+                built.update((op[1], op) for op in _gate_ops(order[p], index, chains.get(p, 0)))
+            op = built[net]
             # sorts by gate, then up a wide gate's chain: unnamed nets, by number, first
             kept.append((p, net < len(index), op))
             family, _, a, b, _ = op
@@ -314,8 +311,7 @@ class CompiledNetlist:
                         break
             stack.extend(fanins)
         kept.sort()
-        ops = [op for _, _, op in kept]
-        return ops if h is None else self._wired(ops, roots, h)
+        return self._wired([op for _, _, op in kept], roots, h)
 
     def _wired(self, ops: list[tuple], roots: list[int], h: dict[int, int]) -> list[tuple]:
         """`ops` wired under the control bits that `h` holds (see the
@@ -494,9 +490,17 @@ class PlaneSim:
         """Evaluate one cycle. With latch=True the flip-flop planes advance.
 
         When no input or state bit is unknown, only the high plane is
-        evaluated and the unknown plane is all zero.
+        evaluated and the unknown plane is all zero. A counter flip-flop that
+        is unknown or differs between lanes raises ValueError, changing no plane.
         """
         c, h, x, mask = self.c, self.h, self.x, self.mask
+        counter = 0
+        for bit, p in enumerate(c.counter_pos):
+            vh = self.state_h[p]
+            if self.state_x[p] or vh and vh != mask:
+                name = next(net for net, i in c.index.items() if i == c.dff_q_idx[p])
+                raise ValueError(f"counter flip-flop '{name}' is unknown or differs between lanes")
+            counter |= (vh & 1) << bit
         unknown = [v & mask for v in nonkey_x] if nonkey_x else [0] * len(nonkey_h)
         seeds = []  # the inputs and flip-flops whose planes change
         for idx, vh, vx in zip(c.nonkey_idx, nonkey_h, unknown):
@@ -511,13 +515,6 @@ class PlaneSim:
             if h[idx] != vh or x[idx] != vx:
                 h[idx], x[idx] = vh, vx
                 seeds.append(idx)
-        counter = 0
-        for bit, p in enumerate(c.counter_pos):
-            vh = self.state_h[p]
-            if self.state_x[p] or vh and vh != mask:
-                counter = None  # control nets may differ by lane: no cut
-                break
-            counter |= (vh & 1) << bit
         tail = c.tail(self.watch_idx, key_value, counter)
         if any(unknown) or any(self.state_x):
             self._step_kleene(tail, seeds if self._x_stale else None)

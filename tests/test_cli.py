@@ -666,6 +666,11 @@ _ERROR_KINDS = pytest.mark.parametrize(
          _S27, None, None, "io-error", _NO_FILE),
         (["lock-beh", "--in", "", "--k", "2", "--ki", "1", "--out", "{tmp}/o.kiss2", "--manifest", "{tmp}/m.json"],
          None, None, None, "io-error", _NO_FILE),
+        # a write that fails takes the outputs written before it along
+        ([*_LOCK_STR[:-1], "{tmp}/missing/m.json"], _S27, None, None, "io-error", "missing/m.json'"),
+        ([*_LOCK_BEH[:-1], "{tmp}/missing/m.json"], None, _DETECTOR, None, "io-error", "missing/m.json'"),
+        (["report", *_LOCKED_RUN, "--out", "{tmp}/r.json", "--csv", "{tmp}/missing/r.csv"], _S27, None, None,
+         "io-error", "missing/r.csv'"),
         (["sim", "--in", "{bench}", "--keys", "0,1", "--static-key", "0"], _S27, None, None,
          "invalid-input", "--static-key conflicts with --keys/--manifest"),
         (["sim", "--in", "{locked}"], None, None, None,
@@ -678,7 +683,9 @@ _ERROR_KINDS = pytest.mark.parametrize(
          "lock-str-empty-keys", "lock-str-empty-key-item", "sim-trailing-empty-key",
          "lock-str-empty-targets", "attack-empty-manifest-k",
          "sim-empty-stimulus", "sim-empty-trace", "report-empty-out", "attack-empty-out",
-         "lock-str-empty-manifest", "lock-beh-empty-in", "static-key-and-keys", "key-inputs-without-keys"],
+         "lock-str-empty-manifest", "lock-beh-empty-in", "lock-str-manifest-dir-missing",
+         "lock-beh-manifest-dir-missing", "report-csv-dir-missing", "static-key-and-keys",
+         "key-inputs-without-keys"],
 )
 
 
@@ -698,9 +705,11 @@ def _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch) -> int:
 
 @_ERROR_KINDS
 def test_error_kinds(tmp_path, capsys, monkeypatch, argv, bench, kiss2, patch, kind, detail):
-    """Each typed failure exits 1 with its kind and message as one JSON line on stderr."""
+    """Each typed failure exits 1 with its kind and message as one JSON line
+    on stderr, and leaves only the input files behind."""
     code = _run_error_case(tmp_path, monkeypatch, argv, bench, kiss2, patch)
     assert code == 1
+    assert {p.name for p in tmp_path.iterdir()} <= {"in.bench", "in.kiss2", "in.locked", "in.manifest"}
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()

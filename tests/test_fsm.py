@@ -136,8 +136,8 @@ def deterministic_fsms(draw):
     one flaw each holds that KISS2 text cannot carry, or None. A state's input
     patterns care about the same positions and differ there, so no two
     overlap. About half the draws hold a flaw: a state name that is empty,
-    holds whitespace or '#', or starts with '.' where there is no input field,
-    or a pattern character other than 0, 1 and -."""
+    holds whitespace or '#', or is a source starting with '.' where there is
+    no input field, or a pattern character other than 0, 1 and -."""
     input_width = draw(st.integers(0, 3))
     output_width = draw(st.integers(0, 3))
     flaw_kind = draw(st.sampled_from(["none", "none", "state", "pattern"]))
@@ -170,6 +170,8 @@ def deterministic_fsms(draw):
     fsm = fsm._replace(reset_state=draw(st.sampled_from(fsm.states)))
     if flaw_kind == "state" and flaw not in fsm.states:
         flaw = None  # the flawed name has no transition
+    if flaw == ".e" and all(t.src != flaw for t in fsm.transitions):
+        flaw = None  # a destination field never starts a line
     return fsm, flaw
 
 
@@ -202,6 +204,17 @@ def test_check_refuses_what_kiss2_cannot_state(fsm, flaw):
         check_fsm(fsm)
     with pytest.raises(Kiss2FormatError):
         parse_kiss2(write_kiss2(fsm))
+
+
+@pytest.mark.parametrize(
+    "text", [".i 0\n.o 1\na .x 1\n", ".i 0\n.o 0\n.r .x\na .x\n"],
+    ids=["dot-destination", "dot-reset-state"],
+)
+def test_dot_state_round_trips_where_it_does_not_start_a_line(text):
+    """With no input field, a destination state may start with '.': only a
+    source starts its transition's line."""
+    fsm = parse_kiss2(text)
+    assert parse_kiss2(write_kiss2(fsm)) == fsm
 
 
 def test_write_single_state_header():

@@ -3,6 +3,7 @@ import random
 import tracemalloc
 
 import pytest
+from bench.workloads import LOCKFLOW_CONFIGS, XSIM_CONFIGS
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,13 +13,13 @@ from tklock.circuit import Dff, Gate, Netlist, parse_bench
 from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule, generate_key_schedule
 from tklock.sim import (
     _MAX_OP_LISTS,
+    _gate_ops,
     KeyPolicy,
     PlaneSim,
     Stimulus,
     Trace,
     minterm_planes,
     simulate,
-    value_str,
 )
 from tklock.structural import lock_structural
 from tklock.synth import random_netlist
@@ -71,7 +72,7 @@ def test_kleene_matches_resolution_oracle(kind):
         for values in itertools.product(VALUES, repeat=arity):
             expected = _brute_kleene(kind, values)
             assert kleene_eval(kind, list(values)) == expected, (kind, values)
-            row = "".join(value_str(v) for v in values)
+            row = "".join({0: "0", 1: "1", None: "x"}[v] for v in values)
             assert simulate(gate, Stimulus.from_strings([row])).outputs[0][0] == expected, (kind, values)
 
 
@@ -199,10 +200,6 @@ def test_trace_csv_layout(s27):
     lines = csv.splitlines()
     assert lines[0] == "cycle,G0,G1,G2,G3,G17,G11"
     assert lines[1].startswith("0,0,1,0,1,x")
-
-
-def test_value_str():
-    assert [value_str(v) for v in (0, 1, None)] == ["0", "1", "x"]
 
 
 def test_minterm_planes():
@@ -414,24 +411,31 @@ def test_x_resolution_is_monotonic(seed, n_gates, data):
                 assert after == before
 
 
-def _keyed(netlist: Netlist, key_bits: int, counters: int) -> Netlist:
+def _keyed(netlist: Netlist, key_bits: int, counters: int, toggle: bool = False) -> Netlist:
     """`netlist` with its first inputs renamed key inputs and its first
-    flip-flops renamed counter flip-flops. Control nets then reach every gate
-    kind, and the counter planes can differ between lanes or be unknown."""
+    flip-flops renamed counter flip-flops, so control nets reach every gate
+    kind. With `toggle`, one more counter flip-flop loads ``NOT(cl_cnt0)``, a
+    control net; with no renamed flip-flop it is ``cl_cnt0`` itself. The
+    counter flip-flops are a counter only when each one's D net is a control
+    net, which a renamed flip-flop's seldom is. A counter starts at 0, and
+    its planes stay known and the same in every lane."""
     names = {f"I{i}": f"{KEY_INPUT_PREFIX}{i}" for i in range(key_bits)}
     names.update((f"Q{i}", f"{COUNTER_NET_PREFIX}{i}") for i in range(counters))
 
     def rename(net):
         return names.get(net, net)
 
+    gates = tuple(Gate(rename(g.output), g.kind, tuple(map(rename, g.fanins))) for g in netlist.gates)
+    dffs = tuple(Dff(rename(d.output), rename(d.input)) for d in netlist.dffs)
+    if toggle:
+        gates += (Gate("toggle", "NOT", (f"{COUNTER_NET_PREFIX}0",)),)
+        dffs += (Dff(f"{COUNTER_NET_PREFIX}{counters}", "toggle"),)
     return Netlist(
         name=f"{netlist.name}_keyed",
         inputs=tuple(map(rename, netlist.inputs)),
         outputs=tuple(map(rename, netlist.outputs)),
-        gates=tuple(
-            Gate(rename(g.output), g.kind, tuple(map(rename, g.fanins))) for g in netlist.gates
-        ),
-        dffs=tuple(Dff(rename(d.output), rename(d.input)) for d in netlist.dffs),
+        gates=gates,
+        dffs=dffs,
     )
 
 
@@ -477,22 +481,26 @@ def _wire(op: tuple) -> bool:
 
 
 def _lists_keep_the_eager_order(netlist: Netlist) -> bool:
-    """Each cached list is a fed tail in the order of the eager compile: an
-    unpruned tail holds ops of the eager compile, and a wired tail holds
-    wires and ops of the compile with rewired fanins, each at its net's
+    """Each cached list is a fed tail in the order of the eager compile: it
+    holds wires and ops of the compile with rewired fanins, each at its net's
     place. No list holds a free op."""
     reference, compiled = reference_ops(netlist), netlist.compiled
     place = {op[1]: p for p, op in enumerate(reference)}
     free = set(compiled._free)
-    for key, ops in compiled.op_lists.items():
+    for ops in compiled.op_lists.values():
         places = [place[op[1]] for op in ops]
         if places != sorted(set(places)) or free.intersection(ops):
-            return False
-        if len(key) == 1 and not is_subsequence(ops, reference):
             return False
         if not all(_wire(op) or op[0] == reference[place[op[1]]][0] for op in ops):
             return False
     return is_subsequence(compiled._free, reference)
+
+
+def _scalar_states(netlist: Netlist):
+    """Scalar flip-flop states a step takes: 0 or 1 for each counter
+    flip-flop, 0, 1 or x for the others."""
+    counter = netlist.compiled.counter_pos
+    return st.tuples(*[st.sampled_from((0, 1) if p in counter else VALUES) for p in range(len(netlist.dffs))])
 
 
 def _root_planes(sim: PlaneSim):
@@ -517,15 +525,17 @@ _KEYED_RUNS = dict(
 
 def _keyed_netlist(seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data):
     """A random netlist locked by `lock_structural`, one whose inputs and
-    flip-flops are renamed key inputs and counters, or a key-free one with
-    counters; its schedule (None when key-free); and up to six of its gate
-    nets to watch."""
+    flip-flops are renamed key inputs and counter flip-flops, or a key-free
+    one with counter flip-flops, the last two drawn with and without
+    :func:`_keyed`'s toggle; its schedule (None when key-free); and up to
+    six of its gate nets to watch."""
     orig = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
+    toggle = form != "locked" and data.draw(st.booleans())
     if form == "key-free":
-        netlist, schedule = _keyed(orig, 0, data.draw(st.integers(1, n_dffs))), None
+        netlist, schedule = _keyed(orig, 0, data.draw(st.integers(1 - toggle, n_dffs)), toggle), None
     elif form == "renamed":
         key_bits = min(key_bits, n_inputs - 1)
-        netlist = _keyed(orig, key_bits, data.draw(st.integers(0, n_dffs)))
+        netlist = _keyed(orig, key_bits, data.draw(st.integers(0, n_dffs)), toggle)
         keys = tuple(data.draw(st.integers(0, 2**key_bits - 1)) for _ in range(num_keys))
         schedule = KeySchedule(keys, key_bits)
     else:
@@ -621,25 +631,35 @@ def _widened(netlist: Netlist, seed: int) -> Netlist:
     n_gates=st.integers(1, 30),
     key_bits=st.integers(0, 2),
     counters=st.integers(0, 2),
+    toggle=st.booleans(),
     widen=st.booleans(),
 )
-def test_unpruned_lists_match_the_eager_compile(seed, n_inputs, n_dffs, n_gates, key_bits, counters, widen):
-    """The free ops and the unpruned tail rooted at every gate's output hold
-    the ops the eager compile built, wide gates' unnamed nets included, each
-    part in the eager order, on random netlists with and without key inputs
-    and counter flip-flops; with neither the tail is empty."""
+def test_unpruned_lists_match_the_eager_compile(
+    seed, n_inputs, n_dffs, n_gates, key_bits, counters, toggle, widen
+):
+    """The free ops and the fed ops, which a tail's walk builds from each fed
+    net's driving gate and its chain start, hold the ops the eager compile
+    built, wide gates' unnamed nets included, each part in the eager order,
+    on random netlists with and without key inputs and counter flip-flops;
+    with neither no op is fed."""
     netlist = random_netlist(seed, n_inputs, n_dffs, n_gates, n_outputs=2, name="rand")
     if widen:
         netlist = _widened(netlist, seed)
-    netlist = _keyed(netlist, min(key_bits, n_inputs - 1), min(counters, n_dffs))
+    netlist = _keyed(netlist, min(key_bits, n_inputs - 1), min(counters, n_dffs), toggle)
     compiled = netlist.compiled
-    tail = compiled._select_ops([compiled.index[g.output] for g in netlist.gates])
+    driver = compiled._driver
+    fed = [
+        op
+        for p in sorted(set(driver) - {-1})
+        for op in _gate_ops(compiled._order[p], compiled.index, compiled._chains.get(p, 0))
+        if driver[op[1]] == p
+    ]
     reference, free = reference_ops(netlist), compiled._free
-    assert sorted(free + tail) == sorted(reference)
-    assert is_subsequence(free, reference) and is_subsequence(tail, reference)
-    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in free + tail)
+    assert sorted(free + fed) == sorted(reference)
+    assert is_subsequence(free, reference) and is_subsequence(fed, reference)
+    assert compiled.n_nets == 1 + max(max(op[1:4]) for op in free + fed)
     if not compiled.key_idx and not compiled.counter_pos:
-        assert tail == []
+        assert fed == []
 
 
 def _locked_b04():
@@ -650,11 +670,8 @@ def _locked_b04():
 def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
     """`simulate` from an unknown state under a tampered schedule, and a
     random check under the schedule, step locked b04 (k4/ki11) through
-    pruned op lists alone. Steps whose counter lanes differ build one
-    unpruned list under two key values, and match steps over every op.
-    Every list keeps the eager order; the unpruned list holds the tuples
-    the compile kept or built rather than copies, and each wired tail holds
-    only wires."""
+    wired tails alone: each list is cached under a key value and one of the
+    four counter times, keeps the eager order and holds only wires."""
     orig, locked, manifest = _locked_b04()
     rng = random.Random(2)
     n = len(locked.compiled.nonkey_idx)
@@ -667,21 +684,10 @@ def test_keyed_runs_build_no_unpruned_list_on_locked_b04():
     )
     assert verdict.equivalent
     compiled = locked.compiled
-    assert compiled.op_lists and all(len(key) == 3 for key in compiled.op_lists)
-    pruned, full = PlaneSim(locked, 2), _FullStepSim(locked, 2, ())
-    for cycle in range(2):
-        highs = [rng.getrandbits(2) for _ in range(n)]
-        for sim in (pruned, full):
-            sim.state_h[compiled.counter_pos[0]] = 0b01
-            sim.step(highs, manifest.schedule.key_at(cycle))
-        assert _root_planes(pruned) == _root_planes(full), cycle
-    assert [key for key in compiled.op_lists if len(key) == 1] == [((),)]
+    assert len(compiled.counter_pos) == 2 and compiled.op_lists
+    assert {time for _, _, time in compiled.op_lists} == {0, 1, 2, 3}
     assert _lists_keep_the_eager_order(locked)
-    for key, ops in compiled.op_lists.items():
-        if len(key) == 1:
-            assert all(op is compiled._fed_ops[op[1]] for op in ops)
-        else:
-            assert all(map(_wire, ops))
+    assert all(all(map(_wire, ops)) for ops in compiled.op_lists.values())
 
 
 def test_compile_and_a_keyed_step_of_locked_b04_allocate_little():
@@ -806,8 +812,8 @@ def test_wired_event_driven_steps_match_full_steps(
     a control net, and that control net as an output; a locked netlist
     also watches a net inside a mux tree. Each cycle draws its key (so tails
     switch), X rows or X-free ones (so Kleene and two-valued steps
-    alternate), whether to load a scalar state first (with X counters, an
-    unpruned step) and whether to latch."""
+    alternate), whether to load a scalar state first (0 or 1 for each
+    counter flip-flop, 0, 1 or x for the others) and whether to latch."""
     netlist, schedule, watch = _keyed_netlist(
         seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
     )
@@ -826,7 +832,7 @@ def test_wired_event_driven_steps_match_full_steps(
         unknown = [rng.getrandbits(lanes) & rng.getrandbits(lanes) for _ in range(n)]
         if data.draw(st.booleans()):
             unknown = [0] * n
-        state = data.draw(st.none() | st.tuples(*[st.sampled_from(VALUES) for _ in netlist.dffs]))
+        state = data.draw(st.none() | _scalar_states(netlist))
         latch = data.draw(st.booleans())
         for s in (sim, full):
             if state is not None:
@@ -895,20 +901,81 @@ def test_wired_tails_of_locked_b14_hold_one_wire_per_fed_root():
 
 
 def test_mixed_counter_planes_do_not_reuse_an_op_list():
-    """A counter flip-flop whose lanes disagree makes the step run the
-    unpruned list, which nothing cuts. Here `s` is 0 while the counter is 0, so the cached list for key 1 and
-    counter 0 skips `d`; at cycle 2 lane 1's counter is 1, and lane 1 of `y`
-    needs `d`."""
+    """A counter flip-flop that loads a non-key input is no counter, so its
+    lanes may disagree: `counter_pos` is empty, yet it still starts at 0
+    under init x. `s` reads it, so `s` is no control net and the list
+    cached for key 1 keeps `d`, which lane 1 of `y` needs at cycle 2."""
     netlist = parse_bench(
         "INPUT(a)\nINPUT(keyinput0)\nOUTPUT(y)\ncl_cnt0 = DFF(a)\n"
         "s = AND(keyinput0, cl_cnt0)\nd = XOR(a, keyinput0)\ny = AND(s, d)\n"
     )
+    assert netlist.compiled.counter_pos == [] and netlist.compiled.initial_state("x") == (0,)
     pruned, full = PlaneSim(netlist, 2), _FullStepSim(netlist, 2, ())
+    for sim in (pruned, full):
+        sim.reset("x")
     for a in (0b00, 0b10, 0b00):
         for sim in (pruned, full):
             sim.step([a], 1)
         assert _root_planes(pruned) == _root_planes(full)
     assert pruned.output_planes() == [(0b10, 0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_KEYED_RUNS)
+def test_counter_is_every_counter_flip_flop_or_none(
+    seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """`counter_pos` lists every flip-flop named by the counter prefix when
+    each one's D net is a control net (a key input, a counter flip-flop, or
+    a gate whose fanins are all control nets), and none otherwise; either
+    way those flip-flops start at 0 under init x."""
+    netlist, _, _ = _keyed_netlist(seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data)
+    counter = [p for p, d in enumerate(netlist.dffs) if d.output.startswith(COUNTER_NET_PREFIX)]
+    control = {n for n in netlist.inputs if n.startswith(KEY_INPUT_PREFIX)}
+    control.update(netlist.dffs[p].output for p in counter)
+    grown = True
+    while grown:
+        gates = [g.output for g in netlist.gates if g.output not in control and set(g.fanins) <= control]
+        control.update(gates)
+        grown = bool(gates)
+    counts = all(netlist.dffs[p].input in control for p in counter)
+    compiled = netlist.compiled
+    assert compiled.counter_pos == (counter if counts else [])
+    assert all(compiled.initial_state("x")[p] == 0 for p in counter)
+
+
+@pytest.mark.parametrize(
+    "plane", [(0b01, 0), (0b10, 0), (0, 0b11), (0, 0b01), None], ids=["01", "10", "xx", "0x", "loaded-x"]
+)
+def test_a_step_refuses_a_counter_plane_that_is_not_one_time(s27_locked, plane):
+    """A counter flip-flop whose lanes differ or are unknown holds no one
+    counter time, so the step raises, before it changes any plane; so does
+    a loaded scalar state with an unknown counter bit."""
+    locked, _ = s27_locked
+    sim = PlaneSim(locked, 2)
+    sim.reset("x")
+    n = len(sim.c.nonkey_idx)
+    sim.step([0b01] * n, 1, [0b10] * n)
+    p = sim.c.counter_pos[0]
+    if plane is None:
+        sim.load_state(tuple(None if q == p else 0 for q in range(len(locked.dffs))))
+    else:
+        sim.state_h[p], sim.state_x[p] = plane
+    planes = (sim.h[:], sim.x[:], sim.state_h[:], sim.state_x[:])
+    with pytest.raises(ValueError, match=r"^counter flip-flop 'cl_cnt\d' is unknown or differs between lanes$"):
+        sim.step([0b10] * n, 0)
+    assert (sim.h, sim.x, sim.state_h, sim.state_x) == planes
+
+
+def test_bench_locks_keep_their_counter():
+    """Every lock configuration of the lockflow and xsim bench workloads
+    keeps all its counter flip-flops in `counter_pos`: else its keyed steps
+    would lose their wired tails."""
+    configs = set(LOCKFLOW_CONFIGS) | {config[:4] for config in XSIM_CONFIGS}
+    for stem, k, ki, ffs in sorted(configs):
+        locked, _ = lock_structural(corpus.load_bench(stem), generate_key_schedule(k, ki, 0), ffs, seed=0)
+        counter = [p for p, d in enumerate(locked.dffs) if d.output.startswith(COUNTER_NET_PREFIX)]
+        assert counter and locked.compiled.counter_pos == counter, stem
 
 
 def test_op_list_cache_drops_the_oldest_list_past_its_cap():
@@ -972,8 +1039,8 @@ def test_change_driven_steps_match_fresh_sims(
     every listed op. Steps use the schedule's and wrong keys (so op lists
     switch), rows with X then X-free rows (Kleene, two-valued, Kleene again),
     a snapshot of the flip-flop planes restored mid-run as the random
-    comparisons do, and repeated unlatched steps from one scalar state as the
-    exhaustive sweep does."""
+    comparisons do, and repeated unlatched steps from one scalar state (0 or
+    1 for each counter flip-flop) as the exhaustive sweep does."""
     netlist, schedule, watch = _keyed_netlist(
         seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data
     )
@@ -1004,7 +1071,7 @@ def test_change_driven_steps_match_fresh_sims(
         elif action == "restore" and snapshot is not None:
             sim.state_h[:], sim.state_x[:] = snapshot
         elif action == "expand":
-            state = tuple(data.draw(st.sampled_from(VALUES)) for _ in netlist.dffs)
+            state = data.draw(_scalar_states(netlist))
             for _ in range(3):
                 sim.load_state(state)
                 checked_step([rng.getrandbits(lanes) for _ in range(n)], key, unknown, False)
