@@ -138,7 +138,17 @@ def _key_policy_from_args(args, netlist) -> sim.KeyPolicy:
     return sim.KeyPolicy.tampered(schedule, overrides)
 
 
+def _refuse_with(args, given: str, **flags: str) -> None:
+    """Raise ValueError naming the first of `flags` (attribute -> flag) that
+    is set, since `given` makes the command ignore it."""
+    for attr, flag in flags.items():
+        if getattr(args, attr) is not None:
+            raise ValueError(f"{flag} conflicts with {given}")
+
+
 def _cmd_sim(args) -> int:
+    if args.stimulus is not None:
+        _refuse_with(args, "--stimulus", cycles="--cycles", random_seed="--random-seed")
     netlist = _load_bench(args.infile)
     policy = _key_policy_from_args(args, netlist)
     non_key, _ = keys.split_inputs(netlist)
@@ -149,10 +159,11 @@ def _cmd_sim(args) -> int:
             raise ValueError(f"stimulus file '{args.stimulus}' has no rows")
         stimulus = sim.Stimulus.from_strings(rows, policy)
     else:
-        if args.cycles < 1:
-            raise ValueError(f"sim needs cycles >= 1, got {args.cycles}")
-        draw = random.Random(args.random_seed).randint
-        rows = tuple(tuple(draw(0, 1) for _ in non_key) for _ in range(args.cycles))
+        cycles = 16 if args.cycles is None else args.cycles
+        if cycles < 1:
+            raise ValueError(f"sim needs cycles >= 1, got {cycles}")
+        draw = random.Random(args.random_seed or 0).randint
+        rows = tuple(tuple(draw(0, 1) for _ in non_key) for _ in range(cycles))
         stimulus = sim.Stimulus(rows, policy)
     watch = () if args.watch is None else tuple(args.watch.split(","))
     trace = sim.simulate(netlist, stimulus, init=args.init, watch=watch)
@@ -166,8 +177,10 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.mode == "random" and args.budget is not None:
-        raise ValueError("--budget conflicts with --mode random")
+    if args.mode == "random":
+        _refuse_with(args, "--mode random", budget="--budget", depth="--depth")
+    else:
+        _refuse_with(args, "--mode exhaustive", sequences="--sequences", cycles="--cycles", seed="--seed")
     orig = _load_bench(args.orig)
     locked = _load_bench(args.locked)
     policy = _key_policy_from_args(args, locked)
@@ -175,7 +188,7 @@ def _cmd_verify(args) -> int:
         verdict = analysis.check_equivalence_exhaustive(
             orig,
             locked,
-            depth=args.depth,
+            depth=6 if args.depth is None else args.depth,
             key_policy=policy,
             init=args.init,
             budget=analysis._DEFAULT_BUDGET if args.budget is None else args.budget,
@@ -184,9 +197,9 @@ def _cmd_verify(args) -> int:
         verdict = analysis.check_equivalence_random(
             orig,
             locked,
-            sequences=args.sequences,
-            cycles=args.cycles,
-            seed=args.seed,
+            sequences=1000 if args.sequences is None else args.sequences,
+            cycles=64 if args.cycles is None else args.cycles,
+            seed=args.seed or 0,
             key_policy=policy,
             init=args.init,
         )
@@ -333,9 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sim", help="simulate a netlist and export a trace CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--cycles", type=int, default=16)
+    p.add_argument("--cycles", type=int, help="cycles of generated stimulus (default 16)")
     p.add_argument("--stimulus", help="file with one row of non-key input bits per cycle, # comments")
-    p.add_argument("--random-seed", type=int, default=0, help="seed for generated stimulus")
+    p.add_argument("--random-seed", type=int, help="seed for generated stimulus (default 0)")
     p.add_argument("--manifest", help="drive key inputs with the manifest's schedule")
     p.add_argument("--override", action="append", help="CYCLE=BITS wrong-key injection")
     p.add_argument("--init", choices=("zero", "x"), default="zero")
@@ -349,14 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--locked", required=True)
     p.add_argument("--manifest")
     p.add_argument("--mode", choices=("exhaustive", "random"), default="exhaustive")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=int, help="cycles the exhaustive check covers (default 6)")
     p.add_argument(
         "--budget", type=int,
         help="most distinct joint states the exhaustive check may expand",
     )
-    p.add_argument("--sequences", type=int, default=1000)
-    p.add_argument("--cycles", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--sequences", type=int, help="random sequences (default 1000)")
+    p.add_argument("--cycles", type=int, help="cycles per random sequence (default 64)")
+    p.add_argument("--seed", type=int, help="seed for the random sequences (default 0)")
     p.add_argument("--init", choices=("zero", "x"), default="zero")
     _add_schedule_options(p, with_static=True)
     p.set_defaults(func=_cmd_verify)

@@ -38,13 +38,19 @@ current.
 
 The counter starts at 0 and its next state reads only control nets, so every
 counter plane is uniform and known (a step refuses one that is not), each
-control net holds 0 or all ones in every lane, and the tail is wired. An op
-with a fanin whose source is a control net becomes a wire: from that source
-when the fanin fixes the op (AND at 0, OR at 1), else from its other fanin's
-source, the inversion carried along (AND at 1, OR at 0, any XOR). NOT and BUF
-are wires. The tail keeps one wire ``(AND, net, source, source, inverted)`` per
-wired root and the ops that no control value decides; both passes give a
-wire the value of the op it replaces. A mux tree is one wire: per step, the
+control net holds 0 or all ones in every lane, and the tail is wired. One
+walk back from the roots derives it, resolving each fed net once the fanins
+it needs are resolved, to a source net and an inversion. An op with a
+fanin whose source is a key input or a counter flip-flop becomes a wire:
+from that source when the fanin fixes the op (AND at 0, OR at 1), else from
+its other fanin's source, the inversion carried along (AND at 1, OR at 0,
+any XOR). NOT and BUF are wires, and every control net resolves to a key
+input or a counter flip-flop. An AND or OR resolves a control fanin first,
+and when that fanin fixes the op, its other fanin is not walked. The tail
+keeps one wire ``(AND, net, source, source, inverted)`` per wired root and
+the ops that no control value decides; the two-valued and the Kleene pass
+give a wire the value of the op it replaces. A mux tree is one wire: per
+step, the
 tails of the xsim bench jobs (locked b14 k8/ki3 with 16 locked flip-flops,
 b12 k2/ki5, b04 k4/ki11) hold 27, 3 and 7 ops.
 
@@ -100,7 +106,7 @@ def _gate_ops(gate, index: dict[str, int], n: int) -> Sequence[tuple]:
 
 
 def _known_pass(h, mask: int, *op_lists: list[tuple]) -> None:
-    """Two-valued pass over the high planes `h` (a list or a dict), `mask` all ones."""
+    """Two-valued pass over the high planes `h`, `mask` all ones."""
     for ops in op_lists:
         for family, out, a, b, invert in ops:
             if family == _AND:
@@ -212,11 +218,12 @@ class CompiledNetlist:
     A netlist from ``parse_bench`` is not validated again; any other is
     validated once, and one with an error raises ValueError. It holds the
     counter flip-flops (`counter_pos`: all that the counter prefix names, or
-    none); the free ops, which every step runs; the fed tails, which
-    :meth:`tail` derives from (watched nets, key value, counter bits) alone,
-    never from a simulator's planes, and caches in `op_lists`; and, from the
-    first Kleene step, the free ops that read each free op's output, input
-    and flip-flop.
+    none); the free ops, which every step runs; the control nets and the
+    gate driving each fed net, from which :meth:`tail` derives each fed
+    tail under (watched nets, key value, counter bits) alone, never from a
+    simulator's planes, and caches it in `op_lists`; and, from the first
+    Kleene step, the free ops that read each free op's output, input and
+    flip-flop.
     """
 
     def __init__(self, netlist: Netlist):
@@ -243,20 +250,19 @@ class CompiledNetlist:
             for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
                 control[i] = fed[i] = 1
             self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
-            self._free, self._control_ops, self._chains = [], [], {}  # _free: ops reading no fed net
+            self._free, self._chains = [], {}  # _free: ops reading no fed net
             n = len(index)
             for p, g in enumerate(order):
                 ops = _gate_ops(g, index, n)
                 if len(ops) > 1:  # a wide gate: its unnamed nets are numbered from n
                     self._chains[p] = n
                     n += len(ops) - 1
-                for op in ops:  # mark what each op feeds; keep it if free or control
+                for op in ops:  # mark what each op feeds; keep it if free
                     _, out, a, b, _ = op
                     if fed[a] or fed[b]:
                         fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
-                        if not control[out]:
-                            continue
-                    (self._control_ops if control[out] else self._free).append(op)
+                    else:
+                        self._free.append(op)
             if all(control[self.dff_d_idx[p]] for p in self.counter_pos):
                 break
         # (watched nets, key value, counter bits) -> fed tail; see tail
@@ -265,96 +271,77 @@ class CompiledNetlist:
 
     def tail(self, watch: tuple[int, ...], key_value: int | None, counter: int) -> list[tuple]:
         """The cached fed tail of a step that watches the nets `watch`, wired
-        under the key value (ignored without key inputs) and the counter bits,
-        from which a miss evaluates the control nets in one lane."""
+        under the key value (ignored without key inputs) and the counter bits.
+
+        A miss walks back from the roots (outputs, next-state nets and
+        `watch`), resolving each fed net to a wire or an undecided op (see
+        the module docstring), then keeps, from the last resolved net in
+        topological order, those the roots need."""
         key = (watch, key_value if self.key_idx else None, counter)
         ops = self.op_lists.get(key)
-        if ops is None:
-            h = {i: key_value >> bit & 1 for bit, i in enumerate(self.key_idx)}
-            h.update((self.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(self.counter_pos))
-            _known_pass(h, 1, self._control_ops)
-            if len(self.op_lists) >= _MAX_OP_LISTS:
-                del self.op_lists[next(iter(self.op_lists))]
-            ops = self.op_lists[key] = self._select_ops(self.output_idx + self.dff_d_idx + list(watch), h)
-        return ops
-
-    def _select_ops(self, roots: list[int], h: dict[int, int]) -> list[tuple]:
-        """The fed tail of one step, wired (see :meth:`_wired`): in
-        topological order, the fed ops that `roots` depend on, where `h` maps
-        each control net to its bit and an op with a control fanin at its
-        controlling value (0 for AND, 1 for OR) depends on that fanin alone."""
+        if ops is not None:
+            return ops
+        h = {i: key_value >> bit & 1 for bit, i in enumerate(self.key_idx)}
+        h.update((self.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(self.counter_pos))
         control, driver, chains = self._control, self._driver, self._chains
         order, index = self._order, self.index
-        controlling = (0, 1, None)  # by family: AND, OR, XOR
         built: dict[int, tuple] = {}  # net -> op, for the gates the walk reaches
-        seen = bytearray(self.n_nets)
-        kept = []
-        stack = list(roots)
+        source: dict[int, tuple[int, bool]] = {}  # wired net -> (source net, inverted)
+        kept: dict[int, tuple] = {}  # resolved net -> its op in the tail
+        roots = self.output_idx + self.dff_d_idx + list(watch)
+        stack = [net for net in roots if driver[net] >= 0]  # the walk pushes only fed nets
         while stack:
-            net = stack.pop()
-            p = driver[net]
-            if p < 0 or seen[net]:
+            net = stack[-1]
+            if net in kept:
+                stack.pop()
                 continue
-            seen[net] = 1
+            p = driver[net]
             if net not in built:
                 built.update((op[1], op) for op in _gate_ops(order[p], index, chains.get(p, 0)))
-            op = built[net]
-            # sorts by gate, then up a wide gate's chain: unnamed nets, by number, first
-            kept.append((p, net < len(index), op))
-            family, _, a, b, _ = op
-            fanins = (a, b)
-            value = controlling[family]
-            if value is not None:
-                for f in fanins:
-                    if control[f] and h[f] == value:
-                        fanins = (f,)
-                        break
-            stack.extend(fanins)
-        kept.sort()
-        return self._wired([op for _, _, op in kept], roots, h)
-
-    def _wired(self, ops: list[tuple], roots: list[int], h: dict[int, int]) -> list[tuple]:
-        """`ops` wired under the control bits that `h` holds (see the
-        module docstring). A decided net that an undecided AND or OR reads
-        inverted keeps its wire too; every control net reduces to a key
-        input or a counter flip-flop."""
-        control = self._control
-        source: dict[int, tuple[int, bool]] = {}  # wired net -> (source net, inverted)
-        undecided: dict[int, tuple] = {}
-        for family, out, a, b, invert in ops:
-            sa, ia = source.get(a, (a, False))
-            sb, ib = source.get(b, (b, False))
-            if a == b and family != _XOR:
-                source[out] = sa, ia ^ invert
-            elif control[sa] or control[sb]:
-                (s, i), (so, io) = ((sa, ia), (sb, ib)) if control[sa] else ((sb, ib), (sa, ia))
+            family, _, a, b, invert = built[net]
+            first, other = (b, a) if control[b] > control[a] else (a, b)
+            if driver[first] >= 0 and first not in kept:
+                stack.append(first)
+                continue
+            s, i = source.get(first, (first, False))
+            # NOT and BUF are wires, as is an op whose first fanin holds its controlling value
+            decided = family != _XOR and (a == b or s in h and h[s] ^ i == (family == _OR))
+            if not decided and driver[other] >= 0 and other not in kept:
+                stack.append(other)
+                continue
+            stack.pop()
+            (sa, ia), (sb, ib) = source.get(a, (a, False)), source.get(b, (b, False))
+            if decided:
+                source[net] = s, i ^ invert
+            elif sa in h or sb in h:
+                (s, i), (so, io) = ((sa, ia), (sb, ib)) if sa in h else ((sb, ib), (sa, ia))
                 one = bool(h[s]) ^ i  # the decided fanin's value
                 if family == _XOR:
-                    source[out] = so, io ^ one ^ invert
+                    source[net] = so, io ^ one ^ invert
                 elif one == (family == _OR):  # the controlling value
-                    source[out] = s, i ^ invert
+                    source[net] = s, i ^ invert
                 else:
-                    source[out] = so, io ^ invert
+                    source[net] = so, io ^ invert
             elif family == _XOR:  # an XOR takes its fanins' inversions into its own
-                undecided[out] = (family, out, sa, sb, invert ^ ia ^ ib)
-            else:
-                undecided[out] = (family, out, a if ia else sa, b if ib else sb, invert)
+                kept[net] = (family, net, sa, sb, invert ^ ia ^ ib)
+            else:  # a decided net that an AND or OR reads inverted keeps its wire
+                kept[net] = (family, net, a if ia else sa, b if ib else sb, invert)
+            if net in source:
+                s, i = source[net]
+                kept[net] = (_AND, net, s, s, i)
+        # in topological order: by gate, then up a wide gate's chain, unnamed nets first
+        named = len(index)
         needed = set(roots)
-        tail = []
-        for op in reversed(ops):
-            out = op[1]
-            if out not in needed:
-                continue
-            if out in undecided:
-                op = undecided[out]
-                needed.update(op[2:4])
-            else:
-                s, i = source[out]
-                op = (_AND, out, s, s, i)
-                needed.add(s)
-            tail.append(op)
-        tail.reverse()
-        return tail
+        ops = []
+        for net in sorted(kept, key=lambda n: (driver[n], n < named, n), reverse=True):
+            if net in needed:
+                ops.append(kept[net])
+                needed.update(kept[net][2:4])
+        ops.reverse()
+        if len(self.op_lists) >= _MAX_OP_LISTS:
+            del self.op_lists[next(iter(self.op_lists))]
+        self.op_lists[key] = ops
+        return ops
 
     def _free_readers(self) -> tuple[list[tuple[int, ...]], dict[int, tuple[int, ...]]]:
         """The positions in `_free` of the ops that read each free op's
@@ -410,11 +397,14 @@ def simulate(
     """
     compiled = netlist.compiled
     check_policy(compiled, stimulus.key_policy)
-    for row in stimulus.inputs:
+    for cycle, row in enumerate(stimulus.inputs):
         if len(row) != len(compiled.nonkey_idx):
             raise ValueError(
                 f"stimulus width {len(row)} does not match {len(compiled.nonkey_idx)} non-key inputs"
             )
+        for v in row:
+            if v not in (0, 1, None):
+                raise ValueError(f"stimulus value {v!r} at cycle {cycle} is not 0, 1 or None")
     for cycle in stimulus.key_policy.overrides:
         if not 0 <= cycle < stimulus.cycles:
             raise ValueError(f"override cycle {cycle} outside stimulus")

@@ -675,6 +675,19 @@ _ERROR_KINDS = pytest.mark.parametrize(
          "invalid-input", "--static-key conflicts with --keys/--manifest"),
         (["sim", "--in", "{locked}"], None, None, None,
          "invalid-input", "netlist has key inputs; give --manifest, --keys, or --static-key"),
+        # a flag the chosen mode ignores would be dropped without a word
+        (["sim", "--in", "{bench}", "--stimulus", "{tmp}/rows.txt", "--cycles", "4"], _S27, None, None,
+         "invalid-input", "--cycles conflicts with --stimulus"),
+        (["sim", "--in", "{bench}", "--stimulus", "{tmp}/rows.txt", "--random-seed", "1"], _S27, None, None,
+         "invalid-input", "--random-seed conflicts with --stimulus"),
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--sequences", "8"], _S27, None, None,
+         "invalid-input", "--sequences conflicts with --mode exhaustive"),
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--mode", "exhaustive", "--cycles", "8"],
+         _S27, None, None, "invalid-input", "--cycles conflicts with --mode exhaustive"),
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--seed", "1"], _S27, None, None,
+         "invalid-input", "--seed conflicts with --mode exhaustive"),
+        (["verify", "--orig", "{bench}", "--locked", "{bench}", "--mode", "random", "--depth", "3"],
+         _S27, None, None, "invalid-input", "--depth conflicts with --mode random"),
     ],
     ids=["bench-parse-error", "kiss2-parse-error", "budget-exceeded", "value-error", "fsm-error",
          "missing-in-file", "schedule-period", "schedule-width", "key-input-gap",
@@ -685,7 +698,9 @@ _ERROR_KINDS = pytest.mark.parametrize(
          "sim-empty-stimulus", "sim-empty-trace", "report-empty-out", "attack-empty-out",
          "lock-str-empty-manifest", "lock-beh-empty-in", "lock-str-manifest-dir-missing",
          "lock-beh-manifest-dir-missing", "report-csv-dir-missing", "static-key-and-keys",
-         "key-inputs-without-keys"],
+         "key-inputs-without-keys", "sim-stimulus-cycles", "sim-stimulus-random-seed",
+         "verify-exhaustive-sequences", "verify-exhaustive-cycles", "verify-exhaustive-seed",
+         "verify-random-depth"],
 )
 
 

@@ -23,7 +23,7 @@ from tklock.sim import (
 )
 from tklock.structural import lock_structural
 from tklock.synth import random_netlist
-from tests.compile_reference import is_subsequence, reference_ops
+from tests.compile_reference import is_subsequence, reference_ops, reference_tail
 from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import kleene_eval, simulate_kleene
 
@@ -192,6 +192,16 @@ def test_override_outside_stimulus_rejected(s27_locked):
     stim = Stimulus.from_strings(["0000"], KeyPolicy.tampered(manifest.schedule, {5: 1}))
     with pytest.raises(ValueError, match="outside stimulus"):
         simulate(locked, stim)
+
+
+@pytest.mark.parametrize("rows", [((2, 1, 0, None),), ((0, 0, 0, 0), (0, 1, "x", 0))], ids=["2", "x"])
+def test_simulate_refuses_a_stimulus_value_that_is_not_0_1_or_none(s27, monkeypatch, rows):
+    """A stimulus value other than 0, 1 or None raises ValueError naming it
+    and its cycle, before any step, instead of being read as 0."""
+    monkeypatch.setattr(PlaneSim, "step", lambda *args: pytest.fail("stepped"))
+    value, cycle = (2, 0) if len(rows) == 1 else ("'x'", 1)
+    with pytest.raises(ValueError, match=f"^stimulus value {value} at cycle {cycle} is not 0, 1 or None$"):
+        simulate(s27, Stimulus(rows))
 
 
 def test_trace_csv_layout(s27):
@@ -1009,11 +1019,14 @@ def test_op_list_cache_drops_the_oldest_list_past_its_cap():
 
 
 @pytest.mark.parametrize("kind", ["AND", "NAND", "OR", "NOR", "XOR", "XNOR"])
-def test_only_a_controlling_value_cuts_the_search(kind):
+def test_only_a_controlling_value_cuts_the_search(kind, monkeypatch):
     """`y = KIND(s, d, ...)` with the control net `s` at 0, then at 1: a
     cached op list skips `d` only where `s` holds the gate's controlling
     value, so every step matches a step over every op. Widths 2-5 put `s`
-    first and last in the chain of ops a wide gate compiles to."""
+    first and last in the chain of ops a wide gate compiles to. Then `s`
+    is fed but no control net (``AND(keyinput0, a)``, or ``NAND`` for an OR
+    kind): under key 0 it resolves to keyinput0 at the controlling value, so
+    the walk builds no `d*` gate's ops; an XOR builds them all."""
     for width in range(2, 6):
         data = [f"d{i}" for i in range(width - 1)]
         for fanins in (["s", *data], [*data, "s"]):
@@ -1027,6 +1040,62 @@ def test_only_a_controlling_value_cuts_the_search(kind):
                 for sim in (pruned, full):
                     sim.step([a], key)
                 assert _root_planes(pruned) == _root_planes(full), (fanins, key, a)
+    s_kind = "NAND" if kind in ("OR", "NOR") else "AND"
+    netlist = parse_bench(
+        "INPUT(a)\nINPUT(b)\nINPUT(keyinput0)\nOUTPUT(y)\n"
+        f"s = {s_kind}(keyinput0, a)\nd0 = XOR(b, keyinput0)\nd1 = XNOR(d0, a)\n"
+        f"d2 = OR(d1, keyinput0)\ny = {kind}(s, d2)\n"
+    )
+    pruned, full = PlaneSim(netlist, 4), _FullStepSim(netlist, 4, ())
+    built = []
+    monkeypatch.setattr("tklock.sim._gate_ops", lambda gate, *args: built.append(gate.output) or _gate_ops(gate, *args))
+    for sim in (pruned, full):
+        sim.step([0b0011, 0b0101], 0)
+    assert _root_planes(pruned) == _root_planes(full)
+    assert built == (["y", "s", "d2", "d1", "d0"] if "X" in kind else ["y", "s"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_KEYED_RUNS)
+def test_every_tail_matches_the_reference_derivation(
+    seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, init, lanes, data
+):
+    """Under every key value and counter time, the one-walk tail equals the
+    tail the reference derives in passes, op for op, up to which key input
+    or counter flip-flop a wire reads when more than one holds the value it
+    carries: there the reference picks by what the other roots reach (see
+    the next test). A lock's tails equal the reference's exactly."""
+    netlist, _, watch = _keyed_netlist(seed, form, n_inputs, n_dffs, n_gates, num_keys, key_bits, data)
+    compiled = netlist.compiled
+    watch_idx = tuple(compiled.index[net] for net in watch)
+    for key_value in range(2 ** len(compiled.key_idx)) if compiled.key_idx else [None]:
+        for counter in range(2 ** len(compiled.counter_pos)):
+            tail = compiled.tail(watch_idx, key_value, counter)
+            reference = reference_tail(netlist, watch_idx, key_value, counter)
+            h = {i: key_value >> bit & 1 for bit, i in enumerate(compiled.key_idx)}
+            h.update((compiled.dff_q_idx[p], counter >> bit & 1) for bit, p in enumerate(compiled.counter_pos))
+
+            def by_value(ops):  # a wire from a key input or counter flip-flop as the value it carries
+                return [(op[1], h[op[2]] ^ op[4]) if op[2] in h else op for op in ops]
+
+            assert by_value(tail) == by_value(reference), (key_value, counter)
+            assert form != "locked" or tail == reference
+
+
+def test_a_root_wire_reads_the_same_control_source_whatever_else_is_a_root():
+    """Under key 0, ``y = AND(a, keyinput1)`` is keyinput1, a wire the walk
+    takes from its control fanin alone. The reference wires `y` to
+    keyinput0, through ``a = AND(keyinput0, x)``, only when another root
+    reaches `a`; the tail does not depend on the other roots."""
+    netlist = parse_bench(
+        "INPUT(x)\nINPUT(keyinput0)\nINPUT(keyinput1)\nOUTPUT(y)\n"
+        "a = AND(keyinput0, x)\ny = AND(a, keyinput1)\n"
+    )
+    compiled = netlist.compiled
+    a, y, key0, key1 = (compiled.index[net] for net in ("a", "y", "keyinput0", "keyinput1"))
+    assert compiled.tail((), 0, 0) == reference_tail(netlist, (), 0, 0) == [(0, y, key1, key1, False)]
+    assert compiled.tail((a,), 0, 0) == [(0, a, key0, key0, False), (0, y, key1, key1, False)]
+    assert reference_tail(netlist, (a,), 0, 0) == [(0, a, key0, key0, False), (0, y, key0, key0, False)]
 
 
 @settings(max_examples=60, deadline=None)
