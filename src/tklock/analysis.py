@@ -46,10 +46,9 @@ import time
 from itertools import product
 from typing import NamedTuple
 
-from . import structural  # a module import: verify and attack never run it
+from . import sim, structural  # module imports: report never runs sim, verify and attack never structural
 from .circuit import Netlist
 from .keys import KeySchedule
-from .sim import KeyPolicy, PlaneSim, Stimulus, check_policy, minterm_planes, simulate
 
 
 _MAX_MINTERM_INPUTS = 20  # 2**20 minterm lanes, checked before any plane is allocated
@@ -114,7 +113,7 @@ class OverheadReport(NamedTuple):
         return self.delta.gates / self.original.gates
 
 
-def _check_pair(a: Netlist, b: Netlist, policy: KeyPolicy) -> None:
+def _check_pair(a: Netlist, b: Netlist, policy: sim.KeyPolicy) -> None:
     """Check that `a` and `b` share their non-key inputs and outputs and that
     `policy`, which drives the keyed sides, fits every side with key inputs."""
     ca, cb = a.compiled, b.compiled
@@ -126,7 +125,7 @@ def _check_pair(a: Netlist, b: Netlist, policy: KeyPolicy) -> None:
         raise ValueError("key policy given but neither netlist has key inputs")
     for compiled in (ca, cb):
         if compiled.key_idx:
-            check_policy(compiled, policy)
+            sim.check_policy(compiled, policy)
 
 
 def _plane_lane(plane: tuple[int, int], lane: int) -> int | None:
@@ -169,7 +168,7 @@ class _RandomPair:
         n = len(a.compiled.nonkey_idx)
         self.draw = ([rng.getrandbits(sequences) for _ in range(n)] for _ in range(cycles))
         self.stimulus: list[list[int]] = []
-        self.sa, self.sb = PlaneSim(a, sequences), PlaneSim(b, sequences)
+        self.sa, self.sb = sim.PlaneSim(a, sequences), sim.PlaneSim(b, sequences)
         self.sa.reset(init)
         self.sb.reset(init)
         keyed_a = bool(a.compiled.key_idx)
@@ -226,9 +225,9 @@ class _JointSweep:
                 f"2^{n} input minterms exceed the 2^{_MAX_MINTERM_INPUTS}-lane cap; use random mode"
             )
         self.start = {(a.compiled.initial_state(init), b.compiled.initial_state(init)): ()}
-        self.planes = minterm_planes(n)
-        self.sa = PlaneSim(a, 1 << n)
-        self.sb = PlaneSim(b, 1 << n)
+        self.planes = sim.minterm_planes(n)
+        self.sa = sim.PlaneSim(a, 1 << n)
+        self.sb = sim.PlaneSim(b, 1 << n)
         self.memo: dict = {}
         self.budget = budget
 
@@ -302,7 +301,7 @@ def check_equivalence_exhaustive(
     a: Netlist,
     b: Netlist,
     depth: int,
-    key_policy: KeyPolicy | None = None,
+    key_policy: sim.KeyPolicy | None = None,
     init: str = "zero",
     budget: int = _DEFAULT_BUDGET,
 ) -> EquivVerdict:
@@ -316,7 +315,7 @@ def check_equivalence_exhaustive(
     """
     if depth < 1:
         raise ValueError(f"exhaustive check needs depth >= 1, got {depth}")
-    policy = key_policy or KeyPolicy()
+    policy = key_policy or sim.KeyPolicy()
     _check_pair(a, b, policy)
     return _check(a, _JointSweep(a, b, budget, init), policy, depth, "exhaustive")
 
@@ -327,11 +326,11 @@ def check_equivalence_random(
     sequences: int,
     cycles: int,
     seed: int,
-    key_policy: KeyPolicy | None = None,
+    key_policy: sim.KeyPolicy | None = None,
     init: str = "zero",
 ) -> EquivVerdict:
     """Compare outputs over `sequences` seeded random stimuli of `cycles` each."""
-    policy = key_policy or KeyPolicy()
+    policy = key_policy or sim.KeyPolicy()
     _check_pair(a, b, policy)
     return _check(a, _RandomPair(a, b, sequences, cycles, seed, init), policy, cycles, "random")
 
@@ -353,7 +352,7 @@ def replay_counterexample(
     a: Netlist,
     b: Netlist,
     cex: Counterexample,
-    key_policy: KeyPolicy | None = None,
+    key_policy: sim.KeyPolicy | None = None,
     init: str = "zero",
 ) -> bool:
     """Re-simulate a counterexample; True when the reported divergence recurs.
@@ -361,11 +360,12 @@ def replay_counterexample(
     Key overrides at cycles past the counterexample cannot affect it and are
     left out of the replay.
     """
-    policy = key_policy or KeyPolicy()
+    policy = key_policy or sim.KeyPolicy()
     _check_pair(a, b, policy)
     policy = policy._replace(overrides={c: v for c, v in policy.overrides.items() if c < len(cex.inputs)})
     ta, tb = (
-        simulate(n, Stimulus(tuple(cex.inputs), policy if n.compiled.key_idx else KeyPolicy()), init=init)
+        sim.simulate(n, sim.Stimulus(tuple(cex.inputs), policy if n.compiled.key_idx else sim.KeyPolicy()),
+                     init=init)
         for n in (a, b)
     )
     va = ta.value(cex.cycle, cex.output)
@@ -388,7 +388,7 @@ def corruption_rate(
     ValueError, before any simulation is set up, when there is no output."""
     if not orig.outputs:
         raise ValueError(f"netlist '{orig.name}' has no output to observe")
-    policy = KeyPolicy.tampered(schedule, overrides)
+    policy = sim.KeyPolicy.tampered(schedule, overrides)
     _check_pair(orig, locked, policy)
     pair = _RandomPair(orig, locked, sequences, cycles, seed, init)
     differing = 0
@@ -484,7 +484,7 @@ def brute_force_attack(
     started = time.perf_counter()
     # every candidate has the same key width, so one probe checks the pair
     # and the width for all of them
-    _check_pair(oracle, locked, KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
+    _check_pair(oracle, locked, sim.KeyPolicy.correct(KeySchedule(keys=(0,), width=key_bits)))
     if mode == "exhaustive":
         pair, cycles = _JointSweep(oracle, locked, budget), depth
     else:

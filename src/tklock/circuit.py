@@ -12,10 +12,13 @@ each driven name to its shared string; a name read before its driver waits in a
 small pending table. Each ``Gate`` is built by ``tuple.__new__``. Only lines
 that pattern rejects take the slower checks, which give each error its message
 and line number; the two errors found after the last line (an undefined fanin,
-a cycle) read theirs from the line numbers the pass kept per gate and DFF.
-``Netlist._graph`` (the net index in compiled order, a FIFO Kahn order over
-gate positions, the cycle net) is built once and read by the parse's cycle
-check, :func:`validate` and the compiled form.
+a cycle) read theirs from the one byte per line the pass kept (gate, DFF or
+neither). ``Netlist._graph`` (the net index in compiled order, a topological
+order of the gates, the cycle net) is built once and read by the parse's
+cycle check, :func:`validate` and the compiled form. The order is the line
+order when each net has one driver and every fanin's driver comes before its
+reader, as in every corpus circuit but s27 and in their locks; else it is a
+FIFO Kahn order over gate positions.
 
 Those line checks cover every error-level check of :func:`validate`, so a
 netlist from :func:`parse_bench` is marked as free of errors and the compiled
@@ -26,7 +29,6 @@ code is validated the first time one of them needs it.
 from __future__ import annotations
 
 import re
-from array import array
 from collections import Counter
 from functools import cached_property
 from itertools import chain
@@ -119,23 +121,31 @@ class Netlist:
         """The integer gate graph (DFFs cut), built once per netlist.
 
         Returns the net index in :class:`CompiledNetlist` order (inputs, DFF
-        outputs, gate outputs), the gates in the topological order of a FIFO
-        Kahn pass over gate positions, and None or, when the graph has a
-        combinational cycle, the smallest name among the nets that could not
-        be ordered (each on or downstream of a cycle). With duplicate drivers
-        the last driver of a net stands for it.
+        outputs, gate outputs), the gates in a topological order, and None
+        or, when the graph has a combinational cycle, the smallest name
+        among the nets that could not be ordered (each on or downstream of a
+        cycle).
 
-        Only the index and the order are kept. The pass numbers a gate by
-        its index value, so the ints it holds are the index's own, and holds
-        per net a pending count, a first reader and a byte that says whether
-        the gate there drives its net; further readers go in one dict, as
-        most gates of a locked netlist drive a single gate.
+        One pass over the fanins checks the line order first: when each net
+        has one driver and every fanin's index is below its reader's
+        position, the gates are returned as written, with no cycle. Else a
+        FIFO Kahn pass over gate positions orders them, the last driver of a
+        net standing for it. That pass numbers a gate by its index value, so
+        the ints it holds are the index's own, and holds per net a pending
+        count, a first reader and a byte that says whether the gate there
+        drives its net; further readers go in one dict, as most gates of a
+        locked netlist drive a single gate.
         """
         gates = self.gates
         base = len(self.inputs) + len(self.dffs)
         size = base + len(gates)
         drivers = chain(self.inputs, (d.output for d in self.dffs), (g.output for g in gates))
         index = dict(zip(drivers, range(size)))
+        get = index.get  # an undriven fanin reads as `size`, after every gate
+        if len(index) == size and all(
+            get(net, size) < p for p, g in enumerate(gates, base) for net in g.fanins
+        ):
+            return index, gates, None  # one driver per net, each before its readers: the line order
         pending = [0] * size
         first: list[int | None] = [None] * size
         more: dict[int, list[int]] = {}
@@ -198,16 +208,16 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
 
     The pass keeps one name table, ``driven``, from each driven name to its
     shared string. A fanin or output read before its driver waits in
-    ``pending`` until the line that drives it; each gate's and DFF's line
-    number goes in an ``array('i')``. The two errors found after the last
-    line (an undefined fanin, a cycle) read their line from those arrays, so
+    ``pending`` until the line that drives it; one byte per line says
+    whether it drove a gate or a DFF. The two errors found after the last
+    line (an undefined fanin, a cycle) count their line from those bytes, so
     no text is read again and the name tables are freed before the graph pass.
     """
     inputs: list[str] = []
     outputs: list[str] = []
     gates: list[Gate] = []
     dffs: list[Dff] = []
-    gate_line, dff_line = array("i"), array("i")
+    kinds = bytearray()  # per line: 1 for a gate, 2 for a DFF, else 0
     output_line: dict[str, int] = {}
     driven: dict[str, str] = {}
     pending: dict[str, str] = {}
@@ -215,6 +225,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
     new_gate = tuple.__new__  # builds a Gate in C, without NamedTuple's Python-level __new__
 
     for lineno, raw in enumerate(_lines(text), start=1):
+        kinds.append(0)
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if not line:
             continue
@@ -253,7 +264,7 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
                 raise BenchFormatError(f"{kind} takes exactly one fanin", lineno)
             if kind == "DFF":
                 dffs.append(Dff(lhs, get(first) or wait(first, first)))
-                dff_line.append(lineno)
+                kinds[-1] = 2
                 continue
             fanins = (get(first) or wait(first, first),)
         elif second is None:
@@ -264,14 +275,14 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         else:
             fanins = (get(first) or wait(first, first), get(second) or wait(second, second))
         gates.append(new_gate(Gate, (lhs, kind, fanins)))
-        gate_line.append(lineno)
+        kinds[-1] = 1
 
     if pending:
         # a fanin or an output is undriven: report the first fanin reference,
         # walking the gates and DFFs in line order
-        reads = chain(zip(gate_line, (g.fanins for g in gates)), zip(dff_line, ((d.input,) for d in dffs)))
-        for lineno, fanins in sorted(reads):
-            for net in fanins:
+        reads = (iter(g.fanins for g in gates), iter((d.input,) for d in dffs))
+        for lineno, kind in enumerate(kinds, start=1):
+            for net in next(reads[kind - 1]) if kind else ():
                 if net in pending:
                     raise BenchFormatError(f"undefined fanin net '{net}'", lineno)
         for net, lineno in output_line.items():
@@ -285,12 +296,13 @@ def parse_bench(text: str, name: str = "bench") -> Netlist:
         gates=tuple(gates),
         dffs=tuple(dffs),
     )
-    # nothing but the netlist and the gate lines outlives the line loop
-    del text, driven, pending, get, wait, take, output_line, inputs, outputs, gates, dffs, dff_line
+    # nothing but the netlist and the line kinds outlives the line loop
+    del text, driven, pending, get, wait, take, output_line, inputs, outputs, gates, dffs
     cyclic = netlist._graph[2]
     if cyclic is not None:
         p = next(p for p, gate in enumerate(netlist.gates) if gate.output == cyclic)
-        raise BenchFormatError(f"combinational cycle through net '{cyclic}'", gate_line[p])
+        gate_lines = [lineno for lineno, kind in enumerate(kinds, start=1) if kind == 1]
+        raise BenchFormatError(f"combinational cycle through net '{cyclic}'", gate_lines[p])
     netlist._checked = True
     return netlist
 

@@ -224,6 +224,11 @@ class CompiledNetlist:
     simulator's planes, and caches it in `op_lists`; and, from the first
     Kleene step, the free ops that read each free op's output, input and
     flip-flop.
+
+    The compile walks the gates in ``Netlist._graph`` order and marks fed and
+    control nets and `_driver` gate by gate, building an op only for a free
+    gate: a fed gate's ops are built when a tail walks to them. A wide gate
+    is marked op by op, so the free ops that start its chain stay in `_free`.
     """
 
     def __init__(self, netlist: Netlist):
@@ -250,19 +255,29 @@ class CompiledNetlist:
             for i in self.key_idx + [self.dff_q_idx[p] for p in self.counter_pos]:
                 control[i] = fed[i] = 1
             self._driver = driver = memoryview(bytearray(b"\xff") * (4 * n_nets)).cast("i")
-            self._free, self._chains = [], {}  # _free: ops reading no fed net
+            self._free = free = []  # ops reading no fed net
+            self._chains = {}
             n = len(index)
             for p, g in enumerate(order):
-                ops = _gate_ops(g, index, n)
-                if len(ops) > 1:  # a wide gate: its unnamed nets are numbered from n
-                    self._chains[p] = n
-                    n += len(ops) - 1
+                fanins = g.fanins
+                if len(fanins) < 3:  # one op, as most gates are: built only if it is free
+                    a, b = index[fanins[0]], index[fanins[-1]]
+                    if fed[a] or fed[b]:
+                        out = index[g.output]
+                        fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
+                    else:
+                        family, invert = _KIND_OPS[g.kind]
+                        free.append((family, index[g.output], a, b, invert))
+                    continue
+                ops = _gate_ops(g, index, n)  # a wide gate: its unnamed nets are numbered from n
+                self._chains[p] = n
+                n += len(ops) - 1
                 for op in ops:  # mark what each op feeds; keep it if free
                     _, out, a, b, _ = op
                     if fed[a] or fed[b]:
                         fed[out], driver[out], control[out] = 1, p, control[a] & control[b]
                     else:
-                        self._free.append(op)
+                        free.append(op)
             if all(control[self.dff_d_idx[p]] for p in self.counter_pos):
                 break
         # (watched nets, key value, counter bits) -> fed tail; see tail

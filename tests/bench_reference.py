@@ -4,9 +4,12 @@ This is the line-at-a-time parser that `tklock.circuit.parse_bench` replaced:
 two regular expressions per line, one `re.search` per fanin name, and Kahn's
 algorithm over net-name dictionaries. It is slow and plain on purpose; the
 tests compare the library's single indexed pass against it, message for
-message and line for line. `reference_validate` is the validator as it was
-before its duplicate-driver count became conditional, reading the driven
-nets and the cycle by name rather than from the library's integer graph.
+message and line for line. `reference_order` is the gate order the library
+takes, found by name: the gates as written when each net has one driver and
+every fanin's driver comes before its reader, else the Kahn order.
+`reference_validate` is the validator as it was before its duplicate-driver
+count became conditional, reading the driven nets and the cycle by name
+rather than from the library's integer graph.
 """
 
 from __future__ import annotations
@@ -47,6 +50,22 @@ def kahn_by_name(netlist: Netlist) -> tuple[list[Gate], str | None]:
     if len(order) == len(pending):
         return order, None
     return order, min(net for net, n in pending.items() if n > 0)
+
+
+def reference_order(netlist: Netlist) -> list[Gate]:
+    """The gates in line order when each net has one driver and every fanin
+    is an input, a DFF output or the output of an earlier gate; else in the
+    order of :func:`kahn_by_name`."""
+    drivers = [*netlist.inputs, *(d.output for d in netlist.dffs), *(g.output for g in netlist.gates)]
+    if len(set(drivers)) == len(drivers):
+        known = set(netlist.inputs) | {d.output for d in netlist.dffs}
+        for gate in netlist.gates:
+            if not known.issuperset(gate.fanins):
+                break
+            known.add(gate.output)
+        else:
+            return list(netlist.gates)
+    return kahn_by_name(netlist)[0]
 
 
 def reference_parse_bench(text: str, name: str = "bench") -> Netlist:

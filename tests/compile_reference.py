@@ -2,8 +2,10 @@
 
 :func:`reference_ops` is the compile as it was when ``CompiledNetlist`` built
 and kept every op up front: one pass over the gates in topological order
-(here the name-keyed Kahn order of ``tests/bench_reference.py``, which equals
-``Netlist._graph``'s), each gate a chain of two-fanin ops, a wide gate's
+(here ``reference_order`` of ``tests/bench_reference.py``, found by name
+under the rule ``Netlist._graph`` follows: the line order when each net has
+one driver and every fanin's driver comes first, else the name-keyed Kahn
+order, so the two orders are equal), each gate a chain of two-fanin ops, a wide gate's
 unnamed nets numbered from ``len(index)`` up in that order. The compiled
 form now keeps only the ops a keyed step can run and builds the others as an
 op list needs them; the tests compare every op list a step derives against
@@ -19,7 +21,7 @@ need. The tests compare every tail with it.
 from __future__ import annotations
 
 from tklock.circuit import Netlist
-from tests.bench_reference import kahn_by_name
+from tests.bench_reference import reference_order
 
 _KIND_OPS = {
     "AND": (0, False), "NAND": (0, True), "OR": (1, False), "NOR": (1, True),
@@ -32,7 +34,7 @@ def reference_ops(netlist: Netlist) -> list[tuple]:
     index = netlist.compiled.index
     ops = []
     n_nets = len(index)
-    for g in kahn_by_name(netlist)[0]:
+    for g in reference_order(netlist):
         family, invert = _KIND_OPS[g.kind]
         fanins = g.fanins
         a = index[fanins[0]]

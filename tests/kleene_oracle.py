@@ -2,8 +2,10 @@
 
 :func:`kleene_eval` evaluates one gate by its kind name under strong Kleene
 logic, and :func:`simulate_kleene` steps a netlist one gate at a time over
-named nets, in the gate order of the name-keyed Kahn pass in
-``tests/bench_reference.py``. None of them shares code with
+named nets, in the gate order of ``reference_order`` in
+``tests/bench_reference.py``: the line order when each net has one driver
+and every fanin's driver comes first, else the name-keyed Kahn order, the
+rule ``Netlist._graph`` follows. None of them shares code with
 :class:`tklock.sim.PlaneSim` or reads ``Netlist._graph``, so tests that
 compare the two check the kernel and its gate order against the semantics,
 not against themselves.
@@ -14,7 +16,7 @@ from __future__ import annotations
 from tklock.circuit import Netlist
 from tklock.keys import COUNTER_NET_PREFIX, split_inputs
 from tklock.sim import Stimulus, Trace
-from tests.bench_reference import kahn_by_name
+from tests.bench_reference import reference_order
 
 
 def kleene_eval(kind: str, values) -> int | None:
@@ -65,7 +67,7 @@ def simulate_kleene(
     Same timing model and trace layout; it does not check its inputs.
     """
     nonkey, key = split_inputs(netlist)
-    order, _ = kahn_by_name(netlist)
+    order = reference_order(netlist)
     state = {
         d.output: 0 if init == "zero" or d.output.startswith(COUNTER_NET_PREFIX) else None
         for d in netlist.dffs

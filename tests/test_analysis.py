@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tklock import analysis, corpus, synth
+from tklock import analysis, corpus, sim, synth
 from tklock.circuit import Dff, Gate, Netlist, parse_bench
 from tklock.analysis import (
     BudgetExceededError,
@@ -198,7 +198,7 @@ def test_corruption_rate_without_outputs_rejected(monkeypatch):
         "INPUT(a)\nINPUT(b)\nq = DFF(d)\nd = AND(a, r)\ne = OR(b, q)\nr = DFF(e)\n", name="noout"
     )
     locked, manifest = lock_structural(orig, generate_key_schedule(2, 2, 0), seed=0)
-    monkeypatch.setattr(analysis, "PlaneSim", None)  # refused before any plane is built
+    monkeypatch.setattr(sim, "PlaneSim", None)  # refused before any plane is built
     with pytest.raises(ValueError, match="no output to observe"):
         corruption_rate(orig, locked, manifest.schedule, {0: 1}, 8, 4, seed=0)
 

@@ -23,7 +23,7 @@ from tklock.fsm import Kiss2FormatError, parse_kiss2
 from tklock.keys import generate_key_schedule
 from tklock.structural import lock_structural
 from tklock.synth import random_netlist
-from tests.bench_reference import kahn_by_name, reference_parse_bench, reference_validate
+from tests.bench_reference import kahn_by_name, reference_order, reference_parse_bench, reference_validate
 
 
 def test_parse_minimal_buf_circuit():
@@ -180,6 +180,30 @@ def test_validate_undriven_output():
 def test_topo_chain():
     n = parse_bench("INPUT(a)\nOUTPUT(g2)\ng2 = NOT(g1)\ng1 = NOT(a)")
     assert [g.output for g in n._graph[1]] == ["g1", "g2"]
+
+
+def test_graph_keeps_the_lines_when_they_are_in_topological_order():
+    """The FIFO Kahn pass would put g3 before g2; every fanin is driven on an
+    earlier line, so `_graph` takes the gates as written."""
+    n = parse_bench("INPUT(a)\nOUTPUT(g2)\nOUTPUT(g3)\ng1 = NOT(a)\ng2 = NOT(g1)\ng3 = NOT(a)\n")
+    assert n._graph[1] is n.gates
+    assert [g.output for g in kahn_by_name(n)[0]] == ["g1", "g3", "g2"]
+
+
+@pytest.mark.parametrize(
+    "gates, order",
+    [
+        ((Gate("g1", "NOT", ("a",)), Gate("g2", "AND", ("g1", "u"))), ["g1", "g2"]),
+        # each fanin's driver comes first, but g1 has two: the last, the BUF, stands for it
+        ((Gate("g1", "NOT", ("a",)), Gate("g1", "BUF", ("a",)), Gate("g2", "NOT", ("g1",))), ["g1", "g2"]),
+    ],
+    ids=["undriven-fanin", "duplicate-driver"],
+)
+def test_graph_runs_the_kahn_pass_unless_each_net_has_one_earlier_driver(gates, order):
+    """Netlists built in code, which `validate` reads through `_graph`."""
+    n = Netlist(name="k", inputs=("a",), outputs=(), gates=gates, dffs=())
+    assert [g.output for g in n._graph[1]] == order
+    assert n._graph[1] is not n.gates and n._graph[2] is None
 
 
 def test_topo_empty():
@@ -347,7 +371,7 @@ def _assert_parses_like_reference(text):
     got, want = _parse_outcome(parse_bench, text), _parse_outcome(reference_parse_bench, text)
     assert got == want
     if isinstance(want, Netlist):
-        assert list(got._graph[1]) == kahn_by_name(want)[0]
+        assert list(got._graph[1]) == reference_order(want)
         # the compiled form and the locker trust a parsed netlist to have no error
         assert all(v.severity != "error" for v in validate(got))
 

@@ -115,8 +115,9 @@ def test_traced_bench_child_wraps_every_layer(tmp_path):
         # the simulator alone: no checker, locker or state machine
         (["sim", "--in", "locked.bench", "--manifest", "m.json", "--cycles", "4"], 0, "tklock.sim",
          {"tklock.analysis", "tklock.structural", "tklock.fsm", "tklock.behavioral"}),
+        # the closed forms and the netlists alone: no simulator
         (["report", "--orig", "in.bench", "--locked", "locked.bench", "--manifest", "m.json"], 0,
-         "tklock.structural", {"tklock.fsm", "tklock.behavioral"}),
+         "tklock.structural", {"tklock.fsm", "tklock.behavioral", "tklock.sim"}),
     ],
     ids=["lock-beh", "lock-str", "lock-beh-parse-error", "verify", "attack", "sim", "report"],
 )

@@ -1,15 +1,16 @@
+import functools
 import itertools
 import random
 import tracemalloc
 
 import pytest
 from bench.workloads import LOCKFLOW_CONFIGS, XSIM_CONFIGS
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tklock import corpus
 from tklock.analysis import check_equivalence_random
-from tklock.circuit import Dff, Gate, Netlist, parse_bench
+from tklock.circuit import Dff, Gate, Netlist, parse_bench, write_bench
 from tklock.keys import COUNTER_NET_PREFIX, KEY_INPUT_PREFIX, KeySchedule, generate_key_schedule
 from tklock.sim import (
     _MAX_OP_LISTS,
@@ -23,6 +24,7 @@ from tklock.sim import (
 )
 from tklock.structural import lock_structural
 from tklock.synth import random_netlist
+from tests.bench_reference import kahn_by_name, reference_order
 from tests.compile_reference import is_subsequence, reference_ops, reference_tail
 from tests.conftest import S27_SCHEDULE, S27_SEED
 from tests.kleene_oracle import kleene_eval, simulate_kleene
@@ -1168,3 +1170,55 @@ def test_a_repeated_kleene_step_rewrites_no_free_net():
     assert sum(max(h, x) > 256 for h, x in before) > len(free) // 2  # not only small cached ints
     sim.step(*args, latch=False)
     assert all(sim.h[i] is h and sim.x[i] is x for i, (h, x) in zip(free, before))
+
+
+@functools.cache
+def _corpus_lock(stem: str, num_keys: int, key_bits: int):
+    """A corpus circuit, its lock and the lock's manifest."""
+    orig = corpus.load_bench(stem)
+    return (orig, *lock_structural(orig, generate_key_schedule(num_keys, key_bits, 2), seed=2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    lock=st.sampled_from([("s27", 4, 2), ("b01_like", 2, 3), ("b03_like", 2, 4), ("b06_like", 4, 2)]),
+    shuffle_seed=st.integers(0, 10_000),
+    init=st.sampled_from(["zero", "x"]),
+    data=st.data(),
+)
+def test_shuffled_gate_lines_take_the_kahn_order_and_simulate_alike(lock, shuffle_seed, init, data):
+    """A corpus lock written with its gate lines shuffled parses to the same
+    gates, ordered by the Kahn pass (the written order has a forward
+    reference), and gives the traces and verdicts of the lock written in a
+    topological order, which its parse keeps."""
+    orig, lock_out, manifest = _corpus_lock(*lock)
+    ordered = Netlist(lock_out.name, lock_out.inputs, lock_out.outputs, lock_out._graph[1], lock_out.dffs)
+    locked = parse_bench(write_bench(ordered), name=lock_out.name)
+    lines = write_bench(locked).splitlines()
+    at = [i for i, line in enumerate(lines) if " = " in line and " = DFF(" not in line]
+    moved = [lines[i] for i in at]
+    random.Random(shuffle_seed).shuffle(moved)
+    for i, line in zip(at, moved):
+        lines[i] = line
+    shuffled = parse_bench("\n".join(lines), name=locked.name)
+    assert set(shuffled.gates) == set(locked.gates) and len(shuffled.gates) == len(locked.gates)
+    assert (shuffled.inputs, shuffled.outputs, shuffled.dffs) == (locked.inputs, locked.outputs, locked.dffs)
+    assume(reference_order(shuffled) != list(shuffled.gates))  # some gate reads a later line
+    assert locked._graph[1] is locked.gates  # the lines as written
+    assert list(shuffled._graph[1]) == kahn_by_name(shuffled)[0]
+
+    cycles = 12
+    n = len(locked.compiled.nonkey_idx)
+    rows = ["".join(data.draw(st.sampled_from("01x")) for _ in range(n)) for _ in range(cycles)]
+    overrides = data.draw(
+        st.dictionaries(st.integers(0, cycles - 1), st.integers(0, 2**lock[2] - 1), max_size=2)
+    )
+    policy = KeyPolicy.tampered(manifest.schedule, overrides)
+    nets = [g.output for g in locked.gates]
+    watch = tuple(data.draw(st.lists(st.sampled_from(nets), max_size=6, unique=True)))
+    stimulus = Stimulus.from_strings(rows, policy)
+    trace = simulate(locked, stimulus, init=init, watch=watch)
+    assert simulate(shuffled, stimulus, init=init, watch=watch) == trace
+    seed = data.draw(st.integers(0, 10_000))
+    verdict = check_equivalence_random(orig, locked, 64, cycles, seed, policy, init)
+    assert check_equivalence_random(orig, shuffled, 64, cycles, seed, policy, init) == verdict
